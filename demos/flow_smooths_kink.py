@@ -16,8 +16,7 @@ def main():
     g0 = metrics.build_distorted_flat(3, grid, kink_radius=3.0, amp=0.05,
                                       smooth_width=6 * grid.dr_min)
     h = metrics.build_flat(3, grid)
-    radii = [float(grid.r[np.argmin(np.abs(grid.r - t))])
-             for t in (30.0, 42.0, 54.0)]
+    radii = grid.snap((30.0, 42.0, 54.0))
     print("mass of the kinked metric:", mass.adm_mass(g0, radii).mass)
     traj = flow.evolve(g0, h, flow.FlowConfig(T_final=0.05, monitor_every=10,
                                               fairness=1.2))

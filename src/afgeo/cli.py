@@ -64,6 +64,9 @@ def parse_metric(spec, grid, dim=3):
     if name == "flat":
         return metrics.build_flat(dim, grid)
     if name == "schwarzschild":
+        if dim != 3:
+            raise ConfigError(f"metric {spec!r} exists for n = 3 only, "
+                              f"not --dim {dim}")
         return metrics.build_schwarzschild_isotropic(kv.get("m", 1.0), grid)
     if name == "conformal":
         return metrics.build_conformal(kv.get("c", 0.4), dim, grid)
@@ -113,10 +116,7 @@ def _flow_config(args):
 def cmd_mass(args):
     grid = parse_grid(args.grid)
     g = parse_metric(args.metric, grid, args.dim)
-    # snap requested radii to the nearest grid nodes
-    radii = [float(grid.r[np.argmin(np.abs(grid.r - t))])
-             for t in _float_list(args.radii)]
-    rep = mass.adm_mass(g, radii)
+    rep = mass.adm_mass(g, grid.snap(_float_list(args.radii)))
     out = _outdir(args)
     _write_report(out, "mass",
                   _config_lines(args, ["metric", "grid", "radii", "dim"]),
@@ -133,7 +133,8 @@ def cmd_flow(args):
     with open(out / "trajectory.csv", "w") as fh:
         traj.dump(fh)
     last = traj.snapshots[-1]
-    body = [f"steps={len(traj.dt_history)}",
+    body = [f"steps={traj.steps}",
+            f"rhs_evals={traj.rhs_evals}",
             f"T_final={last.t:.12g}",
             f"max_eta={float(np.max(np.abs(last.eta_A))):.12g}",
             f"max_grad_eta={last.diagnostics['max_grad_eta']:.12g}"]
@@ -170,9 +171,12 @@ def cmd_corner(args):
     return EXIT_OK if all_ok else EXIT_MONITOR
 
 
-def _finish_monitor(args, name, report, keys):
+def _finish_monitor(args, name, report, keys, traj=None):
     out = _outdir(args)
-    _write_report(out, name, _config_lines(args, keys), report.lines())
+    body = report.lines()
+    if traj is not None:
+        body += [f"steps={traj.steps}", f"rhs_evals={traj.rhs_evals}"]
+    _write_report(out, name, _config_lines(args, keys), body)
     with open(out / f"{name}.csv", "w") as fh:
         report.write_csv(fh)
     return EXIT_OK if report.passed else EXIT_MONITOR
@@ -182,11 +186,11 @@ def cmd_mass_constancy(args):
     grid = parse_grid(args.grid)
     g = parse_metric(args.metric, grid, args.dim)
     h = parse_metric(args.background, grid, args.dim) if args.background else g
-    rep, _ = analysis.mass_constancy_experiment(
+    rep, traj = analysis.mass_constancy_experiment(
         g, h, _flow_config(args), radii=tuple(_float_list(args.radii)),
         rel_tol=args.tol)
     return _finish_monitor(args, "mass_constancy", rep,
-                           ["metric", "grid", "T", "radii", "tol"])
+                           ["metric", "grid", "T", "radii", "tol"], traj)
 
 
 def cmd_mass_liminf(args):
@@ -204,11 +208,11 @@ def cmd_mass_liminf(args):
 
 
 def cmd_zero_mass(args):
-    rep, _ = analysis.zero_mass_experiment(
+    rep, traj = analysis.zero_mass_experiment(
         _flow_config(args), kink_radius=args.kink, amp=args.amp,
-        grid=parse_grid(args.grid))
+        grid=parse_grid(args.grid), n=args.dim)
     return _finish_monitor(args, "zero_mass", rep,
-                           ["kink", "amp", "grid", "T"])
+                           ["kink", "amp", "grid", "T", "dim"], traj)
 
 
 def cmd_heat_demo(args):
@@ -236,7 +240,9 @@ def cmd_verify(args):
     grid = parse_grid(args.grid)
     probes = [
         ("flat", metrics.build_flat(args.dim, grid)),
-        ("schwarzschild", metrics.build_schwarzschild_isotropic(1.0, grid)),
+        # isotropic Schwarzschild exists for n = 3 only
+        ("schwarzschild", metrics.build_schwarzschild_isotropic(1.0, grid)
+         if args.dim == 3 else None),
         ("conformal", metrics.build_conformal(0.4, args.dim, grid)),
         ("angular-bump", metrics.build_angular_bump(0.2, args.dim, grid)),
         ("distorted-flat", metrics.build_distorted_flat(args.dim, grid,
@@ -244,16 +250,18 @@ def cmd_verify(args):
                                                         amp=0.03)),
     ]
     flat_bg = metrics.build_flat(args.dim, grid)
-    radii = [float(grid.r[np.argmin(np.abs(grid.r - t))])
-             for t in (10.0, 20.0)]
-    body = []
+    radii = grid.snap((10.0, 20.0))
+    body = [f"skipped_probe={name} (dim={args.dim})"
+            for name, g in probes if g is None]
     worst = 0.0
     for name, g in probes:
+        if g is None:
+            continue
         R = curvature.scalar_curvature(g)
         Rn = curvature.ricci_norm_sq(g)
         W = flow.deturck_vector(g, flat_bg)
         for r0 in radii:
-            i = int(np.argmin(np.abs(grid.r - r0)))
+            i = grid.node_at(r0)
             pairs = [
                 ("R", R[i], oracle.scalar_curvature_oracle(g, r0)),
                 ("ric2", Rn[i], oracle.ricci_norm_sq_oracle(g, r0)),

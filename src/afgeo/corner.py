@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
+from scipy.optimize import brentq
 
 from .grid import RadialGrid, smoothstep, sphere_area
 from .metrics import RadialMetric
-from .curvature import mean_curvature_sphere
+from .curvature import (mean_curvature_sphere, scalar_curvature,
+                        scalar_curvature_pointwise)
 
 CONT_TOL = 1e-12
 
@@ -75,8 +77,6 @@ def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, fine_until=None,
                      outer_num=256):
     """Grid with a node exactly at r0: uniform spacing fine_dr out to
     fine_until, then geometrically stretched to r_max."""
-    from scipy.optimize import brentq
-
     if fine_until is None:
         fine_until = 3.0 * r0
     k0 = round((r0 - r_min) / fine_dr)
@@ -321,8 +321,6 @@ def _certificate(mc, K_target, epsilon):
     Outside the collar the metric is untouched, so R comes from the accurate
     grid stencils of each smooth piece; inside, from spline + bump derivatives.
     """
-    from .curvature import scalar_curvature, scalar_curvature_pointwise
-
     cm = mc.cm
     n = cm.n
     sig = mc.sigma

@@ -10,13 +10,9 @@ import numpy as np
 from .grid import fornberg_weights
 
 
-def _phi_derivs(metric):
-    """phi, d phi/d(proper radius), d^2 phi/d(proper radius)^2 on the grid."""
-    r = metric.grid.r
-    A, B = metric.A, metric.B
-    dB = metric.dB(1)
-    ddB = metric.dB(2)
-    dA = metric.dA(1)
+def _phi_jets(r, A, B, dA, dB, ddB):
+    """phi = r sqrt(B) and its first two derivatives with respect to proper
+    radius, f1 and f2, from pointwise values and radial derivatives."""
     sB = np.sqrt(B)
     phi = r * sB
     dphi = sB + r * dB / (2.0 * sB)
@@ -24,6 +20,12 @@ def _phi_derivs(metric):
     f1 = dphi / np.sqrt(A)
     f2 = (ddphi - dphi * dA / (2.0 * A)) / A
     return phi, f1, f2
+
+
+def _phi_derivs(metric):
+    """phi, d phi/d(proper radius), d^2 phi/d(proper radius)^2 on the grid."""
+    return _phi_jets(metric.grid.r, metric.A, metric.B, metric.dA(1),
+                    metric.dB(1), metric.dB(2))
 
 
 def _fill_origin(grid, values):
@@ -47,12 +49,7 @@ def scalar_curvature(metric):
 def scalar_curvature_pointwise(n, r, A, B, dA, dB, ddB):
     """R from pointwise values and radial derivatives (no grid stencils)."""
     m = n - 1
-    sB = np.sqrt(B)
-    phi = r * sB
-    dphi = sB + r * dB / (2.0 * sB)
-    ddphi = dB / sB + r * (ddB / (2.0 * sB) - dB ** 2 / (4.0 * B * sB))
-    f1 = dphi / np.sqrt(A)
-    f2 = (ddphi - dphi * dA / (2.0 * A)) / A
+    phi, f1, f2 = _phi_jets(r, A, B, dA, dB, ddB)
     return m * ((m - 1) * (1.0 - f1 ** 2) / phi ** 2 - 2.0 * f2 / phi)
 
 
@@ -111,6 +108,5 @@ def mean_curvature_sphere(metric, r0, side=None):
         dB0 = metric.dB(1)[i0]
     else:
         dB0 = one_sided_deriv(grid, metric.B, i0, side)
-    sB = np.sqrt(B0)
-    dphi = sB + r0 * dB0 / (2.0 * sB)
-    return float((metric.n - 1) * dphi / (np.sqrt(A0) * r0 * sB))
+    phi, f1, _ = _phi_jets(r0, A0, B0, 0.0, dB0, 0.0)
+    return float((metric.n - 1) * f1 / phi)

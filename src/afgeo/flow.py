@@ -1,12 +1,10 @@
 """Background-gauged (DeTurck) flow of radial metrics.
 
 The evolved unknown is eta = g - h, componentwise on the grid.  The right-hand
-side is the full tensor evolution equation (Laplacian, two background-curvature
-terms, four quadratic gradient contractions) evaluated pointwise at the
-Cartesian point x = r e1, where every radial tensor is an explicit combination
-of delta_ab, the axis projector and 1/r factors; einsum over nodes does the
-rest.  An independent closed-form route (-2 Ric + Lie_W g in the warped
-reduction) locks the kernel in the tests.
+side is dt g = -2 Ric(g) + Lie_W g in the warped-product reduction, a
+pointwise closed form in the 2-jets of g and h; the DeTurck vector W and its
+radial derivative are both exact functions of those jets.  The full Cartesian
+tensor equation in oracle.py locks the kernel in the tests.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +14,7 @@ from scipy.interpolate import CubicSpline
 
 from .grid import RadialGrid
 from .metrics import RadialMetric
-from .curvature import scalar_curvature, ricci_norm_sq, _phi_derivs
+from .curvature import scalar_curvature, ricci_norm_sq, _phi_jets
 from .norms import is_delta_fair, eta_sup_norms
 
 
@@ -24,194 +22,76 @@ class FlowAbort(RuntimeError):
     """Numerical abort: NaN, positivity loss or fairness violation."""
 
 
-# -- constant index tensors at the axis point -------------------------------
+# -- closed-form right-hand side ---------------------------------------------
 
-_IDX_CACHE = {}
-
-
-def _idx(n):
-    if n in _IDX_CACHE:
-        return _IDX_CACHE[n]
-    I = np.eye(n)
-    e = np.zeros(n)
-    e[0] = 1.0
-    E = np.outer(e, e)
-    # U1[c,a,b] * r = d_c (x_a x_b / r^2) at x = r e1
-    U1 = (np.einsum("ca,b->cab", I, e) + np.einsum("cb,a->cab", I, e)
-          - 2.0 * np.einsum("c,a,b->cab", e, e, e))
-    # U2[d,c,a,b] * r^2 = d_d d_c (x_a x_b / r^2) at x = r e1
-    U2 = (np.einsum("ca,db->dcab", I, I) + np.einsum("cb,da->dcab", I, I)
-          - 2.0 * np.einsum("d,ca,b->dcab", e, I, e)
-          - 2.0 * np.einsum("d,cb,a->dcab", e, I, e)
-          - 2.0 * (np.einsum("da,b,c->dcab", I, e, e)
-                   + np.einsum("db,a,c->dcab", I, e, e)
-                   + np.einsum("dc,a,b->dcab", I, e, e))
-          + 8.0 * np.einsum("d,c,a,b->dcab", e, e, e, e))
-    out = {"I": I, "e": e, "E": E, "U1": U1, "U2": U2,
-           "dI": np.einsum("c,ab->cab", e, I),
-           "dE": np.einsum("c,ab->cab", e, E),
-           "Icd_I": np.einsum("dc,ab->dcab", I, I),
-           "ee_I": np.einsum("d,c,ab->dcab", e, e, I),
-           "Icd_E": np.einsum("dc,ab->dcab", I, E),
-           "ee_E": np.einsum("d,c,ab->dcab", e, e, E),
-           "eU1": np.einsum("c,dab->cdab", e, U1)}
-    _IDX_CACHE[n] = out
-    return out
+def _jets(grid, A, B):
+    """(A, A', A'', B, B', B'') from the parity stencils."""
+    d = grid.deriv
+    return (A, d(A, 1, parity=True), d(A, 2, parity=True),
+            B, d(B, 1, parity=True), d(B, 2, parity=True))
 
 
-def _sym_fields(n, r, beta, gamma, d1b, d1g, d2b=None, d2g=None):
-    """Value / first / second Cartesian derivatives of the symmetric field
-    S_ab = beta(r) delta_ab + gamma(r) x_a x_b / r^2 at the point r e1.
+def _deturck(m, r, gj, hj):
+    """W = g^pq (Gamma^r_pq - Gamma~^r_pq) and dW/dr, in closed form from the
+    2-jets gj of g and hj of the background h.
 
-    Returns (S, DS, DDS) with DS[c,a,b] = d_c S_ab, DDS[d,c,a,b]; the second
-    derivative block is skipped when d2b is None.
+    W = P/(2A) + (m/2) Q S with P = A'/A - A~'/A~ - m (B'/B + 2/r),
+    Q = B~'/B~ + 2/r and S = B~/(A~ B); dW/dr is their exact derivative, so
+    no derivative of sampled W is ever taken.
     """
-    ix = _idx(n)
-    S = beta[:, None, None] * ix["I"] + gamma[:, None, None] * ix["E"]
-    DS = (d1b[:, None, None, None] * ix["dI"]
-          + d1g[:, None, None, None] * ix["dE"]
-          + (gamma / r)[:, None, None, None] * ix["U1"])
-    if d2b is None:
-        return S, DS, None
-    sh = (slice(None), None, None, None, None)
-    DDS = (d2b[sh] * ix["ee_I"] + (d1b / r)[sh] * (ix["Icd_I"] - ix["ee_I"])
-           + d2g[sh] * ix["ee_E"] + (d1g / r)[sh] * (ix["Icd_E"] - ix["ee_E"])
-           + (d1g / r)[sh] * (ix["eU1"]
-                              + np.einsum("cdab->dcab", ix["eU1"]))
-           + (gamma / r ** 2)[sh] * ix["U2"])
-    return S, DS, DDS
+    A, dA, ddA, B, dB, ddB = gj
+    Ah, dAh, ddAh, Bh, dBh, ddBh = hj
+    P = dA / A - dAh / Ah - m * (dB / B + 2.0 / r)
+    Q = dBh / Bh + 2.0 / r
+    S = Bh / (Ah * B)
+    W = P / (2.0 * A) + 0.5 * m * Q * S
+    # like terms of g and h are differenced first, so they cancel exactly
+    # when g = h
+    dP = ((ddA / A - ddAh / Ah) - ((dA / A) ** 2 - (dAh / Ah) ** 2)
+          - m * (ddB / B - (dB / B) ** 2 - 2.0 / r ** 2))
+    dQ = ddBh / Bh - (dBh / Bh) ** 2 - 2.0 / r ** 2
+    dS = S * (dBh / Bh - dAh / Ah - dB / B)
+    dW = (dP - P * dA / A) / (2.0 * A) + 0.5 * m * (dQ * S + Q * dS)
+    return W, dW
 
 
-def _metric_point(metric, second=False):
-    """(m, minv, Dm, DDm) of a RadialMetric at the axis points."""
-    grid = metric.grid
-    r = grid.r
-    A, B = metric.A, metric.B
-    dA, dB = metric.dA(1), metric.dB(1)
-    if second:
-        ddA, ddB = metric.dA(2), metric.dB(2)
-        m, Dm, DDm = _sym_fields(metric.n, r, B, A - B, dB, dA - dB,
-                                 ddB, ddA - ddB)
-    else:
-        m, Dm, DDm = _sym_fields(metric.n, r, B, A - B, dB, dA - dB)
-    ix = _idx(metric.n)
-    minv = (1.0 / B)[:, None, None] * ix["I"] \
-        + (1.0 / A - 1.0 / B)[:, None, None] * ix["E"]
-    return m, minv, Dm, DDm
-
-
-def _christoffel(minv, Dm):
-    low = 0.5 * (np.einsum("Nalb->Nlab", Dm) + np.einsum("Nbla->Nlab", Dm)
-                 - Dm)
-    return np.einsum("Nkl,Nlab->Nkab", minv, low)
-
-
-def _dchristoffel(minv, Dm, DDm):
-    """DG[d,k,a,b] = d_d Gamma^k_ab."""
-    dminv = -np.einsum("Nka,Nlb,Ndab->Ndkl", minv, minv, Dm)
-    low = 0.5 * (np.einsum("Nalb->Nlab", Dm) + np.einsum("Nbla->Nlab", Dm)
-                 - Dm)
-    dlow = 0.5 * (np.einsum("Ndalb->Ndlab", DDm) + np.einsum("Ndbla->Ndlab", DDm)
-                  - DDm)
-    return (np.einsum("Ndkl,Nlab->Ndkab", dminv, low)
-            + np.einsum("Nkl,Ndlab->Ndkab", minv, dlow))
-
-
-def _riemann_lower(m, G, DG):
-    """R[a,b,c,d] = m_ae (d_c G^e_db - d_d G^e_cb + G^e_cf G^f_db - G^e_df G^f_cb)."""
-    up = (np.einsum("Ncedb->Nebcd", DG) - np.einsum("Ndecb->Nebcd", DG)
-          + np.einsum("Necf,Nfdb->Nebcd", G, G)
-          - np.einsum("Nedf,Nfcb->Nebcd", G, G))
-    return np.einsum("Nae,Nebcd->Nabcd", m, up)
+def _rhs_pointwise(n, r, gj, hj):
+    """(dt A, dt B) of dt g = -2 Ric(g) + Lie_W g in the warped-product
+    reduction, from the 2-jets of g and of the background h."""
+    m = n - 1
+    A, dA, _, B, dB, ddB = gj
+    W, dW = _deturck(m, r, gj, hj)
+    phi, f1, f2 = _phi_jets(r, A, B, dA, dB, ddB)
+    dt_A = 2.0 * m * A * f2 / phi + W * dA + 2.0 * A * dW
+    dt_B = ((2.0 * phi * f2 - 2.0 * (m - 1) * (1.0 - f1 ** 2)) / r ** 2
+            + W * (dB + 2.0 * B / r))
+    return dt_A, dt_B
 
 
 def deturck_vector(g, h):
     """Radial contravariant component of W^k = g^{pq}(Gamma^k_pq - Gamma~^k_pq)."""
     if g.grid is not h.grid and not np.array_equal(g.grid.r, h.grid.r):
         raise ValueError("metrics must share a grid")
-    _, ginv, Dg, _ = _metric_point(g)
-    _, hinv, Dh, _ = _metric_point(h)
-    Gg = _christoffel(ginv, Dg)
-    Gh = _christoffel(hinv, Dh)
-    W = np.einsum("Npq,Nkpq->Nk", ginv, Gg - Gh)
-    return W[:, 0]
+    return _deturck(g.n - 1, g.grid.r, _jets(g.grid, g.A, g.B),
+                    _jets(h.grid, h.A, h.B))[0]
 
 
 def eta_rhs(h, eta_A, eta_B, freeze_outer=2, freeze_inner=0):
     """Time derivative of (eta_A, eta_B) under the background-gauged flow.
 
-    Full tensor right-hand side: g^{cd} nabla_c nabla_d eta_ab, the two
-    curvature terms of the background, and the quadratic gradient terms with
-    coefficients (1/2)(1, +2, -2, -4); nabla is the h-connection.
+    The jets of g = h + eta are those of h plus those of eta, each from the
+    parity stencils; the frozen end nodes hold their values.
     """
     grid = h.grid
-    n = h.n
-    r = grid.r
-    A = h.A + eta_A
-    B = h.B + eta_B
-    if np.any(A <= 0) or np.any(B <= 0):
+    hj = _jets(grid, h.A, h.B)
+    gj = tuple(a + b for a, b in zip(hj, _jets(grid, eta_A, eta_B)))
+    if np.any(gj[0] <= 0) or np.any(gj[3] <= 0):
         raise FlowAbort("metric positivity lost")
-
-    g_metric = RadialMetric(grid, n, A, B, h.delta)
-    hm, hinv, Dh, DDh = _metric_point(h, second=True)
-    Gh = _christoffel(hinv, Dh)
-    DGh = _dchristoffel(hinv, Dh, DDh)
-    Rh = _riemann_lower(hm, Gh, DGh)
-
-    gm, ginv, _, _ = _metric_point(g_metric)
-
-    db = grid.deriv(eta_B, 1, parity=True)
-    dg_ = grid.deriv(eta_A - eta_B, 1, parity=True)
-    ddb = grid.deriv(eta_B, 2, parity=True)
-    ddg = grid.deriv(eta_A - eta_B, 2, parity=True)
-    eta, Deta, DDeta = _sym_fields(n, r, eta_B, eta_A - eta_B, db, dg_, ddb, ddg)
-
-    # first and second h-covariant derivatives of eta
-    C = (Deta - np.einsum("Neca,Neb->Ncab", Gh, eta)
-         - np.einsum("Necb,Nae->Ncab", Gh, eta))
-    DC = (DDeta
-          - np.einsum("Ndeca,Neb->Ndcab", DGh, eta)
-          - np.einsum("Neca,Ndeb->Ndcab", Gh, Deta)
-          - np.einsum("Ndecb,Nae->Ndcab", DGh, eta)
-          - np.einsum("Necb,Ndae->Ndcab", Gh, Deta))
-    CC = (DC - np.einsum("Nedc,Neab->Ndcab", Gh, C)
-          - np.einsum("Neda,Nceb->Ndcab", Gh, C)
-          - np.einsum("Nedb,Ncae->Ndcab", Gh, C))
-
-    lap = np.einsum("Ncd,Ndcab->Nab", ginv, CC)
-    curv = np.einsum("Ncd,Nap,Npq,Nbcqd->Nab", ginv, gm, hinv, Rh)
-    curv = curv + np.einsum("Nab->Nba", curv)
-    quad = 0.5 * (np.einsum("Ncd,Npq,Napc,Nbqd->Nab", ginv, ginv, C, C)
-                  + 2.0 * np.einsum("Ncd,Npq,Ncap,Nqbd->Nab", ginv, ginv, C, C)
-                  - 2.0 * np.einsum("Ncd,Npq,Ncap,Ndbq->Nab", ginv, ginv, C, C)
-                  - 4.0 * np.einsum("Ncd,Npq,Napc,Ndbq->Nab", ginv, ginv, C, C))
-    rhs = lap - curv + quad
-
-    out_A = rhs[:, 0, 0].copy()
-    out_B = rhs[:, 1, 1].copy()
-    if freeze_outer > 0:
-        out_A[-freeze_outer:] = 0.0
-        out_B[-freeze_outer:] = 0.0
-    if freeze_inner > 0:
-        out_A[:freeze_inner] = 0.0
-        out_B[:freeze_inner] = 0.0
+    out_A, out_B = _rhs_pointwise(h.n, grid.r, gj, hj)
+    for out in (out_A, out_B):
+        out[:freeze_inner] = 0.0
+        out[len(out) - freeze_outer:] = 0.0
     return out_A, out_B
-
-
-def flow_rhs_oracle(g, h):
-    """Independent closed-form route: dt g = -2 Ric(g) + Lie_W g in the
-    warped-product reduction.  Returns (dt A, dt B)."""
-    grid = g.grid
-    r = grid.r
-    m = g.n - 1
-    phi, f1, f2 = _phi_derivs(g)
-    W = deturck_vector(g, h)
-    dW = grid.deriv(W, 1, parity=False)
-    dA = g.dA(1)
-    dBr2 = grid.deriv(g.B * r ** 2, 1, parity=False)
-    dt_A = 2.0 * g.A * m * f2 / phi + W * dA + 2.0 * g.A * dW
-    dt_Br2 = -2.0 * (-phi * f2 + (m - 1) * (1.0 - f1 ** 2)) + W * dBr2
-    return dt_A, dt_Br2 / r ** 2
 
 
 # -- time stepping ----------------------------------------------------------
@@ -250,13 +130,11 @@ class FlowTrajectory:
     dt_history: list
     h: RadialMetric
     config: FlowConfig
+    steps: int = 0          # accepted time steps
+    rhs_evals: int = 0      # eta_rhs evaluations over those steps
 
     def times(self):
         return np.array([s.t for s in self.snapshots])
-
-    def state_at(self, t):
-        i = int(np.argmin(np.abs(self.times() - t)))
-        return self.snapshots[i]
 
     def dump(self, fh):
         fh.write("t,r,A,B,R,W\n")
@@ -269,6 +147,9 @@ class FlowTrajectory:
 
 def stable_dt(grid, A, B, n, cfl):
     return cfl * grid.dr_min ** 2 * min(float(np.min(A)), float(np.min(B))) / (2 * n)
+
+
+HEUN_STAGES = 2  # eta_rhs evaluations per h_flow_step
 
 
 def h_flow_step(h, eta_A, eta_B, dt, freeze_outer=2, freeze_inner=0):
@@ -329,7 +210,8 @@ def evolve(metric, h, config):
             if not ok:
                 raise FlowAbort(f"fairness lost at t={t:.6g}: ratios {rng}")
             snapshots.append(snap)
-    return FlowTrajectory(snapshots, dts, h, config)
+    return FlowTrajectory(snapshots, dts, h, config, steps=step,
+                          rhs_evals=HEUN_STAGES * step)
 
 
 # -- comparisons and diagnostics -------------------------------------------
@@ -341,8 +223,6 @@ def scalar_evolution_residual(trajectory, include_advection=True):
     if len(snaps) < 3:
         raise ValueError("need at least 3 snapshots")
     grid = snaps[0].metric.grid
-    n = snaps[0].metric.n
-    r = grid.r
     R_all = [scalar_curvature(s.metric) for s in snaps]
     out = []
     for i in range(1, len(snaps) - 1):
@@ -350,9 +230,7 @@ def scalar_evolution_residual(trajectory, include_advection=True):
         dRdt = (R_all[i + 1] - R_all[i - 1]) / (snaps[i + 1].t - snaps[i - 1].t)
         R = R_all[i]
         dR = grid.deriv(R, 1, parity=True)
-        dens = np.sqrt(s.metric.A * s.metric.B ** (n - 1)) * r ** (n - 1)
-        lap = grid.deriv(dens / s.metric.A * dR, 1, parity=False) / dens
-        resid = dRdt - lap - 2.0 * ricci_norm_sq(s.metric)
+        resid = dRdt - s.metric.laplacian(R) - 2.0 * ricci_norm_sq(s.metric)
         if include_advection:
             resid = resid - s.W * dR
         out.append(resid)

@@ -13,32 +13,36 @@ def sphere_area(n):
 
 
 def fornberg_weights(z, x, m):
-    """Finite-difference weights for derivatives 0..m at point z on nodes x.
+    """Finite-difference weights for derivatives 0..m at points z on nodes x.
 
-    Returns an array of shape (m+1, len(x)); row k holds the weights of the
-    k-th derivative.  Classic Fornberg recursion.
+    z has shape (...) and x shape (..., nd): one node window per evaluation
+    point, all handled by one pass of the classic Fornberg recursion.
+    Returns an array of shape (..., m+1, nd); row k holds the weights of the
+    k-th derivative.
     """
     x = np.asarray(x, dtype=float)
-    nd = len(x)
-    c = np.zeros((m + 1, nd))
+    z = np.asarray(z, dtype=float)
+    nd = x.shape[-1]
+    c = np.zeros(x.shape[:-1] + (m + 1, nd))
     c1 = 1.0
-    c4 = x[0] - z
-    c[0, 0] = 1.0
+    c4 = x[..., 0] - z
+    c[..., 0, 0] = 1.0
     for i in range(1, nd):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[..., i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+                    c[..., k, i] = (c1 * (k * c[..., k - 1, i - 1]
+                                          - c5 * c[..., k, i - 1]) / c2)
+                c[..., 0, i] = -c1 * c5 * c[..., 0, i - 1] / c2
             for k in range(mn, 0, -1):
-                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
+                c[..., k, j] = (c4 * c[..., k, j] - k * c[..., k - 1, j]) / c3
+            c[..., 0, j] = c4 * c[..., 0, j] / c3
         c1 = c2
     return c
 
@@ -117,29 +121,19 @@ class RadialGrid:
 
     def _build_stencils(self, order, parity):
         width = 5
-        if parity:
-            # mirror ghosts across r = 0 (even extension); skip an exact r=0 node
-            k0 = 1 if self.includes_origin() else 0
-            ghost_src = [k0 + 1, k0]  # indices mirrored to -r, nearest last
-            rg = np.concatenate([[-self.r[ghost_src[0]], -self.r[ghost_src[1]]], self.r])
-            gmap = np.concatenate([ghost_src, np.arange(self.num)])
-            offset = 2
-        else:
-            rg = self.r
-            gmap = np.arange(self.num)
-            offset = 0
-        n = self.num
+        # parity: two ghosts mirrored across r = 0 (even extension), nearest
+        # last, skipping an exact r=0 node
+        k0 = 1 if self.includes_origin() else 0
+        ghost = np.array([k0 + 1, k0] if parity else [], dtype=int)
+        rg = np.concatenate([-self.r[ghost], self.r])
+        gmap = np.concatenate([ghost, np.arange(self.num)])
+        offset = len(ghost)
         ng = len(rg)
-        idx = np.empty((n, width), dtype=int)
-        w = np.empty((n, width))
-        for i in range(n):
-            j = i + offset
-            lo = min(max(j - width // 2, 0), ng - width)
-            nodes = rg[lo:lo + width]
-            c = fornberg_weights(self.r[i], nodes, order)
-            idx[i] = gmap[lo:lo + width]
-            w[i] = c[order]
-        return idx, w
+        # window start of every row, clipped to one-sided near the ends
+        lo = np.clip(np.arange(self.num) + offset - width // 2, 0, ng - width)
+        win = lo[:, None] + np.arange(width)
+        w = fornberg_weights(self.r, rg[win], order)[:, order]
+        return gmap[win], w
 
     def deriv(self, f, order=1, parity=False):
         """Radial derivative of sampled values f. parity=True treats f as even in r."""
@@ -152,6 +146,10 @@ class RadialGrid:
 
     def trapz(self, f):
         return np.trapezoid(f, self.r)
+
+    def snap(self, targets):
+        """The node radius nearest to each target radius."""
+        return [float(self.r[np.argmin(np.abs(self.r - t))]) for t in targets]
 
     def node_at(self, r0, tol=1e-9):
         """Index of the node equal to r0, or None."""

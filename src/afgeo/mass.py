@@ -62,12 +62,6 @@ class MassReport:
     fit_residual: float
     converged: bool
 
-    def check_ladder(self, noise_floor=1e-12):
-        """|flux - mass| shrinking along the outer three rungs (within 2x floor)."""
-        gap = np.abs(self.flux[-3:] - self.mass)
-        return bool(np.all(np.diff(gap) <= 2.0 * noise_floor + 1e-12 * np.abs(self.mass))
-                    or np.all(np.diff(gap) <= 0.0 + 2.0 * noise_floor))
-
     def lines(self):
         out = [f"mass={self.mass:.12g}", f"lambda_fit={self.lam_fit:.6g}",
                f"fit_residual={self.fit_residual:.6g}", f"converged={self.converged}"]

@@ -42,6 +42,12 @@ class RadialMetric:
         """sqrt|g| r^(n-1) per unit solid angle (Cartesian volume element factor)."""
         return np.sqrt(self.A * self.B ** (self.n - 1)) * self.grid.r ** (self.n - 1)
 
+    def laplacian(self, f):
+        """Laplace-Beltrami operator of the metric on a radial function f."""
+        dens = self.volume_density()
+        df = self.grid.deriv(f, 1, parity=True)
+        return self.grid.deriv(dens / self.A * df, 1, parity=False) / dens
+
     def measured_kappa(self):
         """sup rho^delta (|A-1| + |B-1|) over the outer half of the grid."""
         half = self.grid.num // 2

@@ -44,6 +44,29 @@ def test_unknown_metric_exits_config(tmp_path):
     assert cli.run(["mass", "--metric", "nope", "--out", str(tmp_path)]) == 2
 
 
+def test_schwarzschild_at_other_dim_exits_config(tmp_path):
+    assert cli.run(["mass", "--dim", "5", "--out", str(tmp_path)]) == 2
+    grid = cli.parse_grid("uniform:rmin=0.5,rmax=40,num=256")
+    with pytest.raises(cli.ConfigError):
+        cli.parse_metric("schwarzschild:m=1", grid, dim=5)
+
+
+def test_verify_skips_schwarzschild_probe_at_other_dim(tmp_path):
+    assert cli.run(["verify", "--dim", "4", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "verify.txt").read_text().splitlines()
+    assert "skipped_probe=schwarzschild (dim=4)" in lines
+    assert not any(l.startswith("schwarzschild_") for l in lines)
+
+
+def test_flow_reports_count_steps_and_rhs_evals(tmp_path):
+    code = cli.run(["zero-mass", "--T", "0.025", "--monitor-every", "5",
+                    "--grid", "staggered:rmax=60,num=256", "--kink", "3.0",
+                    "--amp", "0.01", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "zero_mass.txt").read_text().splitlines()
+    assert "steps=14" in lines and "rhs_evals=28" in lines
+
+
 def test_unfair_background_exits_numeric(tmp_path):
     code = cli.run(["flow", "--metric", "conformal:c=0.5",
                     "--background", "flat",

@@ -32,7 +32,7 @@ def test_rhs_matches_closed_form_flat_background(lock_grid):
     g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
     h = metrics.build_flat(3, lock_grid)
     rA, rB = flow.eta_rhs(h, g.A - h.A, g.B - h.B, freeze_outer=0)
-    oA, oB = flow.flow_rhs_oracle(g, h)
+    oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
     sel = (lock_grid.r > 2.0) & (lock_grid.r < 55.0)
     assert np.max(np.abs(rA - oA)[sel] / (1 + np.abs(oA[sel]))) < 1e-4
     assert np.max(np.abs(rB - oB)[sel] / (1 + np.abs(oB[sel]))) < 1e-4
@@ -43,7 +43,7 @@ def test_rhs_matches_closed_form_curved_background(lock_grid):
     g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
     h = metrics.build_conformal(0.4, 3, lock_grid)
     rA, rB = flow.eta_rhs(h, g.A - h.A, g.B - h.B, freeze_outer=0)
-    oA, oB = flow.flow_rhs_oracle(g, h)
+    oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
     sel = (lock_grid.r > 2.0) & (lock_grid.r < 55.0)
     assert np.max(np.abs(rA - oA)[sel] / (1 + np.abs(oA[sel]))) < 1e-4
     assert np.max(np.abs(rB - oB)[sel] / (1 + np.abs(oB[sel]))) < 1e-4
@@ -53,10 +53,44 @@ def test_zero_eta_reduces_to_background_ricci(lock_grid):
     h = metrics.build_conformal(0.4, 3, lock_grid)
     z = np.zeros(lock_grid.num)
     rA, rB = flow.eta_rhs(h, z, z, freeze_outer=0)
-    oA, oB = flow.flow_rhs_oracle(h, h)
+    oA, oB = oracle.tensor_eta_rhs(h, z, z)
     sel = slice(8, -8)
     assert np.max(np.abs(rA - oA)[sel]) < 1e-12
     assert np.max(np.abs(rB - oB)[sel]) < 1e-12
+
+
+_GRIDS = {"staggered": lambda: RadialGrid.staggered(20.0, 256),
+          "excised": lambda: RadialGrid.uniform(0.5, 20.0, 256)}
+_BACKGROUNDS = {"flat": metrics.build_flat,
+                "conformal": lambda n, grid: metrics.build_conformal(0.3, n,
+                                                                     grid)}
+
+
+@pytest.mark.parametrize("background", sorted(_BACKGROUNDS))
+@pytest.mark.parametrize("grid_kind", sorted(_GRIDS))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_closed_form_matches_tensor_kernel(n, grid_kind, background):
+    grid = _GRIDS[grid_kind]()
+    h = _BACKGROUNDS[background](n, grid)
+    g = metrics.build_angular_bump(0.2, n, grid, width=2.0)
+    eA, eB = g.A - h.A, g.B - h.B
+    got = flow.eta_rhs(h, eA, eB, freeze_outer=0)
+    ref = oracle.tensor_eta_rhs(h, eA, eB)
+    got += (flow.deturck_vector(g, h),)
+    ref += (oracle.tensor_deturck_vector(g, h),)
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b))
+
+
+def _schwarzschild_jets(m, r):
+    """Exact (A, A', A'', B, B', B'') of isotropic Schwarzschild, A = B = u^4."""
+    u = 1.0 + m / (2.0 * r)
+    du = -m / (2.0 * r ** 2)
+    ddu = m / r ** 3
+    A = u ** 4
+    dA = 4.0 * u ** 3 * du
+    ddA = 12.0 * u ** 2 * du ** 2 + 4.0 * u ** 3 * ddu
+    return A, dA, ddA, A, dA, ddA
 
 
 def test_rhs_discretization_converges():
@@ -66,9 +100,13 @@ def test_rhs_discretization_converges():
         g = metrics.build_schwarzschild_isotropic(1.0, grid)
         h = metrics.build_flat(3, grid)
         rA, _ = flow.eta_rhs(h, g.A - h.A, g.B - h.B, freeze_outer=0)
-        oA, _ = flow.flow_rhs_oracle(g, h)
+        one, zero = np.ones(num), np.zeros(num)
+        flat_jets = (one, zero, zero, one, zero, zero)
+        exact, _ = flow._rhs_pointwise(3, grid.r,
+                                       _schwarzschild_jets(1.0, grid.r),
+                                       flat_jets)
         sel = (grid.r > 2.0) & (grid.r < 55.0)
-        errs.append(np.max(np.abs(rA - oA)[sel]))
+        errs.append(np.max(np.abs(rA - exact)[sel]))
     # interior stencils are 4th order; demand at least cubic gain
     assert errs[0] / errs[1] > 8.0
 
@@ -220,6 +258,16 @@ def test_pullback_of_flat_by_smooth_map_stays_flat():
     g = flow.pullback(fl, phi)
     R = curvature.scalar_curvature(g)
     assert np.max(np.abs(R[8:-4])) < 1e-6
+
+
+def test_evolve_counts_steps_and_rhs_evals():
+    grid = RadialGrid.staggered(40.0, 256)
+    g0 = metrics.build_conformal(0.2, 3, grid)
+    traj = flow.evolve(g0, g0, flow.FlowConfig(T_final=2e-3, monitor_every=4))
+    # Heun: two RHS evaluations per accepted step
+    assert traj.steps == len(traj.dt_history) == 3
+    assert traj.rhs_evals == 6
+    assert sum(traj.dt_history) == pytest.approx(2e-3, rel=1e-12)
 
 
 def test_trajectory_dump_format():

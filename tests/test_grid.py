@@ -19,6 +19,32 @@ def test_fornberg_reproduces_polynomial_derivatives():
     assert c[2] @ f == pytest.approx(-3.0 + 1.5 * 0.7, abs=1e-12)
 
 
+def test_fornberg_batched_is_exact_for_quartics():
+    # one row per evaluation point, each on its own non-uniform window
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(-1.0, 2.0, size=(6, 5)), axis=1)
+    z = x[:, 1] + 0.3 * (x[:, 3] - x[:, 1])
+    c = fornberg_weights(z, x, 2)
+    assert c.shape == (6, 3, 5)
+    for p in range(5):
+        f = x ** p
+        d1 = p * z ** (p - 1) if p >= 1 else 0.0 * z
+        d2 = p * (p - 1) * z ** (p - 2) if p >= 2 else 0.0 * z
+        for k, exact in enumerate((z ** p, d1, d2)):
+            got = np.einsum("ij,ij->i", c[:, k], f)
+            assert np.allclose(got, exact, rtol=0, atol=1e-10)
+    # each row equals the single-window call
+    for i in range(len(z)):
+        assert np.array_equal(c[i], fornberg_weights(z[i], x[i], 2))
+
+
+def test_fornberg_uniform_five_point_first_derivative():
+    h = 0.25
+    c = fornberg_weights(1.0, 1.0 + h * np.arange(-2, 3), 1)
+    ref = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    assert np.allclose(c[1], ref, rtol=0, atol=1e-13)
+
+
 def test_smoothstep_ends():
     assert smoothstep(np.array([-1.0, 0.0, 1.0, 2.0])) == pytest.approx([0, 0, 1, 1])
     # zero slope at both ends
