@@ -9,9 +9,12 @@ scalar-curvature mass can be certified small.
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import PPoly, make_interp_spline
 from scipy.optimize import brentq
 
 from .grid import RadialGrid, smoothstep, sphere_area
@@ -20,6 +23,46 @@ from .curvature import (mean_curvature_sphere, scalar_curvature,
                         scalar_curvature_pointwise)
 
 CONT_TOL = 1e-12
+
+
+class CornerFits(NamedTuple):
+    inner: PPoly         # (A, B) on the inner piece, trailing field axis
+    outer: PPoly         # (A, B) on the outer piece
+    dev: PPoly           # D = inner - outer's first piece; 0 for r > r0
+    jump: np.ndarray     # (A', B') jump across r0, outer minus inner
+
+
+def _quintic(m):
+    """Quintic interpolant of (A, B) on one piece, in Horner form, with the
+    zero-length intervals of the knot vector dropped."""
+    pps = [PPoly.from_spline(make_interp_spline(m.grid.r, v, k=5))
+           for v in (m.A, m.B)]
+    keep = np.diff(pps[0].x) > 0
+    return PPoly(np.stack([p.c[:, keep] for p in pps], axis=-1),
+                 np.append(pps[0].x[:-1][keep], pps[0].x[-1]))
+
+
+def _shift(c, h):
+    """PPoly coefficients c (highest power first, in powers of x - a)
+    re-expanded in powers of x - (a + h)."""
+    k = len(c) - 1
+    return np.array([sum(comb(q, p) * h ** (q - p) * c[k - q]
+                         for q in range(p, k + 1)) for p in range(k, -1, -1)])
+
+
+def _deviation(inner, outer, r0, r_hi):
+    """D = inner - (outer's first piece continued inward), zero on (r0, r_hi].
+
+    Convolving D rather than the field removes the O(f'') smoothing bias of
+    the blend zone.  The breakpoints descend, so scipy expands every piece
+    about its right end: next to r0, D is its Taylor form about r0, a sum of
+    small terms rather than the difference of two O(1) values.
+    """
+    b = inner.x[1:, None]  # right end of each inner piece
+    d = (_shift(inner.c, b - inner.x[:-1, None])
+         - _shift(outer.c[:, :1], b - r0))
+    c = np.concatenate([np.zeros_like(d[:, :1]), d[:, ::-1]], axis=1)
+    return PPoly(c, np.append(r_hi, inner.x[::-1]))
 
 
 @dataclass
@@ -71,6 +114,14 @@ class CornerMetric:
         inner = RadialMetric.load(io.StringIO(head))
         outer = RadialMetric.load(io.StringIO(rest))
         return cls(inner, outer, r0, inner.n, inner.delta)
+
+    @cached_property
+    def fits(self):
+        """One-sided fits and the deviation polynomial, built once per corner
+        and shared by every collar width."""
+        inner, outer = _quintic(self.inner), _quintic(self.outer)
+        dev = _deviation(inner, outer, self.r0, self.outer.grid.r[-1])
+        return CornerFits(inner, outer, dev, -dev.c[-2, 1])
 
 
 def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, fine_until=None,
@@ -196,53 +247,37 @@ class MollifiedCorner:
 
     _GL = np.polynomial.legendre.leggauss(16)
 
-    def __init__(self, cm, sigma, spline_k=5):
+    def __init__(self, cm, sigma):
         self.cm = cm
         self.sigma = float(sigma)
         self.r0 = cm.r0
-        k = spline_k
-        self._in = {f: make_interp_spline(cm.inner.grid.r, getattr(cm.inner, f), k=k)
-                    for f in ("A", "B")}
-        self._out = {f: make_interp_spline(cm.outer.grid.r, getattr(cm.outer, f), k=k)
-                     for f in ("A", "B")}
 
-    def _raw(self, field, x, order=0):
-        """One-sided spline evaluation of the unmollified field."""
+    def _raw(self, x, order=0):
+        """One-sided evaluation of the unmollified (A, B), shape (len(x), 2)."""
         x = np.asarray(x, dtype=float)
+        f = self.cm.fits
         lo = x <= self.r0
-        out = np.empty_like(x)
-        out[lo] = self._in[field](x[lo], nu=order)
-        out[~lo] = self._out[field](x[~lo], nu=order)
-        return out
-
-    def _dev(self, field, x, order=0):
-        """Deviation of the field from its smooth outer extension.
-
-        Vanishes identically for x > r0; convolving the deviation rather than
-        the field itself removes the O(f'') smoothing bias of the blend zone.
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        lo = x <= self.r0
-        out[lo] = (self._in[field](x[lo], nu=order)
-                   - self._out[field](x[lo], nu=order))
+        out = np.empty(x.shape + (2,))
+        out[lo] = f.inner(x[lo], order)
+        out[~lo] = f.outer(x[~lo], order)
         return out
 
     def _conv_nodes(self, r):
         """Per-point split Gauss-Legendre rule for the normalized bump.
 
         Returns (nodes t, normalized weights, normalized bump density at the
-        kink offset c = r - r0) so the derivative jump term is exact.
+        kink offset c = r - r0) so the derivative jump term is exact.  Only
+        the nodes on [c, w] are returned: those on [-w, c] sit at r - t >= r0,
+        where the deviation vanishes.
         """
         r = np.asarray(r, dtype=float)
         w = 0.5 * self.sigma  # bump half-width
         c = np.clip(r - self.r0, -w, w)
         z, gw = self._GL
-        t = np.concatenate([  # nodes of [-w, c] then [c, w], shape (32, len(r))
-            (-w + c)[None, :] / 2 + (c + w)[None, :] / 2 * z[:, None],
-            (c + w)[None, :] / 2 + (w - c)[None, :] / 2 * z[:, None]])
-        jac = np.concatenate([np.repeat(((c + w) / 2)[None, :], len(z), axis=0) * gw[:, None],
-                              np.repeat(((w - c) / 2)[None, :], len(z), axis=0) * gw[:, None]])
+        mid = np.stack([(c - w) / 2, (c + w) / 2])[:, None]  # [-w, c], [c, w]
+        half = np.stack([(c + w) / 2, (w - c) / 2])[:, None]
+        t = (mid + half * z[:, None]).reshape(2 * len(z), len(r))
+        jac = (half * gw[:, None]).reshape(t.shape)
 
         def psi(x):
             u = np.clip(x / w, -1 + 1e-14, 1 - 1e-14)
@@ -252,7 +287,7 @@ class MollifiedCorner:
         Z = np.sum(wt, axis=0)
         inside = np.abs(r - self.r0) < w
         dens = np.where(inside, psi(np.where(inside, r - self.r0, 0.0)), 0.0) / Z
-        return t, wt / Z, dens
+        return t[len(z):], wt[len(z):] / Z, dens
 
     def _blend(self, r, order=0):
         """Cutoff: 1 on |r-r0| <= sigma/2, 0 outside |r-r0| >= sigma; smooth."""
@@ -271,47 +306,41 @@ class MollifiedCorner:
             return np.where(edge, -ddS / w ** 2, 0.0)
         raise ValueError("order <= 2")
 
-    def _jump(self, field):
-        """First-derivative jump of the field across r0 (outer minus inner)."""
-        return (float(self._out[field](self.r0, nu=1))
-                - float(self._in[field](self.r0, nu=1)))
+    def eval(self, r, order=0):
+        """Mollified A and B with their radial derivatives up to order <= 2:
+        {"A": [A, A', ...], "B": [B, B', ...]} at radii r.
 
-    def eval(self, field, r, order=0):
-        """Mollified field (or radial derivative, order <= 2) at radii r.
-
-        Convolution derivatives are convolutions of the one-sided spline
-        derivatives, plus the exact bump-density jump term at second order;
-        blend derivatives are analytic.  No finite differencing in sigma.
+        The collar adds chi * (D * bump - D) to the one-sided fits, D the
+        deviation polynomial.  Its derivatives are convolutions of D's
+        derivatives, plus the exact bump-density jump term at second order,
+        combined with the analytic blend derivatives by Leibniz' rule.  The
+        nodes, the blend and the collar mask are computed once for both fields
+        and every order.
         """
         r = np.asarray(r, dtype=float)
-        raw = [self._raw(field, r, k) for k in range(order + 1)]
-        out = raw[order].copy()
-        collar = np.abs(r - self.r0) < self.sigma
-        if not np.any(collar):
-            return out
-        rc = r[collar]
-        t, wt, dens = self._conv_nodes(rc)
-        x = (rc[None, :] - t).ravel()
-        conv = [np.sum(wt * self._dev(field, x, k).reshape(t.shape), axis=0)
-                for k in range(order + 1)]
-        if order == 2:
-            conv[2] = conv[2] + self._jump(field) * dens
-        chi = [self._blend(rc, k) for k in range(order + 1)]
-        diff = [conv[k] - self._dev(field, rc, k) for k in range(order + 1)]
-        if order == 0:
-            out[collar] += chi[0] * diff[0]
-        elif order == 1:
-            out[collar] += chi[1] * diff[0] + chi[0] * diff[1]
-        else:
-            out[collar] += (chi[2] * diff[0] + 2 * chi[1] * diff[1]
-                            + chi[0] * diff[2])
-        return out
+        jets = [self._raw(r, k) for k in range(order + 1)]
+        # the deviation and its convolution vanish for r >= r0 + sigma/2
+        d = r - self.r0
+        collar = (d > -self.sigma) & (d < 0.5 * self.sigma)
+        if np.any(collar):
+            fits = self.cm.fits
+            rc = r[collar]
+            t, wt, dens = self._conv_nodes(rc)
+            x = rc[None, :] - t
+            chi = [self._blend(rc, k)[:, None] for k in range(order + 1)]
+            diff = [np.einsum("ij,ijf->jf", wt, fits.dev(x, k)) - fits.dev(rc, k)
+                    for k in range(order + 1)]
+            if order == 2:
+                diff[2] += fits.jump * dens[:, None]
+            for k in range(order + 1):
+                jets[k][collar] += sum(comb(k, j) * chi[j] * diff[k - j]
+                                       for j in range(k + 1))
+        return {f: [jet[:, i] for jet in jets] for i, f in enumerate("AB")}
 
     def sample(self, grid, delta=None):
         """Mollified metric sampled on a grid (need not contain r0)."""
-        A = self.eval("A", grid.r)
-        B = self.eval("B", grid.r)
-        return RadialMetric(grid, self.cm.n, A, B,
+        jet = self.eval(grid.r)
+        return RadialMetric(grid, self.cm.n, jet["A"][0], jet["B"][0],
                             self.cm.delta if delta is None else delta)
 
 
@@ -332,10 +361,12 @@ def _certificate(mc, K_target, epsilon):
     keep_o = ro >= mc.r0 + sig
 
     rc = np.linspace(mc.r0 - sig, mc.r0 + sig, 4001)
-    Ac = mc.eval("A", rc)
-    Bc = mc.eval("B", rc)
-    Rc = scalar_curvature_pointwise(n, rc, Ac, Bc, mc.eval("A", rc, 1),
-                                    mc.eval("B", rc, 1), mc.eval("B", rc, 2))
+    far = np.concatenate([ri[keep_i], ro[keep_o]])
+    m = len(rc)
+    jet = mc.eval(np.concatenate([rc, far]), 2)
+    Ac, A1, _ = (a[:m] for a in jet["A"])
+    Bc, B1, B2 = (b[:m] for b in jet["B"])
+    Rc = scalar_curvature_pointwise(n, rc, Ac, Bc, A1, B1, B2)
 
     r = np.concatenate([ri[keep_i], rc, ro[keep_o]])
     R = np.concatenate([Ri[keep_i], Rc, Ro[keep_o]])
@@ -348,12 +379,10 @@ def _certificate(mc, K_target, epsilon):
     neg_measure = float(np.trapezoid((R < 0) * dens, r))
     K_measured = float(np.min(R))
 
-    A0 = mc._raw("A", rc)
-    B0 = mc._raw("B", rc)
+    A0, B0 = mc._raw(rc).T
     ratios = np.concatenate([Ac / A0, Bc / B0])
-    far = np.concatenate([ri[keep_i], ro[keep_o]])
-    support_ok = bool(np.max(np.abs(mc.eval("A", far) - mc._raw("A", far))) < 1e-14
-                      and np.max(np.abs(mc.eval("B", far) - mc._raw("B", far))) < 1e-14)
+    moved = np.stack([jet["A"][0][m:], jet["B"][0][m:]], axis=-1) - mc._raw(far)
+    support_ok = bool(np.max(np.abs(moved)) < 1e-14)
     sandwich_lo = float(np.min(ratios))
     sandwich_hi = float(np.max(ratios))
 

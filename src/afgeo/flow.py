@@ -104,7 +104,7 @@ class FlowConfig:
     K_target: float = 10.0
     fairness: float = 1.1       # background must stay this fair to g(t)
     freeze_outer: int = 2
-    freeze_inner: int = None    # None: 2 on excised grids, 0 when r reaches 0
+    freeze_inner: int = None    # None: 0 if r[0] < dr (staggered), else 2
 
     def __post_init__(self):
         if self.T_final <= 0:
@@ -171,12 +171,17 @@ def _snapshot(t, h, eta_A, eta_B, delta):
 def evolve(metric, h, config):
     """Method-of-lines integration of the gauged flow up to T_final.
 
-    Requires a uniform grid (the CFL bound is a single number) and the
-    background within the configured fairness of the initial metric.
+    Requires a uniform grid (the CFL bound is a single number) with no node
+    at r = 0 (the right-hand side divides by r), and the background within
+    the configured fairness of the initial metric.
     """
     grid = metric.grid
     if grid.spacing != "uniform":
         raise ValueError("flow integration requires a uniform grid")
+    if grid.r[0] <= 0.0:
+        raise ValueError("flow grid has a node at r = 0, where the right-hand "
+                         "side divides by r; use a staggered grid "
+                         "(r_j = (j + 1/2) dr) to reach the origin")
     if not np.array_equal(grid.r, h.grid.r):
         raise ValueError("metric and background must share a grid")
     ok, rng = is_delta_fair(h, metric, config.fairness)

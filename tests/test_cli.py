@@ -51,6 +51,17 @@ def test_schwarzschild_at_other_dim_exits_config(tmp_path):
         cli.parse_metric("schwarzschild:m=1", grid, dim=5)
 
 
+def test_heat_demo_at_other_dim_exits_config(tmp_path):
+    assert cli.run(["heat-demo", "--dim", "5", "--times", "0.5",
+                    "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "heat_demo.txt").exists()
+
+
+def test_flow_grid_through_origin_exits_config(tmp_path):
+    assert cli.run(["zero-mass", "--grid", "uniform:rmin=0,rmax=20,num=64",
+                    "--T", "1e-3", "--out", str(tmp_path)]) == 2
+
+
 def test_verify_skips_schwarzschild_probe_at_other_dim(tmp_path):
     assert cli.run(["verify", "--dim", "4", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "verify.txt").read_text().splitlines()
@@ -77,7 +88,7 @@ def test_unfair_background_exits_numeric(tmp_path):
 
 def test_corner_invalid_strength_fails_certificate(tmp_path):
     code = cli.run(["corner", "--strength", "-0.3", "--eps", "1e-1,1e-2",
-                    "--jobs", "2", "--out", str(tmp_path)])
+                    "--out", str(tmp_path)])
     assert code == 1
     text = (tmp_path / "corner.txt").read_text()
     assert "condition_ok=False" in text

@@ -137,3 +137,46 @@ def test_mollified_sampling_on_foreign_grid(valid_corner):
     assert rep.satisfied
     assert sm.grid is target
     assert np.all(sm.A > 0) and np.all(sm.B > 0)
+
+
+def test_deviation_matches_spline_difference(valid_corner):
+    # sigma = 0.2: the convolution nodes reach r0 - 0.3, across several pieces
+    fits = valid_corner.fits
+    r0 = valid_corner.r0
+    x = np.linspace(r0 - 1.5 * 0.2, r0, 301)
+    assert np.count_nonzero((fits.dev.x > x[0]) & (fits.dev.x < r0)) >= 1
+    for k in range(3):
+        ref = fits.inner(x, k) - fits.outer(x, k)
+        assert np.max(np.abs(fits.dev(x, k) - ref)) < 1e-13
+    assert np.all(fits.dev(np.linspace(r0 + 1e-9, r0 + 0.3, 50)) == 0.0)
+    assert np.allclose(fits.jump, fits.outer(r0, 1) - fits.inner(r0, 1),
+                       rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("sig, h, blend_tol, inner_tol", [
+    (1e-2, 1e-5, (1e-7, 1e-4), (5e-6, 1e-2)),
+    (0.2, 1e-4, (1e-7, 1e-5), (5e-6, 1e-3)),   # blend terms well above noise
+])
+def test_eval_derivatives_match_differences(valid_corner, sig, h, blend_tol,
+                                            inner_tol):
+    mc = corner.MollifiedCorner(valid_corner, sig)
+    # blend zone (sigma/2 < |r - r0| < sigma): the quadrature rule is fixed,
+    # so eval's derivatives are those of its values up to the step error;
+    # inside, the split point moves with r and adds the 16-point rule's error
+    for zone, (tol1, tol2) in (([-0.9, -0.7, -0.6, 0.6, 0.8], blend_tol),
+                               ([-0.3, -0.1, 0.0, 0.1, 0.3], inner_tol)):
+        r = valid_corner.r0 + sig * np.array(zone)
+        jet = mc.eval(r, 2)
+        lo, mid, hi = (mc.eval(r + s * h) for s in (-1, 0, 1))
+        for f in "AB":
+            d1 = (hi[f][0] - lo[f][0]) / (2 * h)
+            d2 = (hi[f][0] - 2 * mid[f][0] + lo[f][0]) / h ** 2
+            assert np.max(np.abs(d1 - jet[f][1])) < tol1
+            assert np.max(np.abs(d2 - jet[f][2])) < tol2
+
+
+def test_mollify_k_free_of_blend_roundoff(valid_corner):
+    # sigma = 1e-6 at eps = 1e-3: blend derivatives grow like sigma^-2, so any
+    # roundoff in the deviation would show up in inf R
+    K = [corner.mollify(valid_corner, eps)[1].K_measured for eps in (1e-2, 1e-3)]
+    assert abs(K[1] - K[0]) < 1e-3 * abs(K[0])

@@ -177,6 +177,14 @@ def test_nonuniform_grid_rejected():
         flow.evolve(g, g, flow.FlowConfig(T_final=1e-3))
 
 
+def test_grid_with_origin_node_rejected():
+    # the right-hand side divides by r at the first node
+    grid = RadialGrid.uniform(0.0, 20.0, 64)
+    g = metrics.build_conformal(0.2, 3, grid)
+    with pytest.raises(ValueError, match="staggered"):
+        flow.evolve(g, g, flow.FlowConfig(T_final=1e-3))
+
+
 @pytest.fixture(scope="module")
 def conformal_run():
     grid = RadialGrid.staggered(40.0, 768)
