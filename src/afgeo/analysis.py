@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialGrid, smoothstep, sphere_area
-from .metrics import RadialMetric, build_flat, build_distorted_flat, radial_kink_map
+from .grid import RadialGrid, smoothstep
+from .metrics import build_flat, build_distorted_flat, radial_kink_map, volume_element
 from .curvature import scalar_curvature
 from . import corner as corner_mod
 from . import flow as flow_mod
@@ -146,22 +146,21 @@ def gronwall_check(times, F, A, B, tol=1e-9):
 
 # -- negative part of the scalar curvature ----------------------------------
 
-def _volume_weights(metric, trim=5):
-    # edge nodes use clipped stencils whose noise, scaled by the r^{n-1}
-    # volume weight, would otherwise dominate small integrals
-    w = sphere_area(metric.n) * metric.volume_density()
-    if trim > 0:
-        w[:trim] = 0.0
-        w[-trim:] = 0.0
-    return w
+def _weighted_R(metric):
+    """R and dV/dr at the nodes, the weight of the 5 nodes at each end zeroed:
+    their clipped stencils' noise, scaled by the r^{n-1} volume weight, would
+    otherwise dominate small integrals."""
+    w = metric.volume_density()
+    w[:5] = 0.0
+    w[-5:] = 0.0
+    return scalar_curvature(metric), w
 
 
 def negative_part(metric, deltas=(1e-4, 1e-6, 1e-8)):
     """integral of |R| over {R < 0}, via the smooth penalisation
     (sqrt(R^2 + delta) - R)/2 shifted to vanish at R = 0, extrapolated to
     delta -> 0 (first order in sqrt(delta))."""
-    R = scalar_curvature(metric)
-    w = _volume_weights(metric)
+    R, w = _weighted_R(metric)
     vals = []
     for d in deltas:
         pen = 0.5 * (np.sqrt(R ** 2 + d) - R) - 0.5 * np.sqrt(d)
@@ -176,8 +175,7 @@ def negative_part(metric, deltas=(1e-4, 1e-6, 1e-8)):
 
 def negative_part_masked(metric):
     """Direct route: masked quadrature of |R| where R < 0."""
-    R = scalar_curvature(metric)
-    w = _volume_weights(metric)
+    R, w = _weighted_R(metric)
     return float(metric.grid.trapz(w * np.where(R < 0.0, -R, 0.0)))
 
 
@@ -206,8 +204,7 @@ def rneg_monitor(trajectory, K, tol=1e-6):
 # -- scalar-curvature tails and boundary fluxes -----------------------------
 
 def _tail_integral(metric, r0):
-    R = scalar_curvature(metric)
-    w = _volume_weights(metric)
+    R, w = _weighted_R(metric)
     r = metric.grid.r
     mask = r >= r0
     return float(np.trapezoid((w * np.abs(R))[mask], r[mask]))
@@ -248,9 +245,9 @@ def boundary_gradient_flux(metric, r0):
     grid = metric.grid
     i = int(np.argmin(np.abs(grid.r - r0)))
     dR = grid.deriv(scalar_curvature(metric), 1, parity=True)
-    n = metric.n
-    area = sphere_area(n) * np.sqrt(metric.B[i]) ** (n - 1) * grid.r[i] ** (n - 1)
-    return float(area * np.abs(dR[i]) / np.sqrt(metric.A[i]))
+    A = metric.A[i]
+    dV = volume_element(metric.n, grid.r[i], A, metric.B[i])  # area * sqrt(A)
+    return float(dV * np.abs(dR[i]) / A)
 
 
 def boundary_gradient_monitor(trajectory, radii, tol=1e-12):
@@ -304,7 +301,8 @@ def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0),
 
 
 def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
-                           rel_tol=1e-2, r_floor_tol=1e-4, grid=None):
+                           rel_tol=1e-2, r_floor_tol=1e-4, grid=None,
+                           K_target=10.0):
     """Smooth the corner at each epsilon, evolve, and compare masses.
 
     Checks: smoothing is mass-neutral across the ladder before the flow, all
@@ -315,16 +313,14 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
         grid = RadialGrid.uniform(0.5, cm.inner.grid.r_max, 2048)
     base = cm.combined()
     targets = grid.snap(radii)
-    base_mass = mass_mod.adm_mass(base,
-                                  base.grid.snap(radii)).mass
+    base_mass = mass_mod.adm_mass(base, base.grid.snap(radii)).mass
     rows = []
     pre_masses = []
     all_masses = []
     final_R_min = np.inf
     last_traj = None
     for eps in sorted(eps_ladder, reverse=True):
-        sm, cert = corner_mod.mollify(cm, eps, K_target=config.K_target,
-                                      grid=grid)
+        sm, cert = corner_mod.mollify(cm, eps, K_target=K_target, grid=grid)
         if not cert.satisfied:
             raise flow_mod.FlowAbort(f"smoothing certificate failed at eps={eps}")
         pre = mass_mod.adm_mass(sm, targets).mass
@@ -371,8 +367,7 @@ def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,
     g0 = build_distorted_flat(n, grid, kink_radius=kink_radius, amp=amp,
                               smooth_width=smooth_width)
     h = build_flat(n, grid)
-    targets = grid.snap((grid.r_max * 0.5, grid.r_max * 0.7,
-                                 grid.r_max * 0.9))
+    targets = grid.snap(grid.r_max * np.array([0.5, 0.7, 0.9]))
     m0 = mass_mod.adm_mass(g0, targets).mass
     traj = flow_mod.evolve(g0, h, config)
     gT = traj.snapshots[-1].metric

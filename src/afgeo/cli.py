@@ -143,12 +143,17 @@ def cmd_flow(args):
     return EXIT_OK
 
 
-def cmd_corner(args):
+def _corner(args):
+    """The example corner metric of the corner options."""
     grid = corner.make_corner_grid(args.rmin, args.r0, args.rmax,
                                    fine_dr=1.0 / args.fine_density,
                                    outer_num=args.outer_num)
     base = parse_metric(args.base, grid, args.dim)
-    cm = corner.corner_example(base, args.r0, args.strength)
+    return corner.corner_example(base, args.r0, args.strength)
+
+
+def cmd_corner(args):
+    cm = _corner(args)
     Hm, Hp, ok = corner.corner_condition(cm)
     body = [f"H_minus={Hm:.12g}", f"H_plus={Hp:.12g}", f"condition_ok={ok}"]
     all_ok = True
@@ -186,15 +191,11 @@ def cmd_mass_constancy(args):
 
 
 def cmd_mass_liminf(args):
-    cgrid = corner.make_corner_grid(args.rmin, args.r0, args.rmax,
-                                    fine_dr=1.0 / args.fine_density,
-                                    outer_num=args.outer_num)
-    base = parse_metric(args.base, cgrid, args.dim)
-    cm = corner.corner_example(base, args.r0, args.strength)
     rep, _ = analysis.mass_liminf_experiment(
-        cm, _float_list(args.eps), _flow_config(args),
+        _corner(args), _float_list(args.eps), _flow_config(args),
         radii=tuple(_float_list(args.radii)), rel_tol=args.tol,
-        r_floor_tol=args.r_floor, grid=parse_grid(args.grid))
+        r_floor_tol=args.r_floor, grid=parse_grid(args.grid),
+        K_target=args.K)
     return _finish_monitor(args, "mass_liminf", rep,
                            ["base", "r0", "strength", "eps", "grid", "T"])
 
@@ -352,7 +353,8 @@ def build_parser():
     p.add_argument("--radii", default="60,80,100")
     p.add_argument("--tol", type=float, default=1e-2)
     p.add_argument("--r-floor", type=float, default=1e-4)
-    p.set_defaults(func=cmd_mass_liminf)
+    # at T = 0.01 the flow has not yet lifted R above the floor
+    p.set_defaults(func=cmd_mass_liminf, T=0.2)
 
     p = sub.add_parser("zero-mass")
     _add_common(p)
@@ -378,14 +380,12 @@ def build_parser():
     return top
 
 
-def _apply_config_file(args, argv):
-    if not args.config:
-        return
+def _config_flags(args):
+    """The lines `key = value` of the --config file as `--key=value` flags."""
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    given = {a.split("=")[0].lstrip("-").replace("-", "_")
-             for a in argv if a.startswith("--")}
+    flags = []
     for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -393,26 +393,21 @@ def _apply_config_file(args, argv):
         if "=" not in line:
             raise ConfigError(f"bad config line {line!r}")
         k, v = (s.strip() for s in line.split("=", 1))
-        attr = k.replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, k.replace("-", "_")):
             raise ConfigError(f"unknown config key {k!r}")
-        if attr in given:
-            continue  # flags win over the file
-        cur = getattr(args, attr)
-        if isinstance(cur, bool):
-            v = v.lower() in ("1", "true", "yes")
-        elif isinstance(cur, int):
-            v = int(v)
-        elif isinstance(cur, float):
-            v = float(v)
-        setattr(args, attr, v)
+        flags.append(f"--{k.replace('_', '-')}={v}")
+    return flags
 
 
 def run(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, sys.argv[1:] if argv is None else argv)
+        if args.config:
+            # file lines become flags after the command word: later flags win
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _config_flags(args) + argv[i:])
         return args.func(args)
     except flow.FlowAbort as e:
         print(f"numerical abort: {e}", file=sys.stderr)

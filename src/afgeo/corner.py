@@ -17,10 +17,9 @@ import numpy as np
 from scipy.interpolate import PPoly, make_interp_spline
 from scipy.optimize import brentq
 
-from .grid import RadialGrid, smoothstep, sphere_area
-from .metrics import RadialMetric
-from .curvature import (mean_curvature_sphere, scalar_curvature,
-                        scalar_curvature_pointwise)
+from .grid import RadialGrid, smoothstep
+from .metrics import RadialMetric, volume_element
+from .curvature import mean_curvature_sphere, scalar, scalar_curvature
 
 CONT_TOL = 1e-12
 
@@ -364,16 +363,15 @@ def _certificate(mc, K_target, epsilon):
     far = np.concatenate([ri[keep_i], ro[keep_o]])
     m = len(rc)
     jet = mc.eval(np.concatenate([rc, far]), 2)
-    Ac, A1, _ = (a[:m] for a in jet["A"])
-    Bc, B1, B2 = (b[:m] for b in jet["B"])
-    Rc = scalar_curvature_pointwise(n, rc, Ac, Bc, A1, B1, B2)
+    Rc = scalar(n, rc, [f[:m] for f in (*jet["A"], *jet["B"])])
+    Ac, Bc = jet["A"][0][:m], jet["B"][0][:m]
 
     r = np.concatenate([ri[keep_i], rc, ro[keep_o]])
     R = np.concatenate([Ri[keep_i], Rc, Ro[keep_o]])
     A = np.concatenate([cm.inner.A[keep_i], Ac, cm.outer.A[keep_o]])
     B = np.concatenate([cm.inner.B[keep_i], Bc, cm.outer.B[keep_o]])
 
-    dens = sphere_area(n) * np.sqrt(A * B ** (n - 1)) * r ** (n - 1)
+    dens = volume_element(n, r, A, B)
     neg = np.where(R < 0, -R, 0.0)
     neg_part = float(np.trapezoid(neg * dens, r))
     neg_measure = float(np.trapezoid((R < 0) * dens, r))
@@ -404,16 +402,11 @@ def mollify(cm, epsilon, K_target=10.0, grid=None):
     # (growing like sigma^-2) would swamp the certificate
     sigma = max(epsilon ** 2, 1e-7)
     floor = max(1e-9, sigma / 2 ** 10)
-    best = None
     while True:
         mc = MollifiedCorner(cm, sigma)
         rep = _certificate(mc, K_target, epsilon)
         if rep.satisfied or sigma * 0.5 < floor:
-            best = (mc, rep)
             break
-        if best is None or rep.neg_part < best[1].neg_part:
-            best = (mc, rep)
         sigma *= 0.5
-    mc, rep = best
     target = grid if grid is not None else cm.combined().grid
     return mc.sample(target), rep

@@ -1,8 +1,8 @@
 """Closed-form curvature of radial metrics, via the warped-product reduction.
 
-All formulas are phrased in terms of the areal factor phi = r sqrt(B) and its
-derivatives with respect to proper radius; they are locked in by the general
-Cartesian finite-difference formulas in oracle.py.
+Every curvature is read from one 2-jet of (A, B), through the two sectional
+curvatures k_rad and k_tan; the general Cartesian finite-difference formulas
+in oracle.py lock them in.
 """
 
 import numpy as np
@@ -10,9 +10,17 @@ import numpy as np
 from .grid import fornberg_weights
 
 
-def _phi_jets(r, A, B, dA, dB, ddB):
+def jet(grid, A, B):
+    """The 2-jet (A, A', A'', B, B', B'') from the parity stencils."""
+    d = grid.deriv
+    return (A, d(A, 1, parity=True), d(A, 2, parity=True),
+            B, d(B, 1, parity=True), d(B, 2, parity=True))
+
+
+def _phi_jets(r, jet):
     """phi = r sqrt(B) and its first two derivatives with respect to proper
-    radius, f1 and f2, from pointwise values and radial derivatives."""
+    radius, f1 and f2, from a 2-jet."""
+    A, dA, _, B, dB, ddB = jet
     sB = np.sqrt(B)
     phi = r * sB
     dphi = sB + r * dB / (2.0 * sB)
@@ -22,57 +30,50 @@ def _phi_jets(r, A, B, dA, dB, ddB):
     return phi, f1, f2
 
 
-def _phi_derivs(metric):
-    """phi, d phi/d(proper radius), d^2 phi/d(proper radius)^2 on the grid."""
-    return _phi_jets(metric.grid.r, metric.A, metric.B, metric.dA(1),
-                    metric.dB(1), metric.dB(2))
+def sectional(r, jet):
+    """Sectional curvatures (k_rad, k_tan) = (-f2/phi, (1 - f1^2)/phi^2) of
+    the planes through the radial direction and tangent to the sphere."""
+    phi, f1, f2 = _phi_jets(r, jet)
+    return -f2 / phi, (1.0 - f1 ** 2) / phi ** 2
 
 
-def _fill_origin(grid, values):
-    """Quadratic extrapolation into an exact r=0 node, where 0/0 forms appear."""
-    if grid.includes_origin():
-        w = fornberg_weights(0.0, grid.r[1:4], 0)[0]
-        values = values.copy()
-        values[0] = w @ values[1:4]
-    return values
+def ricci(n, r, jet):
+    """Ricci eigenvalues: (n-1) k_rad once (radial direction) and
+    k_rad + (n-2) k_tan n-1 times (tangent to the sphere)."""
+    k_rad, k_tan = sectional(r, jet)
+    return (n - 1) * k_rad, k_rad + (n - 2) * k_tan
+
+
+def scalar(n, r, jet):
+    """Scalar curvature R = (n-1)(2 k_rad + (n-2) k_tan) from a 2-jet."""
+    k_rad, k_tan = sectional(r, jet)
+    return (n - 1) * (2.0 * k_rad + (n - 2) * k_tan)
+
+
+def _on_grid(metric, fn):
+    """fn(n, r, jet) of the metric at its grid nodes."""
+    j = jet(metric.grid, metric.A, metric.B)
+    return metric.grid.on_nodes(lambda r: fn(metric.n, r, j))
 
 
 def scalar_curvature(metric):
     """Scalar curvature R(r) of g = A dr^2 + B r^2 dOmega^2."""
-    m = metric.n - 1
-    phi, f1, f2 = _phi_derivs(metric)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = m * ((m - 1) * (1.0 - f1 ** 2) / phi ** 2 - 2.0 * f2 / phi)
-    return _fill_origin(metric.grid, R)
-
-
-def scalar_curvature_pointwise(n, r, A, B, dA, dB, ddB):
-    """R from pointwise values and radial derivatives (no grid stencils)."""
-    m = n - 1
-    phi, f1, f2 = _phi_jets(r, A, B, dA, dB, ddB)
-    return m * ((m - 1) * (1.0 - f1 ** 2) / phi ** 2 - 2.0 * f2 / phi)
+    return _on_grid(metric, scalar)
 
 
 def ricci_norm_sq(metric):
     """|Ric|^2(r), squared norm of the Ricci tensor."""
-    m = metric.n - 1
-    phi, f1, f2 = _phi_derivs(metric)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rad = -m * f2 / phi
-        tan = -f2 / phi + (m - 1) * (1.0 - f1 ** 2) / phi ** 2
-        out = rad ** 2 + m * tan ** 2
-    return _fill_origin(metric.grid, out)
+    def norm_sq(n, r, j):
+        rad, tan = ricci(n, r, j)
+        return rad ** 2 + (n - 1) * tan ** 2
+    return _on_grid(metric, norm_sq)
 
 
 def sectional_bound(metric):
     """sup over the grid of the two radial sectional curvatures of the metric."""
-    phi, f1, f2 = _phi_derivs(metric)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_rad = -f2 / phi
-        k_tan = (1.0 - f1 ** 2) / phi ** 2
-    k_rad = _fill_origin(metric.grid, k_rad)
-    k_tan = _fill_origin(metric.grid, k_tan)
-    return float(np.max(np.maximum(np.abs(k_rad), np.abs(k_tan))))
+    def k_max(n, r, j):
+        return np.max(np.abs(sectional(r, j)), axis=0)
+    return float(np.max(_on_grid(metric, k_max)))
 
 
 def one_sided_deriv(grid, f, i0, side, order=1, width=5):
@@ -102,11 +103,9 @@ def mean_curvature_sphere(metric, r0, side=None):
     i0 = grid.node_at(r0)
     if i0 is None:
         raise ValueError(f"r0={r0} is not a grid node")
-    A0 = metric.A[i0]
-    B0 = metric.B[i0]
     if side is None:
-        dB0 = metric.dB(1)[i0]
+        dB0 = grid.deriv(metric.B, 1, parity=True)[i0]
     else:
         dB0 = one_sided_deriv(grid, metric.B, i0, side)
-    phi, f1, _ = _phi_jets(r0, A0, B0, 0.0, dB0, 0.0)
+    phi, f1, _ = _phi_jets(r0, (metric.A[i0], 0, 0, metric.B[i0], dB0, 0))
     return float((metric.n - 1) * f1 / phi)

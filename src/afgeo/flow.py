@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 
 from .grid import RadialGrid
 from .metrics import RadialMetric
-from .curvature import scalar_curvature, ricci_norm_sq, _phi_jets
+from .curvature import jet, ricci, scalar_curvature, ricci_norm_sq
 from .norms import is_delta_fair, eta_sup_norms
 
 
@@ -23,13 +23,6 @@ class FlowAbort(RuntimeError):
 
 
 # -- closed-form right-hand side ---------------------------------------------
-
-def _jets(grid, A, B):
-    """(A, A', A'', B, B', B'') from the parity stencils."""
-    d = grid.deriv
-    return (A, d(A, 1, parity=True), d(A, 2, parity=True),
-            B, d(B, 1, parity=True), d(B, 2, parity=True))
-
 
 def _deturck(m, r, gj, hj):
     """W = g^pq (Gamma^r_pq - Gamma~^r_pq) and dW/dr, in closed form from the
@@ -58,13 +51,11 @@ def _deturck(m, r, gj, hj):
 def _rhs_pointwise(n, r, gj, hj):
     """(dt A, dt B) of dt g = -2 Ric(g) + Lie_W g in the warped-product
     reduction, from the 2-jets of g and of the background h."""
-    m = n - 1
-    A, dA, _, B, dB, ddB = gj
-    W, dW = _deturck(m, r, gj, hj)
-    phi, f1, f2 = _phi_jets(r, A, B, dA, dB, ddB)
-    dt_A = 2.0 * m * A * f2 / phi + W * dA + 2.0 * A * dW
-    dt_B = ((2.0 * phi * f2 - 2.0 * (m - 1) * (1.0 - f1 ** 2)) / r ** 2
-            + W * (dB + 2.0 * B / r))
+    A, dA, _, B, dB, _ = gj
+    W, dW = _deturck(n - 1, r, gj, hj)
+    ric_rad, ric_tan = ricci(n, r, gj)
+    dt_A = -2.0 * A * ric_rad + W * dA + 2.0 * A * dW
+    dt_B = -2.0 * B * ric_tan + W * (dB + 2.0 * B / r)
     return dt_A, dt_B
 
 
@@ -72,8 +63,8 @@ def deturck_vector(g, h):
     """Radial contravariant component of W^k = g^{pq}(Gamma^k_pq - Gamma~^k_pq)."""
     if g.grid is not h.grid and not np.array_equal(g.grid.r, h.grid.r):
         raise ValueError("metrics must share a grid")
-    return _deturck(g.n - 1, g.grid.r, _jets(g.grid, g.A, g.B),
-                    _jets(h.grid, h.A, h.B))[0]
+    return _deturck(g.n - 1, g.grid.r, jet(g.grid, g.A, g.B),
+                    jet(h.grid, h.A, h.B))[0]
 
 
 def eta_rhs(h, eta_A, eta_B, freeze_outer=2, freeze_inner=0):
@@ -83,8 +74,8 @@ def eta_rhs(h, eta_A, eta_B, freeze_outer=2, freeze_inner=0):
     parity stencils; the frozen end nodes hold their values.
     """
     grid = h.grid
-    hj = _jets(grid, h.A, h.B)
-    gj = tuple(a + b for a, b in zip(hj, _jets(grid, eta_A, eta_B)))
+    hj = jet(grid, h.A, h.B)
+    gj = tuple(a + b for a, b in zip(hj, jet(grid, eta_A, eta_B)))
     if np.any(gj[0] <= 0) or np.any(gj[3] <= 0):
         raise FlowAbort("metric positivity lost")
     out_A, out_B = _rhs_pointwise(h.n, grid.r, gj, hj)
@@ -101,16 +92,15 @@ class FlowConfig:
     T_final: float
     cfl: float = 0.2
     monitor_every: int = 10     # snapshot cadence, in accepted steps
-    K_target: float = 10.0
     fairness: float = 1.1       # background must stay this fair to g(t)
-    freeze_outer: int = 2
-    freeze_inner: int = None    # None: 0 if r[0] < dr (staggered), else 2
 
     def __post_init__(self):
         if self.T_final <= 0:
             raise ValueError("T_final must be positive")
         if not 0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
+        if self.monitor_every < 1:
+            raise ValueError("monitor_every must be at least 1")
 
 
 @dataclass
@@ -152,11 +142,11 @@ def stable_dt(grid, A, B, n, cfl):
 HEUN_STAGES = 2  # eta_rhs evaluations per h_flow_step
 
 
-def h_flow_step(h, eta_A, eta_B, dt, freeze_outer=2, freeze_inner=0):
+def h_flow_step(h, eta_A, eta_B, dt, freeze_inner=0):
     """One Heun (RK2) step of the eta evolution."""
-    kA1, kB1 = eta_rhs(h, eta_A, eta_B, freeze_outer, freeze_inner)
+    kA1, kB1 = eta_rhs(h, eta_A, eta_B, freeze_inner=freeze_inner)
     kA2, kB2 = eta_rhs(h, eta_A + dt * kA1, eta_B + dt * kB1,
-                       freeze_outer, freeze_inner)
+                       freeze_inner=freeze_inner)
     return eta_A + 0.5 * dt * (kA1 + kA2), eta_B + 0.5 * dt * (kB1 + kB2)
 
 
@@ -188,10 +178,8 @@ def evolve(metric, h, config):
     if not ok:
         raise FlowAbort(f"background not {config.fairness}-fair: ratios {rng}")
 
-    freeze_inner = config.freeze_inner
-    if freeze_inner is None:
-        # excised inner boundary: no center symmetry, hold the edge fixed
-        freeze_inner = 0 if grid.r[0] < grid.dr_min else 2
+    # excised inner boundary: no center symmetry, hold the edge fixed
+    inner = 0 if grid.r[0] < grid.dr_min else 2
 
     eta_A = metric.A - h.A
     eta_B = metric.B - h.B
@@ -202,8 +190,7 @@ def evolve(metric, h, config):
     while t < config.T_final - 1e-15:
         dt = min(stable_dt(grid, h.A + eta_A, h.B + eta_B, h.n, config.cfl),
                  config.T_final - t)
-        eta_A, eta_B = h_flow_step(h, eta_A, eta_B, dt, config.freeze_outer,
-                                   freeze_inner)
+        eta_A, eta_B = h_flow_step(h, eta_A, eta_B, dt, freeze_inner=inner)
         if np.any(~np.isfinite(eta_A)) or np.any(~np.isfinite(eta_B)):
             raise FlowAbort(f"NaN detected at t={t:.6g}")
         t += dt
@@ -315,7 +302,7 @@ def taylor_consistency_check(phi, g_t, g_T):
     phi = np.asarray(phi, dtype=float)
     dphi = grid.deriv(phi, 1, parity=False)
     ddphi = grid.deriv(phi, 2, parity=False)
-    gam_t = g_t.dA(1) / (2.0 * g_t.A)
+    gam_t = grid.deriv(g_t.A, 1, parity=True) / (2.0 * g_t.A)
     sA = CubicSpline(grid.r, g_T.A)
     gam_T = sA(phi, 1) / (2.0 * sA(phi))
     resid = ddphi - gam_t * dphi + gam_T * dphi ** 2

@@ -119,6 +119,15 @@ class RadialGrid:
     def includes_origin(self):
         return self.r[0] == 0.0
 
+    def on_nodes(self, fn):
+        """fn(r) at the nodes.  At an exact r = 0 node, where fn meets 0/0
+        forms, the value is extrapolated quadratically from the next three."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = fn(self.r)
+        if self.includes_origin():
+            values[0] = fornberg_weights(0.0, self.r[1:4], 0)[0] @ values[1:4]
+        return values
+
     def _build_stencils(self, order, parity):
         width = 5
         # parity: two ghosts mirrored across r = 0 (even extension), nearest

@@ -6,7 +6,7 @@ normalized mass divide by 2 (n-1) omega_{n-1}; for n = 3 that is 16 pi.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -27,7 +27,7 @@ def adm_mass_flux(metric, r):
     if abs(metric.A[i] - 1.0) > 0.5:
         warnings.warn(f"flux radius r={r} outside asymptotic regime (|A-1| > 0.5)")
     n = metric.n
-    dB = metric.dB(1)[i]
+    dB = metric.grid.deriv(metric.B, 1, parity=True)[i]
     val = (metric.A[i] - metric.B[i]) / r - dB
     return float(sphere_area(n) * r ** (n - 1) * (n - 1) * val)
 
@@ -97,13 +97,12 @@ def mass_parts_residual(metric, r, mass=None, direction=None):
     i0 = grid.node_at(r)
     if i0 is None:
         raise ValueError(f"r={r} is not a grid node")
-    n = metric.n
     if mass is None:
         ladder = [grid.r[int(k)] for k in (grid.num - 1, int(grid.num * 0.9),
                                            int(grid.num * 0.8))]
         mass = adm_mass(metric, ladder).mass
 
-    dens = metric.volume_density() * sphere_area(n)  # dV per dr
+    dens = metric.volume_density()
     R = scalar_curvature(metric)
     int_R = np.trapezoid((R * dens)[i0:], grid.r[i0:])
 

@@ -1,11 +1,16 @@
 """Radial asymptotically flat metrics g = A dr^2 + B r^2 dOmega^2."""
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, rho_weight
+from .grid import RadialGrid, rho_weight, sphere_area
+
+
+def volume_element(n, r, A, B):
+    """dV/dr = |S^(n-1)| sqrt(A B^(n-1)) r^(n-1), the volume per unit dr."""
+    return sphere_area(n) * np.sqrt(A * B ** (n - 1)) * r ** (n - 1)
 
 
 @dataclass
@@ -32,15 +37,9 @@ class RadialMetric:
 
     # -- sampled-profile helpers -------------------------------------------
 
-    def dA(self, order=1):
-        return self.grid.deriv(self.A, order=order, parity=True)
-
-    def dB(self, order=1):
-        return self.grid.deriv(self.B, order=order, parity=True)
-
     def volume_density(self):
-        """sqrt|g| r^(n-1) per unit solid angle (Cartesian volume element factor)."""
-        return np.sqrt(self.A * self.B ** (self.n - 1)) * self.grid.r ** (self.n - 1)
+        """dV/dr at the nodes; see volume_element."""
+        return volume_element(self.n, self.grid.r, self.A, self.B)
 
     def laplacian(self, f):
         """Laplace-Beltrami operator of the metric on a radial function f."""

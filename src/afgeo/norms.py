@@ -62,23 +62,30 @@ def _holder_seminorm(grid, fk, weight_exp, alpha):
     return best
 
 
+def _sup_terms(grid, f, k, delta):
+    """sup rho^(delta+j) |d^j f| for j = 0..k, and the k-th derivative."""
+    rho = grid.rho()
+    sups = np.zeros(k + 1)
+    df = f
+    for j in range(k + 1):
+        if j > 0:
+            df = grid.deriv(f, order=j, parity=True)
+        sups[j] = float(np.max(rho ** (delta + j) * np.abs(df)))
+    return sups, df
+
+
 def weighted_norm(diff, k, alpha, delta):
     """C^{k,alpha}_delta norm of a radial field bundle: sum of the sup terms
     sup rho^(delta+j)|d^j f| for j <= k plus the weighted Hölder seminorm."""
     if k > 2:
         raise ValueError("k <= 2 supported")
     grid = diff.grid
-    rho = grid.rho()
     sups = np.zeros(k + 1)
     holder = 0.0
     for f in diff.fields:
-        f = np.asarray(f, dtype=float)
-        df = f
-        for j in range(k + 1):
-            if j > 0:
-                df = grid.deriv(f, order=j, parity=True)
-            sups[j] = max(sups[j], float(np.max(rho ** (delta + j) * np.abs(df))))
-        holder = max(holder, _holder_seminorm(grid, df, delta + k + alpha, alpha))
+        s, dk = _sup_terms(grid, np.asarray(f, dtype=float), k, delta)
+        sups = np.maximum(sups, s)
+        holder = max(holder, _holder_seminorm(grid, dk, delta + k + alpha, alpha))
     return WeightedNormReport(k, alpha, delta, sups, holder,
                               float(np.sum(sups) + holder))
 
@@ -98,16 +105,8 @@ def is_delta_fair(h, g, fairness):
 
 
 def eta_sup_norms(g, h, delta):
-    """Monitored decay quantities of eta = g - h:
-    (sup rho^delta |eta|, sup rho^(delta+1) |eta'|, sup rho^(delta+1) |eta''|),
+    """Monitored decay quantities of eta = g - h: the sup terms
+    sup rho^(delta+j) |d^j eta|, j = 0, 1, 2, of the C^2_delta norm,
     componentwise over (A - A_h, B - B_h)."""
-    grid = g.grid
-    rho = grid.rho()
-    out = np.zeros(3)
-    for f in (g.A - h.A, g.B - h.B):
-        d1 = grid.deriv(f, 1, parity=True)
-        d2 = grid.deriv(f, 2, parity=True)
-        out[0] = max(out[0], float(np.max(rho ** delta * np.abs(f))))
-        out[1] = max(out[1], float(np.max(rho ** (delta + 1) * np.abs(d1))))
-        out[2] = max(out[2], float(np.max(rho ** (delta + 1) * np.abs(d2))))
-    return out
+    return np.max([_sup_terms(g.grid, f, 2, delta)[0]
+                   for f in (g.A - h.A, g.B - h.B)], axis=0)

@@ -250,9 +250,10 @@ def _metric_point(metric, second=False):
     grid = metric.grid
     r = grid.r
     A, B = metric.A, metric.B
-    dA, dB = metric.dA(1), metric.dB(1)
+    d = grid.deriv
+    dA, dB = d(A, 1, parity=True), d(B, 1, parity=True)
     if second:
-        ddA, ddB = metric.dA(2), metric.dB(2)
+        ddA, ddB = d(A, 2, parity=True), d(B, 2, parity=True)
         m, Dm, DDm = _sym_fields(metric.n, r, B, A - B, dB, dA - dB,
                                  ddB, ddA - ddB)
     else:

@@ -147,3 +147,31 @@ def test_mass_constancy_subcommand(tmp_path):
     text = (tmp_path / "mass_constancy.txt").read_text()
     assert "passed=True" in text
     assert (tmp_path / "mass_constancy.csv").exists()
+
+
+def test_mass_liminf_reads_K(tmp_path, capsys):
+    # K = 1e-6 is below the collar's inf R (about -0.022), so the first
+    # certificate fails
+    assert cli.run(["mass-liminf", "--K", "1e-6", "--out", str(tmp_path)]) == 3
+    assert "smoothing certificate failed at eps=0.1" in capsys.readouterr().err
+
+
+def test_mass_liminf_defaults_pass(tmp_path):
+    assert cli.run(["mass-liminf", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "mass_liminf.txt").read_text()
+    assert "config.T=0.2" in text and "passed=True" in text
+
+
+def test_monitor_every_zero_exits_config(tmp_path):
+    assert cli.run(["zero-mass", "--monitor-every", "0", "--T", "1e-3",
+                    "--grid", "staggered:rmax=60,num=256",
+                    "--out", str(tmp_path)]) == 2
+
+
+def test_config_file_values_checked_like_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim = 7\n")
+    with pytest.raises(SystemExit) as e:
+        cli.run(["zero-mass", "--config", str(cfg), "--out", str(tmp_path)])
+    assert e.value.code == 2
+    assert not (tmp_path / "zero_mass.txt").exists()

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afgeo import curvature, flow, mass, metrics, oracle
 from afgeo.grid import RadialGrid
@@ -287,3 +288,25 @@ def test_trajectory_dump_format():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,r,A,B,R,W"
     assert len(lines) == 1 + len(traj.snapshots) * grid.num
+
+
+_bump_amp = st.floats(0.05, 0.5) | st.floats(-0.5, -0.05)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), a=_bump_amp, b=_bump_amp,
+       wa=st.floats(1.0, 4.0), wb=st.floats(1.0, 4.0))
+def test_rhs_at_zero_eta_is_minus_twice_ricci(n, a, b, wa, wb):
+    # g = h: W vanishes, so dt A = -2 A Ric_rad and dt B = -2 B Ric_tan
+    grid = RadialGrid.staggered(20.0, 256)
+    A = 1.0 + a * np.exp(-(grid.r / wa) ** 2)
+    B = 1.0 + b / (1.0 + (grid.r / wb) ** 2)
+    h = metrics.RadialMetric(grid, n, A, B)
+    z = np.zeros(grid.num)
+    rA, rB = flow.eta_rhs(h, z, z, freeze_outer=0)
+    rad, tan = -rA / (2.0 * A), -rB / (2.0 * B)
+    R = curvature.scalar_curvature(h)
+    ric2 = curvature.ricci_norm_sq(h)
+    assert np.max(np.abs(rad + (n - 1) * tan - R)) <= 1e-10 * np.max(np.abs(R))
+    assert (np.max(np.abs(rad ** 2 + (n - 1) * tan ** 2 - ric2))
+            <= 1e-10 * np.max(ric2))

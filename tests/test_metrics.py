@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -75,3 +76,11 @@ def test_dump_load_roundtrip(grid):
     assert back.n == m.n and back.delta == m.delta
     assert np.array_equal(back.A, m.A) and np.array_equal(back.B, m.B)
     assert np.array_equal(back.grid.r, grid.r)
+
+
+def test_flat_volume_density_integrates_to_ball_volume():
+    grid = RadialGrid.uniform(0.0, 2.0, 2001)
+    for n in (3, 4, 5):
+        vol = grid.trapz(metrics.build_flat(n, grid).volume_density())
+        ball = math.pi ** (n / 2) * 2.0 ** n / math.gamma(n / 2 + 1)
+        assert vol == pytest.approx(ball, rel=1e-6)

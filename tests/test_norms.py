@@ -71,3 +71,14 @@ def test_eta_sup_norms_decay_pattern(grid):
     flat = metrics.build_flat(3, grid)
     w = norms.eta_sup_norms(sch, flat, 1.0)
     assert np.all(np.isfinite(w)) and np.all(w > 0)
+
+
+def test_eta_sup_norms_weight_jth_derivative_by_rho_delta_plus_j():
+    # eta_A = r^2: the stencils are exact on it, and rho = r at r_max = 10
+    grid = RadialGrid.uniform(0.5, 10.0, 256)
+    h = metrics.build_flat(3, grid)
+    g = metrics.RadialMetric(grid, 3, 1.0 + grid.r ** 2, np.ones(grid.num))
+    got = norms.eta_sup_norms(g, h, 1.0)
+    assert got == pytest.approx([1e3, 2e3, 2e3], rel=1e-9)
+    sups = norms.weighted_norm(norms.metric_diff(g, h), 2, 0.25, 1.0).sup_terms
+    assert np.array_equal(got, sups)
