@@ -1,7 +1,8 @@
 """Mass of the Schwarzschild slice from its flux ladder.
 
 The unnormalized mass flux through coordinate spheres converges to 16 pi m
-as the radius grows; a power-law tail fit extrapolates the ladder.
+as the radius grows; the polynomial in 1/r through the ladder, read at
+1/r = 0, extrapolates it, with the leave-one-out spread as mass_err.
 """
 
 import numpy as np

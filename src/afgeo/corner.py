@@ -14,10 +14,8 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PPoly, make_interp_spline
-from scipy.optimize import brentq
 
-from .grid import RadialGrid, smoothstep
+from .grid import RadialGrid, Spline, interp_spline, smoothstep
 from .metrics import RadialMetric, volume_element
 from .curvature import mean_curvature_sphere, scalar, scalar_curvature
 
@@ -25,24 +23,19 @@ CONT_TOL = 1e-12
 
 
 class CornerFits(NamedTuple):
-    inner: PPoly         # (A, B) on the inner piece, trailing field axis
-    outer: PPoly         # (A, B) on the outer piece
-    dev: PPoly           # D = inner - outer's first piece; 0 for r > r0
+    inner: Spline        # (A, B) on the inner piece, trailing field axis
+    outer: Spline        # (A, B) on the outer piece
+    dev: Spline          # D = inner - outer's first piece; 0 for r > r0
     jump: np.ndarray     # (A', B') jump across r0, outer minus inner
 
 
 def _quintic(m):
-    """Quintic interpolant of (A, B) on one piece, in Horner form, with the
-    zero-length intervals of the knot vector dropped."""
-    pps = [PPoly.from_spline(make_interp_spline(m.grid.r, v, k=5))
-           for v in (m.A, m.B)]
-    keep = np.diff(pps[0].x) > 0
-    return PPoly(np.stack([p.c[:, keep] for p in pps], axis=-1),
-                 np.append(pps[0].x[:-1][keep], pps[0].x[-1]))
+    """Quintic interpolant of (A, B) on one piece, in Horner form."""
+    return interp_spline(m.grid.r, np.stack([m.A, m.B], axis=-1), k=5)
 
 
 def _shift(c, h):
-    """PPoly coefficients c (highest power first, in powers of x - a)
+    """Spline coefficients c (highest power first, in powers of x - a)
     re-expanded in powers of x - (a + h)."""
     k = len(c) - 1
     return np.array([sum(comb(q, p) * h ** (q - p) * c[k - q]
@@ -53,7 +46,7 @@ def _deviation(inner, outer, r0, r_hi):
     """D = inner - (outer's first piece continued inward), zero on (r0, r_hi].
 
     Convolving D rather than the field removes the O(f'') smoothing bias of
-    the blend zone.  The breakpoints descend, so scipy expands every piece
+    the blend zone.  The breakpoints descend, so every piece is expanded
     about its right end: next to r0, D is its Taylor form about r0, a sum of
     small terms rather than the difference of two O(1) values.
     """
@@ -61,7 +54,7 @@ def _deviation(inner, outer, r0, r_hi):
     d = (_shift(inner.c, b - inner.x[:-1, None])
          - _shift(outer.c[:, :1], b - r0))
     c = np.concatenate([np.zeros_like(d[:, :1]), d[:, ::-1]], axis=1)
-    return PPoly(c, np.append(r_hi, inner.x[::-1]))
+    return Spline(c, np.append(r_hi, inner.x[::-1]))
 
 
 @dataclass
@@ -122,6 +115,12 @@ class CornerMetric:
         dev = _deviation(inner, outer, self.r0, self.outer.grid.r[-1])
         return CornerFits(inner, outer, dev, -dev.c[-2, 1])
 
+    @cached_property
+    def piece_curvature(self):
+        """Scalar curvature of each piece from its own grid stencils; the
+        certificate reads it outside every collar width."""
+        return scalar_curvature(self.inner), scalar_curvature(self.outer)
+
 
 def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, fine_until=None,
                      outer_num=256):
@@ -139,8 +138,15 @@ def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, fine_until=None,
     def gap(ratio):
         return fine_dr * (ratio ** (outer_num + 1) - ratio) / (ratio - 1) - span
 
-    hi = 1.5 * (span / fine_dr) ** (1.0 / outer_num)
-    ratio = brentq(gap, 1.0 + 1e-12, hi)
+    # gap increases with the ratio: bisect to adjacent floats, keep the
+    # one nearer the root
+    lo, hi = 1.0 + 1e-12, 1.5 * (span / fine_dr) ** (1.0 / outer_num)
+    if gap(lo) >= 0:
+        raise ValueError(f"{outer_num} outer cells of at least {fine_dr} "
+                         f"overrun r_max={r_max}")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
+    ratio = min(lo, hi, key=lambda q: abs(gap(q)))
     steps = fine_dr * ratio ** np.arange(1, outer_num + 1)
     outer = fine[-1] + np.cumsum(steps)
     outer[-1] = r_max
@@ -252,13 +258,15 @@ class MollifiedCorner:
         self.r0 = cm.r0
 
     def _raw(self, x, order=0):
-        """One-sided evaluation of the unmollified (A, B), shape (len(x), 2)."""
+        """One-sided jets of the unmollified (A, B): order+1 arrays of shape
+        (len(x), 2), r0 on the inner side."""
         x = np.asarray(x, dtype=float)
         f = self.cm.fits
         lo = x <= self.r0
-        out = np.empty(x.shape + (2,))
-        out[lo] = f.inner(x[lo], order)
-        out[~lo] = f.outer(x[~lo], order)
+        out = [np.empty(x.shape + (2,)) for _ in range(order + 1)]
+        for side, fit in ((lo, f.inner), (~lo, f.outer)):
+            for o, j in zip(out, fit.jets(x[side], order)):
+                o[side] = j
         return out
 
     def _conv_nodes(self, r):
@@ -305,9 +313,10 @@ class MollifiedCorner:
             return np.where(edge, -ddS / w ** 2, 0.0)
         raise ValueError("order <= 2")
 
-    def eval(self, r, order=0):
+    def eval(self, r, order=0, raw=None):
         """Mollified A and B with their radial derivatives up to order <= 2:
-        {"A": [A, A', ...], "B": [B, B', ...]} at radii r.
+        {"A": [A, A', ...], "B": [B, B', ...]} at radii r.  `raw`, if given,
+        is `_raw(r, order)` computed by the caller; it is not modified.
 
         The collar adds chi * (D * bump - D) to the one-sided fits, D the
         deviation polynomial.  Its derivatives are convolutions of D's
@@ -317,7 +326,8 @@ class MollifiedCorner:
         and every order.
         """
         r = np.asarray(r, dtype=float)
-        jets = [self._raw(r, k) for k in range(order + 1)]
+        jets = (self._raw(r, order) if raw is None
+                else [j.copy() for j in raw])
         # the deviation and its convolution vanish for r >= r0 + sigma/2
         d = r - self.r0
         collar = (d > -self.sigma) & (d < 0.5 * self.sigma)
@@ -325,10 +335,10 @@ class MollifiedCorner:
             fits = self.cm.fits
             rc = r[collar]
             t, wt, dens = self._conv_nodes(rc)
-            x = rc[None, :] - t
             chi = [self._blend(rc, k)[:, None] for k in range(order + 1)]
-            diff = [np.einsum("ij,ijf->jf", wt, fits.dev(x, k)) - fits.dev(rc, k)
-                    for k in range(order + 1)]
+            diff = [np.einsum("ij,ijf->jf", wt, conv) - at for conv, at in
+                    zip(fits.dev.jets(rc[None, :] - t, order),
+                        fits.dev.jets(rc, order))]
             if order == 2:
                 diff[2] += fits.jump * dens[:, None]
             for k in range(order + 1):
@@ -354,17 +364,15 @@ def _certificate(mc, K_target, epsilon):
     sig = mc.sigma
     ri = cm.inner.grid.r
     ro = cm.outer.grid.r
-    Ri = scalar_curvature(cm.inner)
-    Ro = scalar_curvature(cm.outer)
+    Ri, Ro = cm.piece_curvature
     keep_i = ri <= mc.r0 - sig
     keep_o = ro >= mc.r0 + sig
 
     rc = np.linspace(mc.r0 - sig, mc.r0 + sig, 4001)
-    far = np.concatenate([ri[keep_i], ro[keep_o]])
-    m = len(rc)
-    jet = mc.eval(np.concatenate([rc, far]), 2)
-    Rc = scalar(n, rc, [f[:m] for f in (*jet["A"], *jet["B"])])
-    Ac, Bc = jet["A"][0][:m], jet["B"][0][:m]
+    raw = mc._raw(rc, 2)
+    jet = mc.eval(rc, 2, raw=raw)
+    Rc = scalar(n, rc, [*jet["A"], *jet["B"]])
+    Ac, Bc = jet["A"][0], jet["B"][0]
 
     r = np.concatenate([ri[keep_i], rc, ro[keep_o]])
     R = np.concatenate([Ri[keep_i], Rc, Ro[keep_o]])
@@ -377,9 +385,14 @@ def _certificate(mc, K_target, epsilon):
     neg_measure = float(np.trapezoid((R < 0) * dens, r))
     K_measured = float(np.min(R))
 
-    A0, B0 = mc._raw(rc).T
+    A0, B0 = raw[0].T
     ratios = np.concatenate([Ac / A0, Bc / B0])
-    moved = np.stack([jet["A"][0][m:], jet["B"][0][m:]], axis=-1) - mc._raw(far)
+    # outside the collar the metric must be the one-sided fits themselves
+    far = np.concatenate([ri[keep_i], ro[keep_o]])
+    raw_far = mc._raw(far)
+    jet_far = mc.eval(far, raw=raw_far)
+    moved = (np.stack([jet_far["A"][0], jet_far["B"][0]], axis=-1)
+             - raw_far[0])
     support_ok = bool(np.max(np.abs(moved)) < 1e-14)
     sandwich_lo = float(np.min(ratios))
     sandwich_hi = float(np.max(ratios))

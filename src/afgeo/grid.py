@@ -166,3 +166,163 @@ class RadialGrid:
         if abs(self.r[i] - r0) <= tol * max(1.0, abs(r0)):
             return i
         return None
+
+
+# -- interpolating splines ----------------------------------------------------
+
+class Spline:
+    """Piecewise polynomial in Horner form.
+
+    c[k - p, i, ...] is the p-th Taylor coefficient of piece i about its
+    first breakpoint x[i]; trailing axes of c are fields.  The breakpoints
+    ascend or descend; piece i holds x[i] but not x[i+1], and points beyond
+    the ends use the end pieces.
+    """
+
+    def __init__(self, c, x):
+        self.c = np.asarray(c, dtype=float)
+        self.x = np.asarray(x, dtype=float)
+        # the interior breakpoints as ascending keys: searching them gives
+        # the piece, with the end pieces reaching beyond the ends
+        self._sign = 1.0 if self.x[-1] > self.x[0] else -1.0
+        self._keys = self._sign * self.x[1:-1]
+        # field-major copy: the gather and the Horner passes run on rows
+        # contiguous in the evaluation points
+        k1, pieces = self.c.shape[:2]
+        self._cf = np.ascontiguousarray(
+            self.c.reshape(k1, pieces, -1).transpose(2, 0, 1))
+
+    def _piece(self, r):
+        return np.searchsorted(self._keys, self._sign * r, side="right")
+
+    def jets(self, r, order=0):
+        """[f, f', ..., f^(order)] at radii r, each of shape r.shape + the
+        field shape, from one interval search and one coefficient gather.
+
+        Horner runs field-major: the p-th derivative of sum_q a[k-q] dx^q
+        gives term q the factor q!/(q-p)!.
+        """
+        r = np.asarray(r, dtype=float)
+        flat = r.reshape(-1)
+        k = len(self.c) - 1
+        shape = r.shape + self.c.shape[2:]
+        if flat.size > 1024:
+            # a large batch often lies in one piece: its coefficients then
+            # enter as numbers, with no gather, one long row per field
+            ends = self._piece(np.array([flat.min(), flat.max()]))
+            if ends[0] == ends[1]:
+                dx = flat - self.x[ends[0]]
+                out = np.empty((order + 1, len(self._cf), flat.size))
+                for a, f in zip(self._cf[:, :, ends[0]].tolist(),
+                                out.transpose(1, 0, 2)):
+                    for p in range(order + 1):
+                        f[p] = a[0] * math.perm(k, p)
+                        for q in range(k - 1, p - 1, -1):
+                            f[p] *= dx
+                            f[p] += a[k - q] * math.perm(q, p)
+                return [f.T.reshape(shape) for f in out]
+        i = self._piece(flat)
+        a = np.take(self._cf, i, axis=2).transpose(1, 0, 2)
+        dx = flat - self.x[i]
+        out = []
+        for p in range(order + 1):
+            f = a[0] * math.perm(k, p)
+            for q in range(k - 1, p - 1, -1):
+                f = f * dx + (a[k - q] * math.perm(q, p) if p else a[k - q])
+            out.append(f.T.reshape(shape))
+        return out
+
+    def __call__(self, r, nu=0):
+        return self.jets(r, nu)[nu]
+
+
+def _bspline_basis(t, k, x, ell):
+    """The B-splines on knots t that are nonzero on [t[ell], t[ell+1]), at
+    x, for every degree d <= k (Cox-de Boor recursion): entry d has shape
+    (len(x), d+1), column q for B_(ell-d+q) of degree d."""
+    h = [np.ones((len(x), 1))]
+    for d in range(1, k + 1):
+        prev = h[-1]
+        cur = np.zeros((len(x), d + 1))
+        for q in range(1, d + 1):
+            xb, xa = t[ell + q], t[ell + q - d]
+            w = prev[:, q - 1] / (xb - xa)
+            cur[:, q - 1] += w * (xb - x)
+            cur[:, q] = w * (x - xa)
+        h.append(cur)
+    return h
+
+
+def _solve_banded(band, first, y, block=32):
+    """Solve M a = y, row i of M holding band[i] from column first[i].
+
+    Block Thomas elimination over dense diagonal blocks, with no pivoting
+    between blocks: a B-spline collocation matrix is totally positive (de
+    Boor, A Practical Guide to Splines, 1978), so every Schur complement is
+    too.  The columns of y are right-hand sides of the one elimination.
+    """
+    n, w = band.shape
+    k = w - 1
+    P = -(-n // block)
+    N = P * block
+    # identity rows pad the system to whole blocks
+    first = np.concatenate([first, np.arange(n, N)])
+    band = np.concatenate([band, np.eye(1, w).repeat(N - n, axis=0)])
+    # the rows of block b hold columns (b-1) block .. (b+2) block
+    b, i = np.divmod(np.arange(N), block)
+    M = np.zeros((P, block, 3 * block))
+    M[b[:, None], i[:, None],
+      first[:, None] + np.arange(w) - (b[:, None] - 1) * block] = band
+    rhs = np.zeros((N, y.shape[1]))
+    rhs[:n] = y
+    rhs = rhs.reshape(P, block, -1)
+    low, diag = M[:, :, :block], M[:, :, block:2 * block]
+    aug = np.concatenate([M[:, :, 2 * block:2 * block + k], rhs], axis=2)
+    sol = []
+    for b in range(P):
+        if b:
+            # only the first k rows couple back, to the last k columns
+            T = low[b, :k, -k:] @ sol[-1][-k:]
+            diag[b, :k, :k] -= T[:, :k]
+            aug[b, :k, k:] -= T[:, k:]
+        sol.append(np.linalg.solve(diag[b], aug[b]))
+    out = [sol[-1][:, k:]]
+    for s in sol[-2::-1]:
+        out.append(s[:, k:] - s[:, :k] @ out[-1][:k])
+    return np.concatenate(out[::-1])[:n]
+
+
+def interp_spline(x, y, k=3):
+    """Not-a-knot interpolating spline of odd degree k through (x, y).
+
+    The spline of scipy's make_interp_spline(x, y, k), for k = 3 also
+    CubicSpline's default: knots x[0] k+1 times, x[m+1:-m-1] and x[-1] k+1
+    times, m = (k-1)/2.  Trailing axes of y are fields sharing the one
+    collocation solve.  Returns the Horner-form Spline on the distinct knots.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    if k % 2 != 1 or n < k + 1:
+        raise ValueError("need an odd degree k and at least k+1 points")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("x must be strictly increasing")
+    m = (k - 1) // 2
+    t = np.concatenate([np.full(k + 1, x[0]), x[m + 1:n - m - 1],
+                        np.full(k + 1, x[-1])])
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    a = _solve_banded(_bspline_basis(t, k, x, ell)[k], ell - k,
+                      y.reshape(n, -1))
+    # Taylor coefficients about each left knot t[l]: the p-th derivative
+    # has the B-spline coefficients of degree k - p below (de Boor)
+    left = np.arange(k, n)
+    basis = _bspline_basis(t, k, t[left], left)
+    c = np.empty((k + 1, len(left), a.shape[1]))
+    for p in range(k + 1):
+        d = k - p
+        idx = left[:, None] - d + np.arange(d + 1)
+        c[d] = np.einsum("iq,iqf->if", basis[d], a[idx]) / math.factorial(p)
+        if p < k:
+            j = np.arange(p + 1, n)
+            a[p + 1:] = d * (a[p + 1:] - a[p:-1]) / (t[j + d] - t[j])[:, None]
+    return Spline(c.reshape(c.shape[:2] + y.shape[1:]), t[k:n + 1])

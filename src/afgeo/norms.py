@@ -90,18 +90,24 @@ def weighted_norm(diff, k, alpha, delta):
                               float(np.sum(sups) + holder))
 
 
-def is_delta_fair(h, g, fairness):
-    """True iff the radial and tangential ratios of g to h lie in
-    [1/fairness, fairness] at every node and h has finite curvature."""
+def fairness_ratios(h, A, B, fairness):
+    """(ok, (lo, hi)): whether the ratios A / h.A and B / h.B, radial and
+    tangential, lie in [1/fairness, fairness] at every node."""
     if fairness < 1.0:
         raise ValueError("fairness must be >= 1")
-    ratios = np.concatenate([g.A / h.A, g.B / h.B])
+    ratios = np.concatenate([A / h.A, B / h.B])
     lo = float(np.min(ratios))
     hi = float(np.max(ratios))
     tol = 1e-12
     ok = lo >= 1.0 / fairness * (1.0 - tol) and hi <= fairness * (1.0 + tol)
-    ok = ok and np.isfinite(sectional_bound(h))
     return bool(ok), (lo, hi)
+
+
+def is_delta_fair(h, g, fairness):
+    """True iff the ratios of g to h lie in [1/fairness, fairness] at every
+    node and h has finite curvature."""
+    ok, rng = fairness_ratios(h, g.A, g.B, fairness)
+    return ok and bool(np.isfinite(sectional_bound(h))), rng
 
 
 def eta_sup_norms(g, h, delta):

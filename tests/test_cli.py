@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,7 +176,60 @@ def test_monitor_every_zero_exits_config(tmp_path):
 def test_config_file_values_checked_like_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dim = 7\n")
-    with pytest.raises(SystemExit) as e:
-        cli.run(["zero-mass", "--config", str(cfg), "--out", str(tmp_path)])
-    assert e.value.code == 2
+    assert cli.run(["zero-mass", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "zero_mass.txt").exists()
+
+
+def test_unknown_flag_exits_config(tmp_path, capsys):
+    assert cli.run(["mass", "--warp", "9", "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bad_dim_choice_exits_config(tmp_path, capsys):
+    assert cli.run(["mass", "--dim", "7", "--out", str(tmp_path)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "mass.txt").exists()
+
+
+def test_help_exits_ok(capsys):
+    assert cli.run(["mass", "--help"]) == 0
+    assert "--radii" in capsys.readouterr().out
+
+
+def test_zero_mass_defaults_pass(tmp_path):
+    assert cli.run(["zero-mass", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "zero_mass.txt").read_text()
+    assert "config.T=0.05" in text and "passed=True" in text
+
+
+def test_subcommands_other_than_verify_never_load_scipy(tmp_path):
+    # scipy costs most of the start-up; only the oracle of `verify` needs it
+    runs = [["mass"],
+            ["flow", "--T", "1e-3", "--grid", "staggered:rmax=40,num=128"],
+            ["zero-mass", "--T", "1e-3", "--grid", "staggered:rmax=60,num=128"],
+            ["mass-constancy", "--T", "1e-3", "--radii", "30,40,50",
+             "--grid", "uniform:rmin=0.5,rmax=120,num=256"],
+            ["corner", "--eps", "1e-1"],
+            ["mass-liminf", "--eps", "1e-1", "--T", "1e-3",
+             "--grid", "uniform:rmin=0.5,rmax=300,num=256"],
+            ["heat-demo", "--times", "0.1"]]
+    script = f"""
+import sys
+import afgeo.cli as cli
+loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+print('import', loaded())
+for argv in {runs!r}:
+    rc = cli.run(argv + ['--out', {str(tmp_path)!r}])
+    print(argv[0], rc, loaded())
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert len(out) == 1 + len(runs)
+    for line in out:
+        name, *rest = line.split(" ", 2)
+        # every run reached its report: exit 0, or 1 for a failed monitor
+        assert rest[-1] == "[]", line
+        assert name == "import" or rest[0] in ("0", "1"), line

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 
 from afgeo import corner, curvature, mass, metrics
 from afgeo.grid import RadialGrid
@@ -27,6 +28,12 @@ def test_corner_grid_has_interface_node():
     g = corner.make_corner_grid(0.5, 4.0, 300.0)
     assert g.node_at(4.0) is not None
     assert g.r_max == pytest.approx(300.0)
+
+
+def test_corner_grid_refuses_outer_cells_past_r_max():
+    # 10^5 cells no shorter than fine_dr cannot fit between 3 r0 and r_max
+    with pytest.raises(ValueError, match="overrun"):
+        corner.make_corner_grid(0.5, 4.0, 300.0, outer_num=100000)
 
 
 def test_smooth_split_trivial_condition(base):
@@ -180,3 +187,24 @@ def test_mollify_k_free_of_blend_roundoff(valid_corner):
     # roundoff in the deviation would show up in inf R
     K = [corner.mollify(valid_corner, eps)[1].K_measured for eps in (1e-2, 1e-3)]
     assert abs(K[1] - K[0]) < 1e-3 * abs(K[0])
+
+
+def test_descending_deviation_matches_ppoly(valid_corner):
+    # the same coefficients through scipy's PPoly, whose descending
+    # breakpoints expand every piece about its right end as Spline does
+    dev = valid_corner.fits.dev
+    ref = PPoly(dev.c, dev.x)
+    r0 = valid_corner.r0
+    # across every piece, then a batch in the last piece before r0 (no
+    # gather), as the certificate's convolution nodes are
+    for x in (np.concatenate([np.linspace(dev.x[-1] - 0.1, r0 + 0.5, 2001),
+                              dev.x[1:-1], [r0, dev.x[0] + 1.0]]),
+              np.linspace(r0 - 0.05, r0, 3000)):
+        jets = dev.jets(x, 2)
+        for k in range(3):
+            want = ref(x, k)
+            assert (np.max(np.abs(jets[k] - want))
+                    <= 1e-14 * np.max(np.abs(want)))
+    # r0 belongs to the inner piece, where D' is minus the derivative jump
+    assert np.array_equal(dev(r0, 1), ref(r0, 1))
+    assert np.allclose(dev(r0, 1), -valid_corner.fits.jump, rtol=1e-12)

@@ -3,9 +3,25 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
-from afgeo import curvature, flow, mass, metrics, oracle
+from afgeo import curvature, flow, mass, metrics, norms, oracle
 from afgeo.grid import RadialGrid
+
+
+def taylor_consistency_check(phi, g_t, g_T):
+    """Sup-norm residual of the radial second-derivative identity
+    phi'' = Gamma^r_rr(g_t) phi' - Gamma^r_rr(g_T)(phi) (phi')^2."""
+    grid = g_t.grid
+    phi = np.asarray(phi, dtype=float)
+    dphi = grid.deriv(phi, 1, parity=False)
+    ddphi = grid.deriv(phi, 2, parity=False)
+    gam_t = grid.deriv(g_t.A, 1, parity=True) / (2.0 * g_t.A)
+    sA = CubicSpline(grid.r, g_T.A)
+    gam_T = sA(phi, 1) / (2.0 * sA(phi))
+    resid = ddphi - gam_t * dphi + gam_T * dphi ** 2
+    inner = slice(3, -3)
+    return float(np.max(np.abs(resid[inner])))
 
 
 @pytest.fixture(scope="module")
@@ -254,9 +270,9 @@ def test_taylor_identity_flags_wrong_map(conformal_run):
     k = len(traj.snapshots) // 2
     g_mid = traj.snapshots[k].metric
     gT = traj.snapshots[-1].metric
-    good = flow.taylor_consistency_check(phi.at_time(traj.times()[k]), g_mid, gT)
+    good = taylor_consistency_check(phi.at_time(traj.times()[k]), g_mid, gT)
     wrong = np.clip(phi.at_time(traj.times()[k]) * 0.9, grid.r[0], None)
-    bad = flow.taylor_consistency_check(wrong, g_mid, gT)
+    bad = taylor_consistency_check(wrong, g_mid, gT)
     assert bad > 2.0 * good
 
 
@@ -310,3 +326,39 @@ def test_rhs_at_zero_eta_is_minus_twice_ricci(n, a, b, wa, wb):
     assert np.max(np.abs(rad + (n - 1) * tan - R)) <= 1e-10 * np.max(np.abs(R))
     assert (np.max(np.abs(rad ** 2 + (n - 1) * tan ** 2 - ric2))
             <= 1e-10 * np.max(ric2))
+
+
+def test_background_curvature_checked_once_and_fairness_every_step(
+        monkeypatch):
+    calls = {"sectional_bound": 0, "fairness_ratios": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(norms, "sectional_bound",
+                        counted("sectional_bound", norms.sectional_bound))
+    monkeypatch.setattr(flow, "fairness_ratios",
+                        counted("fairness_ratios", flow.fairness_ratios))
+    grid = RadialGrid.staggered(40.0, 256)
+    g0 = metrics.build_conformal(0.2, 3, grid)
+    traj = flow.evolve(g0, g0, flow.FlowConfig(T_final=2e-3, monitor_every=1))
+    assert calls["sectional_bound"] == 1
+    # one check per step (the initial one runs inside is_delta_fair)
+    assert calls["fairness_ratios"] == traj.steps
+
+
+def test_fairness_checked_at_every_step():
+    # g(0) = h is curved, so g(t) leaves h at once; with 2f - 1 = 1 + 2e-9
+    # the first step already breaks fairness, long before any snapshot
+    grid = RadialGrid.staggered(40.0, 256)
+    g0 = metrics.build_conformal(0.2, 3, grid)
+    cfg = flow.FlowConfig(T_final=1e-2, monitor_every=1000,
+                          fairness=1.0 + 1e-9)
+    with pytest.raises(flow.FlowAbort, match="fairness lost") as e:
+        flow.evolve(g0, g0, cfg)
+    t = float(str(e.value).split("t=")[1].split(":")[0])
+    dt = flow.stable_dt(grid, g0.A, g0.B, 3, cfg.cfl)
+    assert t == pytest.approx(dt, rel=1e-5)

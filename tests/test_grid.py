@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline, make_interp_spline
 
-from afgeo.grid import (MIN_NODES, RadialGrid, fornberg_weights, rho_weight,
-                        smoothstep, sphere_area)
+from afgeo.corner import make_corner_grid
+from afgeo.grid import (MIN_NODES, RadialGrid, fornberg_weights,
+                        interp_spline, rho_weight, smoothstep, sphere_area)
 
 
 def test_sphere_area_known_values():
@@ -109,3 +112,51 @@ def test_node_at():
     g = RadialGrid.uniform(0.0, 10.0, 101)
     assert g.node_at(5.0) == 50
     assert g.node_at(5.03) is None
+
+
+_SPLINE_GRIDS = {
+    "uniform": lambda n: RadialGrid.uniform(0.5, 20.0, n).r,
+    "staggered": lambda n: RadialGrid.staggered(60.0, n).r,
+    "geometric": lambda n: RadialGrid.geometric(0.5, 300.0, n, 1.01).r,
+    # uniform to 3 r0, then stretched: the grid of the corner fits
+    "corner": lambda n: make_corner_grid(0.5, 2.0, 60.0, fine_dr=1.0 / 8,
+                                         outer_num=n).r,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_SPLINE_GRIDS)), k=st.sampled_from([3, 5]),
+       n=st.integers(16, 300), fields=st.sampled_from([(), (1,), (3,)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_interp_spline_matches_scipy(kind, k, n, fields, seed):
+    x = _SPLINE_GRIDS[kind](n)
+    rng = np.random.default_rng(seed)
+    # smooth data plus noise: the noise drives the collocation solve hardest
+    y = (np.sin(x[:, None] / rng.uniform(0.5, 5.0, fields or (1,)))
+         + 0.1 * rng.standard_normal((len(x),) + (fields or (1,))))
+    y = y.reshape((len(x),) + fields)
+    ours = interp_spline(x, y, k)
+    refs = [make_interp_spline(x, y, k=k)]
+    if k == 3:
+        refs.append(CubicSpline(x, y))
+    # the nodes, points between them and a little beyond either end; then a
+    # batch inside one piece, which Spline evaluates without a gather
+    j = int(rng.integers(len(x) - 1))
+    for r in (np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                              [x[0] - 0.1 * (x[1] - x[0]), x[-1] + 0.1]]),
+              np.linspace(x[j], x[j + 1], 2000, endpoint=False)):
+        jets = ours.jets(r, 2)
+        for ref in refs:
+            for nu, tol in ((0, 1e-12), (2, 1e-9)):
+                want = ref(r, nu)
+                assert jets[nu].shape == want.shape
+                assert (np.max(np.abs(jets[nu] - want))
+                        <= tol * np.max(np.abs(want)))
+
+
+def test_interp_spline_needs_odd_degree_and_increasing_nodes():
+    x = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(ValueError):
+        interp_spline(x, x, 4)
+    with pytest.raises(ValueError):
+        interp_spline(x[::-1], x, 3)
