@@ -201,6 +201,10 @@ def cmd_mass_liminf(args):
 
 
 def cmd_zero_mass(args):
+    if args.fairness is None:
+        # 5 % beyond the kinked data's continuum A: (1 - 2 amp)^2 to (1 + amp)^2
+        lo, hi = sorted(((1 + args.amp) ** 2, (1 - 2 * args.amp) ** 2))
+        args.fairness = max(1.2, 1.05 * max(hi, 1 / lo)) if lo > 0 else 1.2
     rep, traj = analysis.zero_mass_experiment(
         _flow_config(args), kink_radius=args.kink, amp=args.amp,
         grid=parse_grid(args.grid), n=args.dim)
@@ -365,9 +369,9 @@ def build_parser():
     p.add_argument("--kink", type=float, default=3.0)
     p.add_argument("--amp", type=float, default=0.05)
     p.add_argument("--grid", default="staggered:rmax=60,num=512")
-    # the default 5% kink sandwiches the flat background within [0.86, 1.10];
-    # at T = 0.01 the flow has not yet brought sup|R| below R_tol
-    p.set_defaults(func=cmd_zero_mass, fairness=1.2, T=0.05)
+    # fairness is derived from --amp; at T = 0.01 the flow has not yet
+    # brought sup|R| below R_tol
+    p.set_defaults(func=cmd_zero_mass, fairness=None, T=0.05)
 
     p = sub.add_parser("heat-demo")
     _add_common(p)

@@ -9,7 +9,7 @@ scalar-curvature mass can be certified small.
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -242,6 +242,62 @@ class SmoothingReport:
                 f"satisfied={self.satisfied}"]
 
 
+_COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
+
+
+@cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(16)
+
+
+def _conv_nodes(s):
+    """Split Gauss-Legendre rule of the normalized bump of half-width 1/2 at
+    kink offsets s: the nodes t on [s, 1/2], their normalized weights and the
+    bump density at s, for the exact jump term.  Nodes on [-1/2, s] would sit
+    at r - sigma t >= r0, where the deviation vanishes."""
+    c = np.clip(s, -0.5, 0.5)
+    z, gw = _gauss_legendre()
+    mid = np.stack([(c - 0.5) / 2, (c + 0.5) / 2])[:, None]  # [-1/2, c], [c, 1/2]
+    half = np.stack([(c + 0.5) / 2, (0.5 - c) / 2])[:, None]
+    t = (mid + half * z[:, None]).reshape(2 * len(z), len(s))
+    jac = (half * gw[:, None]).reshape(t.shape)
+
+    def psi(x):
+        u = np.clip(2.0 * x, -1 + 1e-14, 1 - 1e-14)
+        return np.exp(-1.0 / (1.0 - u ** 2))
+
+    wt = jac * psi(t)
+    Z = np.sum(wt, axis=0)
+    dens = psi(s) / Z  # exactly 0 for |s| >= 1/2
+    return t[len(z):], wt[len(z):] / Z, dens
+
+
+def _blend(s):
+    """[chi, chi', chi''] of the cutoff chi: 1 on |s| <= 1/2, 0 on |s| >= 1,
+    a quintic smoothstep between; in r, the k-th is divided by sigma^k."""
+    x = np.clip(2.0 * np.abs(s) - 1.0, 0.0, 1.0)
+    return [1.0 - smoothstep(x), -60.0 * np.sign(s) * x ** 2 * (1 - x) ** 2,
+            -240.0 * x * (1 - x) * (1 - 2 * x)]
+
+
+def _collar(s):
+    """The mollifier's tables at scaled radii s = (r - r0) / sigma: the
+    collar -1 < s < 1/2 (a slice when contiguous), `_conv_nodes` and `_blend`
+    there.  In r the nodes are sigma t, the density dens / sigma."""
+    at = np.flatnonzero((s > -1.0) & (s < 0.5))
+    if at.size and at[-1] - at[0] == at.size - 1:
+        at = slice(at[0], at[-1] + 1)
+    return at, *_conv_nodes(s[at]), [chi[:, None] for chi in _blend(s[at])]
+
+
+@cache
+def _certificate_collar():
+    """The tables on _COLLAR_S, built once per process and shared by every
+    sigma and every corner (about 0.9 MB); no caller writes to them."""
+    return _collar(_COLLAR_S)
+
+
 class MollifiedCorner:
     """Smooth evaluation of the mollified corner metric at arbitrary radii.
 
@@ -249,8 +305,6 @@ class MollifiedCorner:
     their convolution with a normalized bump of half-width sigma/2, blended in
     with a smooth cutoff so that the metric is untouched outside the collar.
     """
-
-    _GL = np.polynomial.legendre.leggauss(16)
 
     def __init__(self, cm, sigma):
         self.cm = cm
@@ -269,81 +323,38 @@ class MollifiedCorner:
                 o[side] = j
         return out
 
-    def _conv_nodes(self, r):
-        """Per-point split Gauss-Legendre rule for the normalized bump.
-
-        Returns (nodes t, normalized weights, normalized bump density at the
-        kink offset c = r - r0) so the derivative jump term is exact.  Only
-        the nodes on [c, w] are returned: those on [-w, c] sit at r - t >= r0,
-        where the deviation vanishes.
-        """
-        r = np.asarray(r, dtype=float)
-        w = 0.5 * self.sigma  # bump half-width
-        c = np.clip(r - self.r0, -w, w)
-        z, gw = self._GL
-        mid = np.stack([(c - w) / 2, (c + w) / 2])[:, None]  # [-w, c], [c, w]
-        half = np.stack([(c + w) / 2, (w - c) / 2])[:, None]
-        t = (mid + half * z[:, None]).reshape(2 * len(z), len(r))
-        jac = (half * gw[:, None]).reshape(t.shape)
-
-        def psi(x):
-            u = np.clip(x / w, -1 + 1e-14, 1 - 1e-14)
-            return np.exp(-1.0 / (1.0 - u ** 2))
-
-        wt = jac * psi(t)
-        Z = np.sum(wt, axis=0)
-        inside = np.abs(r - self.r0) < w
-        dens = np.where(inside, psi(np.where(inside, r - self.r0, 0.0)), 0.0) / Z
-        return t[len(z):], wt[len(z):] / Z, dens
-
-    def _blend(self, r, order=0):
-        """Cutoff: 1 on |r-r0| <= sigma/2, 0 outside |r-r0| >= sigma; smooth."""
-        w = 0.5 * self.sigma
-        d = np.asarray(r, dtype=float) - self.r0
-        x = (np.abs(d) - w) / w
-        if order == 0:
-            return 1.0 - smoothstep(x)
-        xc = np.clip(x, 0.0, 1.0)
-        edge = (x > 0) & (x < 1)
-        if order == 1:
-            dS = 30.0 * xc ** 2 * (1 - xc) ** 2
-            return np.where(edge, -dS * np.sign(d) / w, 0.0)
-        if order == 2:
-            ddS = 60.0 * xc * (1 - xc) * (1 - 2 * xc)
-            return np.where(edge, -ddS / w ** 2, 0.0)
-        raise ValueError("order <= 2")
-
-    def eval(self, r, order=0, raw=None):
+    def eval(self, r, order=0, raw=None, _tables=None):
         """Mollified A and B with their radial derivatives up to order <= 2:
         {"A": [A, A', ...], "B": [B, B', ...]} at radii r.  `raw`, if given,
         is `_raw(r, order)` computed by the caller; it is not modified.
+        `_tables`, if given, is `_collar(s)` at the exact scaled radii
+        s = (r - r0) / sigma that r was formed from.
 
         The collar adds chi * (D * bump - D) to the one-sided fits, D the
         deviation polynomial.  Its derivatives are convolutions of D's
         derivatives, plus the exact bump-density jump term at second order,
         combined with the analytic blend derivatives by Leibniz' rule.  The
-        nodes, the blend and the collar mask are computed once for both fields
-        and every order.
+        collar tables are sigma-free and shared by both fields and every order.
         """
+        if order > 2:
+            raise ValueError("order <= 2")
         r = np.asarray(r, dtype=float)
         jets = (self._raw(r, order) if raw is None
                 else [j.copy() for j in raw])
-        # the deviation and its convolution vanish for r >= r0 + sigma/2
-        d = r - self.r0
-        collar = (d > -self.sigma) & (d < 0.5 * self.sigma)
-        if np.any(collar):
+        at, t, wt, dens, chi = _tables or _collar((r - self.r0) / self.sigma)
+        if wt.size:
             fits = self.cm.fits
-            rc = r[collar]
-            t, wt, dens = self._conv_nodes(rc)
-            chi = [self._blend(rc, k)[:, None] for k in range(order + 1)]
-            diff = [np.einsum("ij,ijf->jf", wt, conv) - at for conv, at in
-                    zip(fits.dev.jets(rc[None, :] - t, order),
+            rc = r[at]
+            # nodes from the floats rc the fits see: rounding them apart
+            # would be amplified by the sigma^-2 blend derivatives
+            diff = [np.einsum("ij,ijf->jf", wt, conv) - d for conv, d in
+                    zip(fits.dev.jets(rc - self.sigma * t, order),
                         fits.dev.jets(rc, order))]
             if order == 2:
-                diff[2] += fits.jump * dens[:, None]
+                diff[2] += fits.jump * (dens / self.sigma)[:, None]
             for k in range(order + 1):
-                jets[k][collar] += sum(comb(k, j) * chi[j] * diff[k - j]
-                                       for j in range(k + 1))
+                jets[k][at] += sum(comb(k, j) * chi[j] / self.sigma ** j
+                                   * diff[k - j] for j in range(k + 1))
         return {f: [jet[:, i] for jet in jets] for i, f in enumerate("AB")}
 
     def sample(self, grid, delta=None):
@@ -368,9 +379,9 @@ def _certificate(mc, K_target, epsilon):
     keep_i = ri <= mc.r0 - sig
     keep_o = ro >= mc.r0 + sig
 
-    rc = np.linspace(mc.r0 - sig, mc.r0 + sig, 4001)
+    rc = mc.r0 + sig * _COLLAR_S
     raw = mc._raw(rc, 2)
-    jet = mc.eval(rc, 2, raw=raw)
+    jet = mc.eval(rc, 2, raw=raw, _tables=_certificate_collar())
     Rc = scalar(n, rc, [*jet["A"], *jet["B"]])
     Ac, Bc = jet["A"][0], jet["B"][0]
 
@@ -387,13 +398,13 @@ def _certificate(mc, K_target, epsilon):
 
     A0, B0 = raw[0].T
     ratios = np.concatenate([Ac / A0, Bc / B0])
-    # outside the collar the metric must be the one-sided fits themselves
-    far = np.concatenate([ri[keep_i], ro[keep_o]])
-    raw_far = mc._raw(far)
-    jet_far = mc.eval(far, raw=raw_far)
-    moved = (np.stack([jet_far["A"][0], jet_far["B"][0]], axis=-1)
-             - raw_far[0])
-    support_ok = bool(np.max(np.abs(moved)) < 1e-14)
+    # outside the collar the metric must be the corner's own data
+    ni = np.count_nonzero(keep_i)
+    far = np.r_[:ni, ni + len(rc):len(r)]
+    jet_far = mc.eval(r[far])
+    moved = max(np.max(np.abs(jet_far[f][0] - v[far]))
+                for f, v in zip("AB", (A, B)))
+    support_ok = bool(moved < 1e-14)
     sandwich_lo = float(np.min(ratios))
     sandwich_hi = float(np.max(ratios))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afgeo import cli
+from afgeo import cli, flow
 from afgeo.grid import RadialGrid
 
 
@@ -233,3 +233,37 @@ for argv in {runs!r}:
         # every run reached its report: exit 0, or 1 for a failed monitor
         assert rest[-1] == "[]", line
         assert name == "import" or rest[0] in ("0", "1"), line
+
+
+class _PastFirstCheck(Exception):
+    pass
+
+
+def test_zero_mass_default_fairness_clears_fine_grid(tmp_path, monkeypatch):
+    # the kink's continuum min A is (1 - 2 amp)^2 = 0.81 < 1/1.2 at the
+    # default amp 0.05; the sampled min reaches 0.824 at N = 4096.  Stop at
+    # the first step, after the t = 0 fairness check, instead of running to T
+    def stop(*args, **kwargs):
+        raise _PastFirstCheck
+
+    monkeypatch.setattr(flow, "h_flow_step", stop)
+    argv = ["zero-mass", "--T", "0.05", "--grid", "staggered:rmax=60,num=4096",
+            "--out", str(tmp_path)]
+    with pytest.raises(_PastFirstCheck):
+        cli.run(argv)
+    # an explicit --fairness, or a --config line, still wins
+    assert cli.run(argv + ["--fairness", "1.2"]) == 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fairness = 1.2\n")
+    assert cli.run(argv + ["--config", str(cfg)]) == 3
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # the corner's Gauss-Legendre rule is built on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import sys, afgeo.cli; "
+              "print('numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

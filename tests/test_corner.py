@@ -208,3 +208,56 @@ def test_descending_deviation_matches_ppoly(valid_corner):
     # r0 belongs to the inner piece, where D' is minus the derivative jump
     assert np.array_equal(dev(r0, 1), ref(r0, 1))
     assert np.allclose(dev(r0, 1), -valid_corner.fits.jump, rtol=1e-12)
+
+
+def test_support_check_reads_the_corner_data(base):
+    # the fits reproduce the node data to roundoff; a data value that no
+    # longer matches them, far outside the collar, must fail the certificate
+    cm = corner.corner_example(base, 4.0, 0.1)
+    cm.fits  # fitted to the data before the bump
+    cm.outer.A = cm.outer.A.copy()
+    cm.outer.A[cm.outer.grid.node_at(5.0)] += 1e-12
+    rep = corner._certificate(corner.MollifiedCorner(cm, 1e-2), 10.0, 1e-2)
+    assert not rep.support_ok and not rep.satisfied
+
+
+def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
+    # every sigma of every corner reuses the one table build on the fixed
+    # scaled collar; a cache that missed would rebuild them at each attempt
+    builds, sigmas = [], []
+    collar, init = corner._collar, corner.MollifiedCorner.__init__
+
+    def counted_collar(s):
+        builds.append(s is corner._COLLAR_S)
+        return collar(s)
+
+    def counted_init(self, cm, sigma):
+        sigmas.append(sigma)
+        init(self, cm, sigma)
+
+    monkeypatch.setattr(corner, "_collar", counted_collar)
+    monkeypatch.setattr(corner.MollifiedCorner, "__init__", counted_init)
+    corner._certificate_collar.cache_clear()
+    for cm, eps in [(valid_corner, 1e-1), (valid_corner, 1e-2),
+                    (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
+        corner.mollify(cm, eps)
+    assert len(sigmas) == 14  # 3 valid, then 11 halvings of the invalid one
+    assert builds.count(True) == 1
+
+
+@pytest.mark.parametrize("sig", [1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("strength", [0.1, -0.1])
+def test_collar_tables_match_direct_eval(base, sig, strength):
+    # the same radii through the shared tables and through eval's own
+    # scaled radii (r - r0) / sigma, which differ from _COLLAR_S by up to
+    # ulp(r0) / sigma: the collar points are known only to ulp(r0)
+    cm = corner.corner_example(base, 4.0, strength)
+    mc = corner.MollifiedCorner(cm, sig)
+    rc = cm.r0 + sig * corner._COLLAR_S
+    fast = mc.eval(rc, 2, _tables=corner._certificate_collar())
+    direct = mc.eval(rc, 2)
+    tol = 10 * np.finfo(float).eps * cm.r0 / sig
+    for f in "AB":
+        for k in range(3):
+            err = np.max(np.abs(fast[f][k] - direct[f][k]))
+            assert err <= tol * np.max(np.abs(direct[f][k])), (f, k, err)

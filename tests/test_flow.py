@@ -128,10 +128,13 @@ def test_rhs_discretization_converges():
     assert errs[0] / errs[1] > 8.0
 
 
-def test_flat_data_is_stationary():
-    grid = RadialGrid.staggered(40.0, 256)
-    fl = metrics.build_flat(3, grid)
-    traj = flow.evolve(fl, metrics.build_flat(3, grid),
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("grid", [RadialGrid.staggered(40.0, 256),
+                                  RadialGrid.uniform(0.5, 40.0, 256)],
+                         ids=["staggered", "excised-uniform"])
+def test_flat_data_is_stationary(grid, n):
+    fl = metrics.build_flat(n, grid)
+    traj = flow.evolve(fl, metrics.build_flat(n, grid),
                        flow.FlowConfig(T_final=1e-3, monitor_every=5))
     last = traj.snapshots[-1]
     assert np.max(np.abs(last.eta_A)) < 1e-12

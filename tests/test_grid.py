@@ -99,6 +99,16 @@ def test_deriv_parity_even_function():
     assert np.max(np.abs(d + np.sin(g.r))) < 1e-5
     d2 = g.deriv(f, 2, parity=True)
     assert np.max(np.abs(d2 + np.cos(g.r))) < 1e-4
+    # staggered: no node at 0, the ghosts mirror the first nodes; the
+    # stencils are exact on even polynomials of degree <= 4 at every node
+    # (on a small domain, where r^4 / dr^2 keeps the roundoff near 1e-12)
+    g = RadialGrid.staggered(2.0, 64)
+    for p in (2, 4):
+        f = g.r ** p
+        for order, exact in ((1, p * g.r ** (p - 1)),
+                             (2, p * (p - 1) * g.r ** (p - 2))):
+            d = g.deriv(f, order, parity=True)
+            assert np.max(np.abs(d - exact)) < 1e-10, (p, order)
 
 
 def test_deriv_nonuniform_grid():
