@@ -307,7 +307,9 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
 
     Checks: smoothing is mass-neutral across the ladder before the flow, all
     evolved masses stay near the base mass, the smallest-epsilon final mass
-    does not exceed the ladder minimum, and R(g(T)) clears the floor."""
+    does not exceed the ladder minimum, and R(g(T)) clears the floor.
+    collar_nodes counts the grid nodes inside each certified collar
+    |r - r0| < sigma: where it is 0 the grid samples the unsmoothed corner."""
     if grid is None:
         # excised uniform grid: the corner base is singular at the center
         grid = RadialGrid.uniform(0.5, cm.inner.grid.r_max, 2048)
@@ -317,19 +319,23 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
     rows = []
     pre_masses = []
     all_masses = []
+    collar_nodes = []
     final_R_min = np.inf
     last_traj = None
     for eps in sorted(eps_ladder, reverse=True):
         sm, cert = corner_mod.mollify(cm, eps, K_target=K_target, grid=grid)
         if not cert.satisfied:
             raise flow_mod.FlowAbort(f"smoothing certificate failed at eps={eps}")
+        collar = int(np.count_nonzero(np.abs(grid.r - cm.r0) < cert.sigma))
+        collar_nodes.append(collar)
         pre = mass_mod.adm_mass(sm, targets).mass
         pre_masses.append(pre)
         traj = flow_mod.evolve(sm, sm, config)
         for s in traj.snapshots:
             m = mass_mod.adm_mass(s.metric, targets).mass
             all_masses.append(m)
-            rows.append({"eps": eps, "t": s.t, "mass": m})
+            rows.append({"eps": eps, "t": s.t, "mass": m,
+                         "collar_nodes": collar})
         last_traj = traj
     RT = scalar_curvature(last_traj.snapshots[-1].metric)
     sel = grid.r < 0.9 * grid.r_max
@@ -347,7 +353,8 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
                             "mass_neutrality_rel": neutral,
                             "mass_spread_rel": near,
                             "mass_limit": limit_mass,
-                            "final_R_min": final_R_min}, rows)
+                            "final_R_min": final_R_min,
+                            "collar_nodes_min": min(collar_nodes)}, rows)
     return report, last_traj
 
 

@@ -5,6 +5,7 @@ Exit codes: 0 all monitors pass, 1 monitor failure, 2 configuration error,
 """
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -13,6 +14,10 @@ import numpy as np
 
 from . import analysis, corner, curvature, flow, heatdemo, mass, metrics
 from .grid import RadialGrid
+
+# the ~22 000 objects the imports leave live as long as the process: keep
+# them out of every later collection
+gc.freeze()
 
 ENV_OUTDIR = "AFGEO_OUTDIR"
 
@@ -291,100 +296,63 @@ def cmd_verify(args):
 
 # -- argument plumbing ------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--out", default=None,
-                   help=f"output directory (default ${ENV_OUTDIR} or ./reports)")
-    p.add_argument("--config", default=None,
-                   help="key=value file; command-line flags win")
-    p.add_argument("--dim", type=int, default=3, choices=(3, 4, 5))
+# an option's type is that of its default
+_FLOW_OPTS = {"--T": 0.01, "--cfl": 0.2, "--monitor-every": 10,
+              "--fairness": 1.1}
+_CORNER_OPTS = {"--base": "schwarzschild:m=1", "--r0": 4.0, "--strength": 0.1,
+                "--rmin": 0.5, "--rmax": 300.0, "--fine-density": 32.0,
+                "--outer-num": 512, "--eps": "1e-1,1e-2,1e-3", "--K": 10.0}
 
-
-def _add_flow_opts(p):
-    p.add_argument("--T", type=float, default=0.01)
-    p.add_argument("--cfl", type=float, default=0.2)
-    p.add_argument("--monitor-every", type=int, default=10)
-    p.add_argument("--fairness", type=float, default=1.1)
-
-
-def _add_corner_opts(p):
-    p.add_argument("--base", default="schwarzschild:m=1")
-    p.add_argument("--r0", type=float, default=4.0)
-    p.add_argument("--strength", type=float, default=0.1)
-    p.add_argument("--rmin", type=float, default=0.5)
-    p.add_argument("--rmax", type=float, default=300.0)
-    p.add_argument("--fine-density", type=float, default=32.0)
-    p.add_argument("--outer-num", type=int, default=512)
-    p.add_argument("--eps", default="1e-1,1e-2,1e-3")
-    p.add_argument("--K", type=float, default=10.0)
-
-
-def build_parser():
-    top = argparse.ArgumentParser(prog="afgeo")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mass")
-    _add_common(p)
-    p.add_argument("--metric", default="schwarzschild:m=1")
-    p.add_argument("--grid", default="staggered:rmax=300,num=2048")
-    p.add_argument("--radii", default="50,100,200")
-    p.set_defaults(func=cmd_mass)
-
-    p = sub.add_parser("flow")
-    _add_common(p)
-    _add_flow_opts(p)
-    p.add_argument("--metric", default="conformal:c=0.2")
-    p.add_argument("--background", default="")
-    p.add_argument("--grid", default="staggered:rmax=60,num=1024")
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("corner")
-    _add_common(p)
-    _add_corner_opts(p)
-    p.set_defaults(func=cmd_corner)
-
-    p = sub.add_parser("mass-constancy")
-    _add_common(p)
-    _add_flow_opts(p)
-    p.add_argument("--metric", default="schwarzschild:m=1")
-    p.add_argument("--background", default="")
-    p.add_argument("--grid", default="uniform:rmin=0.5,rmax=300,num=2048")
-    p.add_argument("--radii", default="60,80,100")
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.set_defaults(func=cmd_mass_constancy)
-
-    p = sub.add_parser("mass-liminf")
-    _add_common(p)
-    _add_flow_opts(p)
-    _add_corner_opts(p)
-    p.add_argument("--grid", default="uniform:rmin=0.5,rmax=300,num=1024")
-    p.add_argument("--radii", default="60,80,100")
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.add_argument("--r-floor", type=float, default=1e-4)
+# every subcommand: its handler and its options besides --out, --config, --dim
+SUBCOMMANDS = {
+    "mass": (cmd_mass, {"--metric": "schwarzschild:m=1",
+                        "--grid": "staggered:rmax=300,num=2048",
+                        "--radii": "50,100,200"}),
+    "flow": (cmd_flow, {**_FLOW_OPTS, "--metric": "conformal:c=0.2",
+                        "--background": "",
+                        "--grid": "staggered:rmax=60,num=1024"}),
+    "corner": (cmd_corner, _CORNER_OPTS),
+    "mass-constancy": (cmd_mass_constancy, {
+        **_FLOW_OPTS, "--metric": "schwarzschild:m=1", "--background": "",
+        "--grid": "uniform:rmin=0.5,rmax=300,num=2048",
+        "--radii": "60,80,100", "--tol": 1e-2}),
     # at T = 0.01 the flow has not yet lifted R above the floor
-    p.set_defaults(func=cmd_mass_liminf, T=0.2)
-
-    p = sub.add_parser("zero-mass")
-    _add_common(p)
-    _add_flow_opts(p)
-    p.add_argument("--kink", type=float, default=3.0)
-    p.add_argument("--amp", type=float, default=0.05)
-    p.add_argument("--grid", default="staggered:rmax=60,num=512")
-    # fairness is derived from --amp; at T = 0.01 the flow has not yet
+    "mass-liminf": (cmd_mass_liminf, {
+        **_FLOW_OPTS, "--T": 0.2, **_CORNER_OPTS,
+        "--grid": "uniform:rmin=0.5,rmax=300,num=1024",
+        "--radii": "60,80,100", "--tol": 1e-2, "--r-floor": 1e-4}),
+    # fairness None: derived from --amp.  At T = 0.01 the flow has not yet
     # brought sup|R| below R_tol
-    p.set_defaults(func=cmd_zero_mass, fairness=None, T=0.05)
+    "zero-mass": (cmd_zero_mass, {
+        **_FLOW_OPTS, "--T": 0.05, "--fairness": None, "--kink": 3.0,
+        "--amp": 0.05, "--grid": "staggered:rmax=60,num=512"}),
+    "heat-demo": (cmd_heat_demo, {"--times": "0.25,0.5,1.0", "--x-max": 200.0,
+                                  "--dx": 0.05}),
+    "verify": (cmd_verify, {"--grid": "uniform:rmin=0.5,rmax=40,num=1024",
+                            "--tol": 1e-5}),
+}
 
-    p = sub.add_parser("heat-demo")
-    _add_common(p)
-    p.add_argument("--times", default="0.25,0.5,1.0")
-    p.add_argument("--x-max", type=float, default=200.0)
-    p.add_argument("--dx", type=float, default=0.05)
-    p.set_defaults(func=cmd_heat_demo)
 
-    p = sub.add_parser("verify")
-    _add_common(p)
-    p.add_argument("--grid", default="uniform:rmin=0.5,rmax=40,num=1024")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.set_defaults(func=cmd_verify)
+def build_parser(only=None):
+    """The CLI's parser; with `only`, the one subcommand it names is all it
+    parses."""
+    top = argparse.ArgumentParser(prog="afgeo")
+    # the full choice list keeps the usage line with one subparser
+    sub = top.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(SUBCOMMANDS) if only else None))
+    for name, (func, opts) in SUBCOMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name)
+        p.add_argument("--out", default=None, help="output directory "
+                       f"(default ${ENV_OUTDIR} or ./reports)")
+        p.add_argument("--config", default=None,
+                       help="key=value file; command-line flags win")
+        p.add_argument("--dim", type=int, default=3, choices=(3, 4, 5))
+        for flag, default in opts.items():
+            p.add_argument(flag, default=default,
+                           type=float if default is None else type(default))
+        p.set_defaults(func=func)
     return top
 
 
@@ -418,8 +386,9 @@ def _parse(parser, argv):
 
 
 def run(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # without a subcommand word, help and errors list all eight
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         try:
             args = _parse(parser, argv)

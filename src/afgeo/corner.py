@@ -247,8 +247,24 @@ _COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
 
 @cache
 def _gauss_legendre():
-    """16-point Gauss-Legendre rule on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(16)
+    """16-point Gauss-Legendre rule on [-1, 1], built on first use (Golub-Welsch:
+    the eigenvalues of the Jacobi matrix, one Newton step on the three-term
+    recurrence, weights 2 / ((1 - z^2) P_n'(z)^2))."""
+    n = 16
+
+    def legendre(z):
+        p0, p1 = np.ones_like(z), z
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
+        return p1, n * (z * p1 - p0) / (z * z - 1)  # P_n, P_n'
+
+    k = np.arange(1.0, n)
+    z = np.linalg.eigvalsh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+    p, dp = legendre(z)
+    z = z - p / dp
+    z = (z - z[::-1]) / 2  # the rule is symmetric
+    dp = legendre(z)[1]
+    return z, 2 / ((1 - z * z) * dp * dp)
 
 
 def _conv_nodes(s):

@@ -165,6 +165,21 @@ def test_mass_liminf_defaults_pass(tmp_path):
     assert cli.run(["mass-liminf", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "mass_liminf.txt").read_text()
     assert "config.T=0.2" in text and "passed=True" in text
+    # the default grid has no node within sigma of r0 = 4 at any epsilon
+    assert "collar_nodes_min=0" in text.splitlines()
+    csv = (tmp_path / "mass_liminf.csv").read_text().splitlines()
+    assert csv[0] == "eps,t,mass,collar_nodes"
+    assert {row.split(",")[-1] for row in csv[1:]} == {"0"}
+
+
+def test_mass_liminf_counts_collar_nodes(tmp_path):
+    # spacing 0.5 from 0.5: a node sits at r0 = 4
+    assert cli.run(["mass-liminf", "--eps", "1e-1", "--T", "1e-3",
+                    "--grid", "uniform:rmin=0.5,rmax=300,num=600",
+                    "--out", str(tmp_path)]) in (0, 1)
+    text = (tmp_path / "mass_liminf.txt").read_text()
+    n = int(text.split("collar_nodes_min=")[1].splitlines()[0])
+    assert n >= 1
 
 
 def test_monitor_every_zero_exits_config(tmp_path):
@@ -195,6 +210,8 @@ def test_bad_dim_choice_exits_config(tmp_path, capsys):
 def test_help_exits_ok(capsys):
     assert cli.run(["mass", "--help"]) == 0
     assert "--radii" in capsys.readouterr().out
+    assert cli.run(["--help"]) == 0
+    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in capsys.readouterr().out
 
 
 def test_zero_mass_defaults_pass(tmp_path):
@@ -203,8 +220,17 @@ def test_zero_mass_defaults_pass(tmp_path):
     assert "config.T=0.05" in text and "passed=True" in text
 
 
+def _fresh_interpreter(script):
+    """stdout lines of `script` run by a new interpreter on this afgeo."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", script], check=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True).stdout.splitlines()
+
+
 def test_subcommands_other_than_verify_never_load_scipy(tmp_path):
-    # scipy costs most of the start-up; only the oracle of `verify` needs it
+    # scipy costs most of the start-up; only the oracle of `verify` needs
+    # it, and only the oracle's quadrature needs numpy.polynomial
     runs = [["mass"],
             ["flow", "--T", "1e-3", "--grid", "staggered:rmax=40,num=128"],
             ["zero-mass", "--T", "1e-3", "--grid", "staggered:rmax=60,num=128"],
@@ -217,16 +243,15 @@ def test_subcommands_other_than_verify_never_load_scipy(tmp_path):
     script = f"""
 import sys
 import afgeo.cli as cli
-loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+loaded = lambda: sorted(m for m in sys.modules
+                        if m.split('.')[0] == 'scipy'
+                        or m.startswith('numpy.polynomial'))
 print('import', loaded())
 for argv in {runs!r}:
     rc = cli.run(argv + ['--out', {str(tmp_path)!r}])
     print(argv[0], rc, loaded())
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
+    out = _fresh_interpreter(script)
     assert len(out) == 1 + len(runs)
     for line in out:
         name, *rest = line.split(" ", 2)
@@ -260,10 +285,65 @@ def test_zero_mass_default_fairness_clears_fine_grid(tmp_path, monkeypatch):
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
     # the corner's Gauss-Legendre rule is built on first use
-    src = str(Path(cli.__file__).resolve().parents[1])
-    script = ("import sys, afgeo.cli; "
-              "print('numpy.polynomial' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", script], check=True,
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = _fresh_interpreter("import sys, afgeo.cli; "
+                             "print('numpy.polynomial' in sys.modules)")
+    assert out == ["False"]
+
+
+def test_import_freezes_and_collection_still_runs():
+    out = _fresh_interpreter("""
+import gc, weakref
+import afgeo.cli
+class Node:
+    pass
+a = Node()
+a.me = a
+ref = weakref.ref(a)
+del a
+gc.collect()
+print(gc.get_freeze_count() > 0, gc.isenabled(), ref() is None)
+""")
+    assert out == ["True True True"]
+
+
+def _parsed(parser, argv):
+    args = vars(cli._parse(parser, argv))
+    return {**args, "func": args["func"].__name__}
+
+
+@pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+def test_one_subparser_parses_like_all(name, tmp_path, capsys):
+    one, full = cli.build_parser(name), cli.build_parser()
+    assert _parsed(one, [name]) == _parsed(full, [name])
+    # the subcommand's first own option, at its default, and --dim from a file
+    flag, default = next(iter(cli.SUBCOMMANDS[name][1].items()))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dim = 4\n{flag[2:]} = {default}\n")
+    argv = [name, "--config", str(cfg), "--out", str(tmp_path)]
+    assert _parsed(one, argv) == _parsed(full, argv)
+    assert _parsed(one, argv)["dim"] == 4
+    capsys.readouterr()
+    assert cli.run([name, "--help"]) == 0
+    text = capsys.readouterr().out
+    for flag in ["--out", "--config", "--dim", *cli.SUBCOMMANDS[name][1]]:
+        assert flag in text
+    with pytest.raises(SystemExit):
+        full.parse_args([name, "--help"])
+    assert capsys.readouterr().out == text
+    # errors keep the full usage line
+    assert cli.run([name, "--warp", "9"]) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        full.parse_args([name, "--warp", "9"])
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--dim", "7", "corner"]])
+def test_no_subcommand_word_exits_config(argv, capsys):
+    # the error is the full parser's: every subcommand is offered
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in err
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err

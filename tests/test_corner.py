@@ -261,3 +261,15 @@ def test_collar_tables_match_direct_eval(base, sig, strength):
         for k in range(3):
             err = np.max(np.abs(fast[f][k] - direct[f][k]))
             assert err <= tol * np.max(np.abs(direct[f][k])), (f, k, err)
+
+
+def test_gauss_legendre_matches_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    z, w = corner._gauss_legendre()
+    x, v = leggauss(16)
+    assert np.max(np.abs(z - x)) <= 1e-16
+    assert np.max(np.abs(w - v)) <= 4e-16
+    # 16 points integrate degree 31 exactly
+    assert abs(np.sum(w * z ** 30) - 2 / 31) <= 1e-15
+    assert abs(np.sum(w * z ** 31)) <= 1e-15
