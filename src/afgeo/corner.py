@@ -9,15 +9,16 @@ scalar-curvature mass can be certified small.
 
 import io
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import RadialGrid, Spline, interp_spline, smoothstep
+from .grid import RadialGrid, Spline, interp_spline
 from .metrics import RadialMetric, volume_element
 from .curvature import mean_curvature_sphere, scalar, scalar_curvature
+from .mollifier import COLLAR_S, POWER_DERIV, certificate_collar, collar
 
 CONT_TOL = 1e-12
 
@@ -122,16 +123,13 @@ class CornerMetric:
         return scalar_curvature(self.inner), scalar_curvature(self.outer)
 
 
-def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, fine_until=None,
-                     outer_num=256):
-    """Grid with a node exactly at r0: uniform spacing fine_dr out to
-    fine_until, then geometrically stretched to r_max."""
-    if fine_until is None:
-        fine_until = 3.0 * r0
+def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
+    """Grid with a node exactly at r0: uniform spacing fine_dr out to 3 r0,
+    then geometrically stretched to r_max."""
     k0 = round((r0 - r_min) / fine_dr)
     if abs(r_min + k0 * fine_dr - r0) > 1e-12 * r0:
         raise ValueError("r0 must sit on the fine lattice")
-    m = round((fine_until - r_min) / fine_dr)
+    m = round((3.0 * r0 - r_min) / fine_dr)
     fine = r_min + fine_dr * np.arange(m + 1)
     span = r_max - fine[-1]
 
@@ -242,78 +240,6 @@ class SmoothingReport:
                 f"satisfied={self.satisfied}"]
 
 
-_COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
-
-
-@cache
-def _gauss_legendre():
-    """16-point Gauss-Legendre rule on [-1, 1], built on first use (Golub-Welsch:
-    the eigenvalues of the Jacobi matrix, one Newton step on the three-term
-    recurrence, weights 2 / ((1 - z^2) P_n'(z)^2))."""
-    n = 16
-
-    def legendre(z):
-        p0, p1 = np.ones_like(z), z
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
-        return p1, n * (z * p1 - p0) / (z * z - 1)  # P_n, P_n'
-
-    k = np.arange(1.0, n)
-    z = np.linalg.eigvalsh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
-    p, dp = legendre(z)
-    z = z - p / dp
-    z = (z - z[::-1]) / 2  # the rule is symmetric
-    dp = legendre(z)[1]
-    return z, 2 / ((1 - z * z) * dp * dp)
-
-
-def _conv_nodes(s):
-    """Split Gauss-Legendre rule of the normalized bump of half-width 1/2 at
-    kink offsets s: the nodes t on [s, 1/2], their normalized weights and the
-    bump density at s, for the exact jump term.  Nodes on [-1/2, s] would sit
-    at r - sigma t >= r0, where the deviation vanishes."""
-    c = np.clip(s, -0.5, 0.5)
-    z, gw = _gauss_legendre()
-    mid = np.stack([(c - 0.5) / 2, (c + 0.5) / 2])[:, None]  # [-1/2, c], [c, 1/2]
-    half = np.stack([(c + 0.5) / 2, (0.5 - c) / 2])[:, None]
-    t = (mid + half * z[:, None]).reshape(2 * len(z), len(s))
-    jac = (half * gw[:, None]).reshape(t.shape)
-
-    def psi(x):
-        u = np.clip(2.0 * x, -1 + 1e-14, 1 - 1e-14)
-        return np.exp(-1.0 / (1.0 - u ** 2))
-
-    wt = jac * psi(t)
-    Z = np.sum(wt, axis=0)
-    dens = psi(s) / Z  # exactly 0 for |s| >= 1/2
-    return t[len(z):], wt[len(z):] / Z, dens
-
-
-def _blend(s):
-    """[chi, chi', chi''] of the cutoff chi: 1 on |s| <= 1/2, 0 on |s| >= 1,
-    a quintic smoothstep between; in r, the k-th is divided by sigma^k."""
-    x = np.clip(2.0 * np.abs(s) - 1.0, 0.0, 1.0)
-    return [1.0 - smoothstep(x), -60.0 * np.sign(s) * x ** 2 * (1 - x) ** 2,
-            -240.0 * x * (1 - x) * (1 - 2 * x)]
-
-
-def _collar(s):
-    """The mollifier's tables at scaled radii s = (r - r0) / sigma: the
-    collar -1 < s < 1/2 (a slice when contiguous), `_conv_nodes` and `_blend`
-    there.  In r the nodes are sigma t, the density dens / sigma."""
-    at = np.flatnonzero((s > -1.0) & (s < 0.5))
-    if at.size and at[-1] - at[0] == at.size - 1:
-        at = slice(at[0], at[-1] + 1)
-    return at, *_conv_nodes(s[at]), [chi[:, None] for chi in _blend(s[at])]
-
-
-@cache
-def _certificate_collar():
-    """The tables on _COLLAR_S, built once per process and shared by every
-    sigma and every corner (about 0.9 MB); no caller writes to them."""
-    return _collar(_COLLAR_S)
-
-
 class MollifiedCorner:
     """Smooth evaluation of the mollified corner metric at arbitrary radii.
 
@@ -339,25 +265,20 @@ class MollifiedCorner:
                 o[side] = j
         return out
 
-    def eval(self, r, order=0, raw=None, _tables=None):
+    def eval(self, r, order=0):
         """Mollified A and B with their radial derivatives up to order <= 2:
-        {"A": [A, A', ...], "B": [B, B', ...]} at radii r.  `raw`, if given,
-        is `_raw(r, order)` computed by the caller; it is not modified.
-        `_tables`, if given, is `_collar(s)` at the exact scaled radii
-        s = (r - r0) / sigma that r was formed from.
+        {"A": [A, A', ...], "B": [B, B', ...]} at radii r.
 
         The collar adds chi * (D * bump - D) to the one-sided fits, D the
         deviation polynomial.  Its derivatives are convolutions of D's
         derivatives, plus the exact bump-density jump term at second order,
-        combined with the analytic blend derivatives by Leibniz' rule.  The
-        collar tables are sigma-free and shared by both fields and every order.
+        combined with the analytic blend derivatives by Leibniz' rule.
         """
         if order > 2:
             raise ValueError("order <= 2")
         r = np.asarray(r, dtype=float)
-        jets = (self._raw(r, order) if raw is None
-                else [j.copy() for j in raw])
-        at, t, wt, dens, chi = _tables or _collar((r - self.r0) / self.sigma)
+        jets = self._raw(r, order)
+        at, t, wt, dens, chi = collar((r - self.r0) / self.sigma)
         if wt.size:
             fits = self.cm.fits
             rc = r[at]
@@ -373,11 +294,37 @@ class MollifiedCorner:
                                    * diff[k - j] for j in range(k + 1))
         return {f: [jet[:, i] for jet in jets] for i, f in enumerate("AB")}
 
-    def sample(self, grid, delta=None):
+    def collar_jets(self):
+        """Raw (A, B) and the mollified 2-jets at r0 + sigma COLLAR_S.  When
+        D's piece at r0 holds every node, down to r0 - 3 sigma / 2, and the
+        fits' pieces there hold r0 -/+ sigma, each is one polynomial about
+        r0: a jet is a few (N x 6)(6 x 2) products of the tables of
+        `certificate_collar` with its coefficients.  Otherwise eval, node
+        by node."""
+        f, r0, sig = self.cm.fits, self.r0, self.sigma
+        if 1.5 * sig > r0 - f.dev.x[2] or sig > f.outer.x[1] - r0:
+            rc = r0 + sig * COLLAR_S
+            return self._raw(rc)[0], self.eval(rc, 2)
+        # Taylor coefficients about r0 times sigma^q: the inner fit's last
+        # piece, the outer fit's first, D's piece at r0
+        a, b, d = (_shift(p, r0 - x)[::-1] * sig ** np.arange(6.0)[:, None]
+                   for p, x in ((f.inner.c[:, -1], f.inner.x[-2]),
+                                (f.outer.c[:, 0], f.outer.x[0]),
+                                (f.dev.c[:, 1], f.dev.x[1])))
+        at, powers, H = certificate_collar()
+        lo = (COLLAR_S <= 0)[:, None]
+        jets = [np.where(lo, powers @ (U @ a), powers @ (U @ b)) / sig ** k
+                for k, U in enumerate(POWER_DERIV)]
+        raw = jets[0].copy()
+        for k, Hk in enumerate(H):
+            jets[k][at] += Hk @ np.vstack([d, f.jump * sig ** (k - 1)]) / sig ** k
+        return raw, {k: [jet[:, i] for jet in jets] for i, k in enumerate("AB")}
+
+    def sample(self, grid):
         """Mollified metric sampled on a grid (need not contain r0)."""
         jet = self.eval(grid.r)
         return RadialMetric(grid, self.cm.n, jet["A"][0], jet["B"][0],
-                            self.cm.delta if delta is None else delta)
+                            self.cm.delta)
 
 
 def _certificate(mc, K_target, epsilon):
@@ -395,9 +342,8 @@ def _certificate(mc, K_target, epsilon):
     keep_i = ri <= mc.r0 - sig
     keep_o = ro >= mc.r0 + sig
 
-    rc = mc.r0 + sig * _COLLAR_S
-    raw = mc._raw(rc, 2)
-    jet = mc.eval(rc, 2, raw=raw, _tables=_certificate_collar())
+    rc = mc.r0 + sig * COLLAR_S
+    raw, jet = mc.collar_jets()
     Rc = scalar(n, rc, [*jet["A"], *jet["B"]])
     Ac, Bc = jet["A"][0], jet["B"][0]
 
@@ -412,7 +358,7 @@ def _certificate(mc, K_target, epsilon):
     neg_measure = float(np.trapezoid((R < 0) * dens, r))
     K_measured = float(np.min(R))
 
-    A0, B0 = raw[0].T
+    A0, B0 = raw.T
     ratios = np.concatenate([Ac / A0, Bc / B0])
     # outside the collar the metric must be the corner's own data
     ni = np.count_nonzero(keep_i)
@@ -438,6 +384,8 @@ def mollify(cm, epsilon, K_target=10.0, grid=None):
     (neg_part < epsilon, inf R > -K_target, sandwich, support) passes; if no
     width works the last report is returned with satisfied=False.
     """
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon:g}")
     # starting collar width eps^2, floored where blend-derivative roundoff
     # (growing like sigma^-2) would swamp the certificate
     sigma = max(epsilon ** 2, 1e-7)

@@ -192,9 +192,6 @@ class Spline:
         self._cf = np.ascontiguousarray(
             self.c.reshape(k1, pieces, -1).transpose(2, 0, 1))
 
-    def _piece(self, r):
-        return np.searchsorted(self._keys, self._sign * r, side="right")
-
     def jets(self, r, order=0):
         """[f, f', ..., f^(order)] at radii r, each of shape r.shape + the
         field shape, from one interval search and one coefficient gather.
@@ -206,22 +203,7 @@ class Spline:
         flat = r.reshape(-1)
         k = len(self.c) - 1
         shape = r.shape + self.c.shape[2:]
-        if flat.size > 1024:
-            # a large batch often lies in one piece: its coefficients then
-            # enter as numbers, with no gather, one long row per field
-            ends = self._piece(np.array([flat.min(), flat.max()]))
-            if ends[0] == ends[1]:
-                dx = flat - self.x[ends[0]]
-                out = np.empty((order + 1, len(self._cf), flat.size))
-                for a, f in zip(self._cf[:, :, ends[0]].tolist(),
-                                out.transpose(1, 0, 2)):
-                    for p in range(order + 1):
-                        f[p] = a[0] * math.perm(k, p)
-                        for q in range(k - 1, p - 1, -1):
-                            f[p] *= dx
-                            f[p] += a[k - q] * math.perm(q, p)
-                return [f.T.reshape(shape) for f in out]
-        i = self._piece(flat)
+        i = np.searchsorted(self._keys, self._sign * flat, side="right")
         a = np.take(self._cf, i, axis=2).transpose(1, 0, 2)
         dx = flat - self.x[i]
         out = []

@@ -182,6 +182,16 @@ def test_mass_liminf_counts_collar_nodes(tmp_path):
     assert n >= 1
 
 
+@pytest.mark.parametrize("command", ["corner", "mass-liminf"])
+@pytest.mark.parametrize("eps", ["0", "-0.01", "nan", "inf"])
+def test_epsilon_not_finite_positive_exits_config(command, eps, tmp_path,
+                                                   capsys):
+    # before the check, eps = 0 ran the whole sigma ladder and read as a
+    # failed certificate (exit 1, or 3 from mass-liminf)
+    assert cli.run([command, f"--eps={eps}", "--out", str(tmp_path)]) == 2
+    assert "epsilon must be finite and > 0" in capsys.readouterr().err
+
+
 def test_monitor_every_zero_exits_config(tmp_path):
     assert cli.run(["zero-mass", "--monitor-every", "0", "--T", "1e-3",
                     "--grid", "staggered:rmax=60,num=256",

@@ -1,11 +1,12 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.interpolate import PPoly
 
-from afgeo import corner, curvature, mass, metrics
-from afgeo.grid import RadialGrid
+from afgeo import corner, curvature, mass, metrics, mollifier
+from afgeo.grid import RadialGrid, Spline
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +196,7 @@ def test_descending_deviation_matches_ppoly(valid_corner):
     dev = valid_corner.fits.dev
     ref = PPoly(dev.c, dev.x)
     r0 = valid_corner.r0
-    # across every piece, then a batch in the last piece before r0 (no
-    # gather), as the certificate's convolution nodes are
+    # across every piece, then a batch in the last piece before r0
     for x in (np.concatenate([np.linspace(dev.x[-1] - 0.1, r0 + 0.5, 2001),
                               dev.x[1:-1], [r0, dev.x[0] + 1.0]]),
               np.linspace(r0 - 0.05, r0, 3000)):
@@ -225,48 +225,114 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
     # every sigma of every corner reuses the one table build on the fixed
     # scaled collar; a cache that missed would rebuild them at each attempt
     builds, sigmas = [], []
-    collar, init = corner._collar, corner.MollifiedCorner.__init__
+    collar, init = mollifier.collar, corner.MollifiedCorner.__init__
 
     def counted_collar(s):
-        builds.append(s is corner._COLLAR_S)
+        builds.append(s is mollifier.COLLAR_S)
         return collar(s)
 
     def counted_init(self, cm, sigma):
         sigmas.append(sigma)
         init(self, cm, sigma)
 
-    monkeypatch.setattr(corner, "_collar", counted_collar)
+    monkeypatch.setattr(mollifier, "collar", counted_collar)
     monkeypatch.setattr(corner.MollifiedCorner, "__init__", counted_init)
-    corner._certificate_collar.cache_clear()
+    mollifier.certificate_collar.cache_clear()
     for cm, eps in [(valid_corner, 1e-1), (valid_corner, 1e-2),
                     (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
         corner.mollify(cm, eps)
     assert len(sigmas) == 14  # 3 valid, then 11 halvings of the invalid one
     assert builds.count(True) == 1
+    # the moment tables: one build, read by every attempt
+    info = mollifier.certificate_collar.cache_info()
+    assert (info.misses, info.hits) == (1, 13)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is float64 here")
+def test_collar_moments_g0_g1_summed_exactly():
+    # the blend derivatives multiply G_0 and G_1 by up to 1 / sigma: on the
+    # collar they must match exact rational sums over the float nodes and
+    # weights to 1e-18, where a float64 sum errs by about 1e-16
+    at, t, wt, dens, chi = mollifier.collar(mollifier.COLLAR_S)
+    s = mollifier.COLLAR_S[at]
+    H0 = mollifier.certificate_collar()[2][0]  # chi G on the collar
+    for j in np.linspace(0, len(s) - 1, 41).astype(int):
+        x = Fraction(s[j])
+        for m in (0, 1):
+            exact = sum(Fraction(w) * (x - Fraction(ti)) ** m
+                        for w, ti in zip(wt[:, j], t[:, j]))
+            exact -= x ** m if s[j] <= 0 else 0
+            got = H0[j, m] / chi[0][j, 0]
+            assert abs(got - float(exact)) <= 1e-18 + 4e-16 * abs(got), (j, m)
 
 
 @pytest.mark.parametrize("sig", [1e-2, 1e-4, 1e-6, 1e-8])
 @pytest.mark.parametrize("strength", [0.1, -0.1])
 def test_collar_tables_match_direct_eval(base, sig, strength):
-    # the same radii through the shared tables and through eval's own
-    # scaled radii (r - r0) / sigma, which differ from _COLLAR_S by up to
-    # ulp(r0) / sigma: the collar points are known only to ulp(r0)
+    # the moment tables at the exact collar points r0 + sigma s, against
+    # eval's per-node convolution at the float radii rc, whose scaled radii
+    # (rc - r0) / sigma differ from COLLAR_S by up to ulp(r0) / sigma: the
+    # collar points are known only to ulp(r0)
     cm = corner.corner_example(base, 4.0, strength)
     mc = corner.MollifiedCorner(cm, sig)
-    rc = cm.r0 + sig * corner._COLLAR_S
-    fast = mc.eval(rc, 2, _tables=corner._certificate_collar())
+    rc = cm.r0 + sig * mollifier.COLLAR_S
+    raw, fast = mc.collar_jets()
     direct = mc.eval(rc, 2)
     tol = 10 * np.finfo(float).eps * cm.r0 / sig
     for f in "AB":
         for k in range(3):
             err = np.max(np.abs(fast[f][k] - direct[f][k]))
             assert err <= tol * np.max(np.abs(direct[f][k])), (f, k, err)
+    # the unmollified fits carry no sigma^-k factor
+    assert np.max(np.abs(raw - mc._raw(rc)[0])) <= 5e-15 * np.max(raw)
+
+
+def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
+    # sigma = 0.25: the convolution nodes reach r0 - 0.375, across four
+    # pieces of D (each 3/32 wide), where no one polynomial about r0 holds
+    sm, rep = corner.mollify(valid_corner, 0.5)
+    assert rep.sigma == 0.25 and rep.satisfied
+
+    def per_node(self):
+        rc = self.r0 + self.sigma * mollifier.COLLAR_S
+        return self._raw(rc)[0], self.eval(rc, 2)
+
+    monkeypatch.setattr(corner.MollifiedCorner, "collar_jets", per_node)
+    sm_ref, rep_ref = corner.mollify(valid_corner, 0.5)
+    assert rep == rep_ref
+    assert np.array_equal(sm.A, sm_ref.A) and np.array_equal(sm.B, sm_ref.B)
+
+
+def test_certificate_never_evaluates_collar_nodes(monkeypatch, valid_corner,
+                                                  invalid_corner):
+    # the benchmark's four mollify calls take the moment tables for every
+    # collar: no spline sees the 16 x 2999 convolution nodes of a collar
+    # (about 48 000 points); the largest batch is a grid
+    sizes = []
+    jets = Spline.jets
+
+    def counted(self, r, order=0):
+        sizes.append(np.size(r))
+        return jets(self, r, order)
+
+    monkeypatch.setattr(Spline, "jets", counted)
+    for cm, eps in [(valid_corner, 1e-1), (valid_corner, 1e-2),
+                    (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
+        corner.mollify(cm, eps)
+    assert sizes and max(sizes) < mollifier.COLLAR_S.size
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.01, np.nan, np.inf])
+def test_mollify_refuses_epsilon_not_finite_positive(valid_corner, eps):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        corner.mollify(valid_corner, eps)
 
 
 def test_gauss_legendre_matches_leggauss():
     from numpy.polynomial.legendre import leggauss
 
-    z, w = corner._gauss_legendre()
+    z, w = mollifier.gauss_legendre()
     x, v = leggauss(16)
     assert np.max(np.abs(z - x)) <= 1e-16
     assert np.max(np.abs(w - v)) <= 4e-16
