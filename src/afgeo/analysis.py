@@ -310,6 +310,8 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
     does not exceed the ladder minimum, and R(g(T)) clears the floor.
     collar_nodes counts the grid nodes inside each certified collar
     |r - r0| < sigma: where it is 0 the grid samples the unsmoothed corner."""
+    if not eps_ladder:
+        raise ValueError("the epsilon ladder is empty")
     if grid is None:
         # excised uniform grid: the corner base is singular at the center
         grid = RadialGrid.uniform(0.5, cm.inner.grid.r_max, 2048)
@@ -320,12 +322,11 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
     pre_masses = []
     all_masses = []
     collar_nodes = []
-    final_R_min = np.inf
-    last_traj = None
     for eps in sorted(eps_ladder, reverse=True):
-        sm, cert = corner_mod.mollify(cm, eps, K_target=K_target, grid=grid)
+        mc, cert = corner_mod.mollify(cm, eps, K_target=K_target)
         if not cert.satisfied:
             raise flow_mod.FlowAbort(f"smoothing certificate failed at eps={eps}")
+        sm = mc.sample(grid)
         collar = int(np.count_nonzero(np.abs(grid.r - cm.r0) < cert.sigma))
         collar_nodes.append(collar)
         pre = mass_mod.adm_mass(sm, targets).mass
@@ -336,8 +337,7 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
             all_masses.append(m)
             rows.append({"eps": eps, "t": s.t, "mass": m,
                          "collar_nodes": collar})
-        last_traj = traj
-    RT = scalar_curvature(last_traj.snapshots[-1].metric)
+    RT = scalar_curvature(traj.snapshots[-1].metric)
     sel = grid.r < 0.9 * grid.r_max
     final_R_min = float(np.min(RT[sel]))
     limit_mass = rows[-1]["mass"]
@@ -355,7 +355,7 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
                             "mass_limit": limit_mass,
                             "final_R_min": final_R_min,
                             "collar_nodes_min": min(collar_nodes)}, rows)
-    return report, last_traj
+    return report, traj
 
 
 def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,

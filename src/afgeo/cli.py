@@ -85,7 +85,9 @@ def parse_metric(spec, grid, dim=3):
 
 
 def _float_list(text):
-    return [float(x) for x in text.split(",") if x]
+    if not (values := [float(x) for x in text.split(",") if x]):
+        raise ConfigError(f"expected a list of numbers, got {text!r}")
+    return values
 
 
 def _outdir(args):
@@ -267,7 +269,7 @@ def cmd_verify(args):
             continue
         R = curvature.scalar_curvature(g)
         Rn = curvature.ricci_norm_sq(g)
-        W = flow.deturck_vector(g, flat_bg)
+        W = flow.deturck_vector(g, flow.Background(flat_bg))
         for r0 in radii:
             i = grid.node_at(r0)
             pairs = [

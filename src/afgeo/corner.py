@@ -17,8 +17,9 @@ import numpy as np
 
 from .grid import RadialGrid, Spline, interp_spline
 from .metrics import RadialMetric, volume_element
-from .curvature import mean_curvature_sphere, scalar, scalar_curvature
-from .mollifier import COLLAR_S, POWER_DERIV, certificate_collar, collar
+from .curvature import mean_curvature_sphere, scalar
+from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar, collar,
+                        far_table, in_collar, negative_parts)
 
 CONT_TOL = 1e-12
 
@@ -28,6 +29,8 @@ class CornerFits(NamedTuple):
     outer: Spline        # (A, B) on the outer piece
     dev: Spline          # D = inner - outer's first piece; 0 for r > r0
     jump: np.ndarray     # (A', B') jump across r0, outer minus inner
+    taylor: list         # about r0, lowest power first: the inner fit's last
+                         # piece, the outer fit's first, D's piece at r0
 
 
 def _quintic(m):
@@ -110,17 +113,20 @@ class CornerMetric:
 
     @cached_property
     def fits(self):
-        """One-sided fits and the deviation polynomial, built once per corner
-        and shared by every collar width."""
+        """One-sided fits, the deviation polynomial and their Taylor forms at
+        r0, built once per corner and shared by every collar width."""
         inner, outer = _quintic(self.inner), _quintic(self.outer)
         dev = _deviation(inner, outer, self.r0, self.outer.grid.r[-1])
-        return CornerFits(inner, outer, dev, -dev.c[-2, 1])
+        taylor = [_shift(p, self.r0 - x)[::-1] for p, x in (
+            (inner.c[:, -1], inner.x[-2]), (outer.c[:, 0], outer.x[0]),
+            (dev.c[:, 1], dev.x[1]))]
+        return CornerFits(inner, outer, dev, -dev.c[-2, 1], taylor)
 
     @cached_property
-    def piece_curvature(self):
-        """Scalar curvature of each piece from its own grid stencils; the
-        certificate reads it outside every collar width."""
-        return scalar_curvature(self.inner), scalar_curvature(self.outer)
+    def far(self):
+        """Each piece's `mollifier.FarTable`, read outside every collar width."""
+        return (far_table(self.inner, self.fits.inner, 1),
+                far_table(self.outer, self.fits.outer, -1))
 
 
 def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
@@ -230,14 +236,10 @@ class SmoothingReport:
     satisfied: bool
 
     def lines(self):
-        return [f"epsilon={self.epsilon:g}", f"sigma={self.sigma:g}",
-                f"K_measured={self.K_measured:.12g}",
-                f"neg_part={self.neg_part:.12g}",
-                f"neg_measure={self.neg_measure:.12g}",
-                f"sandwich_lo={self.sandwich_lo:.12g}",
-                f"sandwich_hi={self.sandwich_hi:.12g}",
-                f"support_ok={self.support_ok}",
-                f"satisfied={self.satisfied}"]
+        """`field=value`: epsilon and sigma as %g, other numbers to 12 digits."""
+        return [f"{k}={v:g}" if k in ("epsilon", "sigma") else f"{k}={v}"
+                if isinstance(v, bool) else f"{k}={v:.12g}"
+                for k, v in vars(self).items()]
 
 
 class MollifiedCorner:
@@ -305,16 +307,11 @@ class MollifiedCorner:
         if 1.5 * sig > r0 - f.dev.x[2] or sig > f.outer.x[1] - r0:
             rc = r0 + sig * COLLAR_S
             return self._raw(rc)[0], self.eval(rc, 2)
-        # Taylor coefficients about r0 times sigma^q: the inner fit's last
-        # piece, the outer fit's first, D's piece at r0
-        a, b, d = (_shift(p, r0 - x)[::-1] * sig ** np.arange(6.0)[:, None]
-                   for p, x in ((f.inner.c[:, -1], f.inner.x[-2]),
-                                (f.outer.c[:, 0], f.outer.x[0]),
-                                (f.dev.c[:, 1], f.dev.x[1])))
+        a, b, d = (c * sig ** np.arange(6.0)[:, None] for c in f.taylor)
         at, powers, H = certificate_collar()
-        lo = (COLLAR_S <= 0)[:, None]
-        jets = [np.where(lo, powers @ (U @ a), powers @ (U @ b)) / sig ** k
-                for k, U in enumerate(POWER_DERIV)]
+        lo = np.searchsorted(COLLAR_S, 0.0, "right")  # the rows s <= 0
+        jets = [np.concatenate([powers[:lo] @ (U @ a), powers[lo:] @ (U @ b)])
+                / sig ** k for k, U in enumerate(POWER_DERIV)]
         raw = jets[0].copy()
         for k, Hk in enumerate(H):
             jets[k][at] += Hk @ np.vstack([d, f.jump * sig ** (k - 1)]) / sig ** k
@@ -328,45 +325,37 @@ class MollifiedCorner:
 
 
 def _certificate(mc, K_target, epsilon):
-    """Measure the four smoothing properties on a composite dense grid.
+    """Measure the four smoothing properties.
 
-    Outside the collar the metric is untouched, so R comes from the accurate
-    grid stencils of each smooth piece; inside, from spline + bump derivatives.
-    """
-    cm = mc.cm
-    n = cm.n
-    sig = mc.sigma
-    ri = cm.inner.grid.r
-    ro = cm.outer.grid.r
-    Ri, Ro = cm.piece_curvature
-    keep_i = ri <= mc.r0 - sig
-    keep_o = ro >= mc.r0 + sig
-
-    rc = mc.r0 + sig * COLLAR_S
+    Outside the collar |r - r0| < sigma the metric is untouched: R comes from
+    the grid stencils of each smooth piece, and each sum there is a running
+    one of `CornerMetric.far`.  Inside, R comes from spline + bump
+    derivatives; a trapezoid over the collar and the nearest far nodes joins
+    the two."""
+    cm, sig, r0 = mc.cm, mc.sigma, mc.r0
+    rc = r0 + sig * COLLAR_S
     raw, jet = mc.collar_jets()
-    Rc = scalar(n, rc, [*jet["A"], *jet["B"]])
+    Rc = scalar(cm.n, rc, [*jet["A"], *jet["B"]])
     Ac, Bc = jet["A"][0], jet["B"][0]
 
-    r = np.concatenate([ri[keep_i], rc, ro[keep_o]])
-    R = np.concatenate([Ri[keep_i], Rc, Ro[keep_o]])
-    A = np.concatenate([cm.inner.A[keep_i], Ac, cm.outer.A[keep_o]])
-    B = np.concatenate([cm.inner.B[keep_i], Bc, cm.outer.B[keep_o]])
+    # the far nodes: r <= r0 - sigma inside, r >= r0 + sigma outside; their
+    # nearest, [k - 1:k], is empty when k = 0
+    (ti, ki), (to, ko) = ((t, np.searchsorted(t.key, s * r0 - sig, "right"))
+                          for t, s in zip(cm.far, (1, -1)))
+    x = np.concatenate([ti.r[ki - 1:ki], rc, to.r[ko - 1:ko]])
+    y = np.concatenate([ti.y[ki - 1:ki],
+                        negative_parts(Rc, volume_element(cm.n, rc, Ac, Bc)),
+                        to.y[ko - 1:ko]])
+    neg_part, neg_measure = (np.trapezoid(y, x, axis=0) + ti.integral[ki]
+                             + to.integral[ko]).tolist()
+    K_measured = float(np.min([ti.R_min[ki], np.min(Rc), to.R_min[ko]]))
 
-    dens = volume_element(n, r, A, B)
-    neg = np.where(R < 0, -R, 0.0)
-    neg_part = float(np.trapezoid(neg * dens, r))
-    neg_measure = float(np.trapezoid((R < 0) * dens, r))
-    K_measured = float(np.min(R))
-
-    A0, B0 = raw.T
-    ratios = np.concatenate([Ac / A0, Bc / B0])
-    # outside the collar the metric must be the corner's own data
-    ni = np.count_nonzero(keep_i)
-    far = np.r_[:ni, ni + len(rc):len(r)]
-    jet_far = mc.eval(r[far])
-    moved = max(np.max(np.abs(jet_far[f][0] - v[far]))
-                for f, v in zip("AB", (A, B)))
-    support_ok = bool(moved < 1e-14)
+    ratios = np.stack([Ac, Bc], -1) / raw
+    # outside the collar the metric must be the corner's own data: the fits
+    # match it there, and the collar adds nothing at any far node
+    far = np.concatenate([ti.r[:ki], to.r[:ko]])
+    support_ok = bool(max(ti.moved[ki], to.moved[ko]) < 1e-14
+                      and not in_collar((far - r0) / sig).any())
     sandwich_lo = float(np.min(ratios))
     sandwich_hi = float(np.max(ratios))
 
@@ -377,13 +366,13 @@ def _certificate(mc, K_target, epsilon):
                            sandwich_lo, sandwich_hi, support_ok, bool(satisfied))
 
 
-def mollify(cm, epsilon, K_target=10.0, grid=None):
+def mollify(cm, epsilon, K_target=10.0):
     """Smooth a corner metric in a collar around r0; certify the result.
 
     The collar half-width starts at epsilon^2 and halves until the certificate
     (neg_part < epsilon, inf R > -K_target, sandwich, support) passes; if no
-    width works the last report is returned with satisfied=False.
-    """
+    width works the last report is returned with satisfied=False.  Returns
+    the MollifiedCorner (`sample` puts it on a grid) and the report."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon:g}")
     # starting collar width eps^2, floored where blend-derivative roundoff
@@ -396,5 +385,4 @@ def mollify(cm, epsilon, K_target=10.0, grid=None):
         if rep.satisfied or sigma * 0.5 < floor:
             break
         sigma *= 0.5
-    target = grid if grid is not None else cm.combined().grid
-    return mc.sample(target), rep
+    return mc, rep

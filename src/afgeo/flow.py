@@ -23,61 +23,72 @@ class FlowAbort(RuntimeError):
 
 # -- closed-form right-hand side ---------------------------------------------
 
-def _deturck(m, r, gj, hj):
+class Background:
+    """The fixed background h of the gauged flow, with all the right-hand side
+    reads of h alone: its 2-jet from the parity stencils and the h-only terms
+    of `_deturck`.  `evolve` builds one for every stage."""
+
+    def __init__(self, h):
+        self.h, self.n, self.r = h, h.n, h.grid.r
+        self.jet = Ah, dAh, ddAh, Bh, dBh, ddBh = jet(h.grid, h.A, h.B)
+        self.lA, lB, self.ddA = dAh / Ah, dBh / Bh, ddAh / Ah
+        self.two_r, self.two_r2 = 2.0 / self.r, 2.0 / self.r ** 2
+        self.Q, self.lBA = lB + self.two_r, lB - self.lA
+        self.half_mQ = 0.5 * (h.n - 1) * self.Q
+        self.dQ = ddBh / Bh - lB ** 2 - self.two_r2
+
+
+def _deturck(gj, bg):
     """W = g^pq (Gamma^r_pq - Gamma~^r_pq) and dW/dr, in closed form from the
-    2-jets gj of g and hj of the background h.
+    2-jet gj of g and the background bg.
 
     W = P/(2A) + (m/2) Q S with P = A'/A - A~'/A~ - m (B'/B + 2/r),
     Q = B~'/B~ + 2/r and S = B~/(A~ B); dW/dr is their exact derivative, so
     no derivative of sampled W is ever taken.
     """
     A, dA, ddA, B, dB, ddB = gj
-    Ah, dAh, ddAh, Bh, dBh, ddBh = hj
-    P = dA / A - dAh / Ah - m * (dB / B + 2.0 / r)
-    Q = dBh / Bh + 2.0 / r
-    S = Bh / (Ah * B)
-    W = P / (2.0 * A) + 0.5 * m * Q * S
+    m = bg.n - 1
+    lA, lB = dA / A, dB / B
+    P = lA - bg.lA - m * (lB + bg.two_r)
+    S = bg.jet[3] / (bg.jet[0] * B)
+    W = P / (2.0 * A) + bg.half_mQ * S
     # like terms of g and h are differenced first, so they cancel exactly
     # when g = h
-    dP = ((ddA / A - ddAh / Ah) - ((dA / A) ** 2 - (dAh / Ah) ** 2)
-          - m * (ddB / B - (dB / B) ** 2 - 2.0 / r ** 2))
-    dQ = ddBh / Bh - (dBh / Bh) ** 2 - 2.0 / r ** 2
-    dS = S * (dBh / Bh - dAh / Ah - dB / B)
-    dW = (dP - P * dA / A) / (2.0 * A) + 0.5 * m * (dQ * S + Q * dS)
+    dP = ((ddA / A - bg.ddA) - (lA ** 2 - bg.lA ** 2)
+          - m * (ddB / B - lB ** 2 - bg.two_r2))
+    dS = S * (bg.lBA - lB)
+    dW = (dP - P * dA / A) / (2.0 * A) + 0.5 * m * (bg.dQ * S + bg.Q * dS)
     return W, dW
 
 
-def _rhs_pointwise(n, r, gj, hj):
+def _rhs_pointwise(gj, bg):
     """(dt A, dt B) of dt g = -2 Ric(g) + Lie_W g in the warped-product
-    reduction, from the 2-jets of g and of the background h."""
+    reduction, from the 2-jet of g and the background."""
     A, dA, _, B, dB, _ = gj
-    W, dW = _deturck(n - 1, r, gj, hj)
-    ric_rad, ric_tan = ricci(n, r, gj)
+    W, dW = _deturck(gj, bg)
+    ric_rad, ric_tan = ricci(bg.n, bg.r, gj)
     dt_A = -2.0 * A * ric_rad + W * dA + 2.0 * A * dW
-    dt_B = -2.0 * B * ric_tan + W * (dB + 2.0 * B / r)
+    dt_B = -2.0 * B * ric_tan + W * (dB + 2.0 * B / bg.r)
     return dt_A, dt_B
 
 
-def deturck_vector(g, h):
+def deturck_vector(g, bg):
     """Radial contravariant component of W^k = g^{pq}(Gamma^k_pq - Gamma~^k_pq)."""
-    if g.grid is not h.grid and not np.array_equal(g.grid.r, h.grid.r):
+    if g.grid is not bg.h.grid and not np.array_equal(g.grid.r, bg.r):
         raise ValueError("metrics must share a grid")
-    return _deturck(g.n - 1, g.grid.r, jet(g.grid, g.A, g.B),
-                    jet(h.grid, h.A, h.B))[0]
+    return _deturck(jet(g.grid, g.A, g.B), bg)[0]
 
 
-def eta_rhs(h, eta_A, eta_B, freeze_outer=2, freeze_inner=0):
+def eta_rhs(bg, eta_A, eta_B, freeze_outer=2, freeze_inner=0):
     """Time derivative of (eta_A, eta_B) under the background-gauged flow.
 
     The jets of g = h + eta are those of h plus those of eta, each from the
     parity stencils; the frozen end nodes hold their values.
     """
-    grid = h.grid
-    hj = jet(grid, h.A, h.B)
-    gj = tuple(a + b for a, b in zip(hj, jet(grid, eta_A, eta_B)))
+    gj = tuple(a + b for a, b in zip(bg.jet, jet(bg.h.grid, eta_A, eta_B)))
     if np.any(gj[0] <= 0) or np.any(gj[3] <= 0):
         raise FlowAbort("metric positivity lost")
-    out_A, out_B = _rhs_pointwise(h.n, grid.r, gj, hj)
+    out_A, out_B = _rhs_pointwise(gj, bg)
     for out in (out_A, out_B):
         out[:freeze_inner] = 0.0
         out[len(out) - freeze_outer:] = 0.0
@@ -106,7 +117,6 @@ class FlowConfig:
 class FlowState:
     t: float
     metric: RadialMetric
-    h: RadialMetric
     eta_A: np.ndarray
     eta_B: np.ndarray
     W: np.ndarray
@@ -117,7 +127,6 @@ class FlowState:
 class FlowTrajectory:
     snapshots: list
     dt_history: list
-    h: RadialMetric
     config: FlowConfig
     steps: int = 0          # accepted time steps
     rhs_evals: int = 0      # eta_rhs evaluations over those steps
@@ -128,10 +137,12 @@ class FlowTrajectory:
     def dump(self, fh):
         fh.write("t,r,A,B,R,W\n")
         for s in self.snapshots:
-            R = scalar_curvature(s.metric)
-            for j, r in enumerate(s.metric.grid.r):
-                fh.write(f"{s.t:.12g},{r:.12g},{s.metric.A[j]:.12g},"
-                         f"{s.metric.B[j]:.12g},{R[j]:.12g},{s.W[j]:.12g}\n")
+            g = s.metric
+            cols = [np.full(g.grid.num, s.t), g.grid.r, g.A, g.B,
+                    scalar_curvature(g), s.W]
+            # one %-format per snapshot; %.12g formats a float as {:.12g}
+            fh.write(("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" * g.grid.num)
+                     % tuple(np.column_stack(cols).ravel().tolist()))
 
 
 def stable_dt(grid, A, B, n, cfl):
@@ -141,20 +152,21 @@ def stable_dt(grid, A, B, n, cfl):
 HEUN_STAGES = 2  # eta_rhs evaluations per h_flow_step
 
 
-def h_flow_step(h, eta_A, eta_B, dt, freeze_inner=0):
-    """One Heun (RK2) step of the eta evolution."""
-    kA1, kB1 = eta_rhs(h, eta_A, eta_B, freeze_inner=freeze_inner)
-    kA2, kB2 = eta_rhs(h, eta_A + dt * kA1, eta_B + dt * kB1,
+def h_flow_step(bg, eta_A, eta_B, dt, freeze_inner=0):
+    """One Heun (RK2) step of the eta evolution against the background bg."""
+    kA1, kB1 = eta_rhs(bg, eta_A, eta_B, freeze_inner=freeze_inner)
+    kA2, kB2 = eta_rhs(bg, eta_A + dt * kA1, eta_B + dt * kB1,
                        freeze_inner=freeze_inner)
     return eta_A + 0.5 * dt * (kA1 + kA2), eta_B + 0.5 * dt * (kB1 + kB2)
 
 
-def _snapshot(t, h, eta_A, eta_B, delta):
+def _snapshot(t, bg, eta_A, eta_B, delta):
+    h = bg.h
     g = RadialMetric(h.grid, h.n, h.A + eta_A, h.B + eta_B, delta)
-    W = deturck_vector(g, h)
+    W = deturck_vector(g, bg)
     w0, w1, w2 = eta_sup_norms(g, h, delta)
     diag = {"max_grad_eta": w1, "wnorm0": w0, "wnorm1": w1, "wnorm2": w2}
-    return FlowState(t, g, h, eta_A.copy(), eta_B.copy(), W, diag)
+    return FlowState(t, g, eta_A.copy(), eta_B.copy(), W, diag)
 
 
 def evolve(metric, h, config):
@@ -181,16 +193,17 @@ def evolve(metric, h, config):
     # excised inner boundary: no center symmetry, hold the edge fixed
     inner = 0 if grid.r[0] < grid.dr_min else 2
 
+    bg = Background(h)
     eta_A = metric.A - h.A
     eta_B = metric.B - h.B
     t = 0.0
-    snapshots = [_snapshot(t, h, eta_A, eta_B, metric.delta)]
+    snapshots = [_snapshot(t, bg, eta_A, eta_B, metric.delta)]
     dts = []
     step = 0
     while t < config.T_final - 1e-15:
         dt = min(stable_dt(grid, h.A + eta_A, h.B + eta_B, h.n, config.cfl),
                  config.T_final - t)
-        eta_A, eta_B = h_flow_step(h, eta_A, eta_B, dt, freeze_inner=inner)
+        eta_A, eta_B = h_flow_step(bg, eta_A, eta_B, dt, freeze_inner=inner)
         if np.any(~np.isfinite(eta_A)) or np.any(~np.isfinite(eta_B)):
             raise FlowAbort(f"NaN detected at t={t:.6g}")
         t += dt
@@ -202,8 +215,8 @@ def evolve(metric, h, config):
         if not ok:
             raise FlowAbort(f"fairness lost at t={t:.6g}: ratios {rng}")
         if step % config.monitor_every == 0 or t >= config.T_final - 1e-15:
-            snapshots.append(_snapshot(t, h, eta_A, eta_B, metric.delta))
-    return FlowTrajectory(snapshots, dts, h, config, steps=step,
+            snapshots.append(_snapshot(t, bg, eta_A, eta_B, metric.delta))
+    return FlowTrajectory(snapshots, dts, config, steps=step,
                           rhs_evals=HEUN_STAGES * step)
 
 

@@ -1,16 +1,18 @@
-"""The mollifier's sigma-free tables, functions of the scaled radius
-s = (r - r0) / sigma alone: the normalized bump of half-width 1/2 and its
-split 16-point Gauss-Legendre rule, the cutoff chi of the collar
--1 < s < 1 and the moment tables of the corner certificate's fixed collar.
-`corner` scales them by sigma; a new quadrature rule replaces `conv_nodes`
-here and nothing else.
-"""
+"""The corner certificate's sigma-free tables.  The mollifier's are functions
+of the scaled radius s = (r - r0) / sigma alone: the normalized bump of
+half-width 1/2 and its split 16-point Gauss-Legendre rule, the cutoff chi of
+the collar -1 < s < 1 and the moment tables of the certificate's fixed
+collar; `corner` scales them by sigma, and a new quadrature rule replaces
+`conv_nodes` here and nothing else.  A corner piece's FarTable holds the
+certificate's running sums over its nodes."""
 
 from functools import cache
 from math import comb, perm
+from typing import NamedTuple
 
 import numpy as np
 
+from .curvature import scalar_curvature
 from .grid import smoothstep
 
 COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
@@ -68,11 +70,16 @@ def blend(s):
             -240.0 * x * (1 - x) * (1 - 2 * x)]
 
 
+def in_collar(s):
+    """-1 < s < 1/2, where the mollifier moves the fields."""
+    return (s > -1.0) & (s < 0.5)
+
+
 def collar(s):
     """The mollifier's tables at scaled radii s = (r - r0) / sigma: the
-    collar -1 < s < 1/2 (a slice when contiguous), `conv_nodes` and `blend`
+    collar `in_collar` (a slice when contiguous), `conv_nodes` and `blend`
     there.  In r the nodes are sigma t, the density dens / sigma."""
-    at = np.flatnonzero((s > -1.0) & (s < 0.5))
+    at = np.flatnonzero(in_collar(s))
     if at.size and at[-1] - at[0] == at.size - 1:
         at = slice(at[0], at[-1] + 1)
     return at, *conv_nodes(s[at]), [chi[:, None] for chi in blend(s[at])]
@@ -110,3 +117,33 @@ def certificate_collar():
                    for j in range(k + 1))
         H.append(np.hstack([conv, (k == 2) * chi[0] * dens[:, None]]))
     return at, np.vander(COLLAR_S, 6, True), H
+
+
+class FarTable(NamedTuple):
+    """One piece's sigma-free certificate data, its nodes ordered from the
+    far end toward r0: entry k of a running column covers the k farthest."""
+    key: np.ndarray      # r on the inner piece, -r on the outer: ascending
+    r: np.ndarray
+    y: np.ndarray        # (|R_-| dV/dr, [R < 0] dV/dr) per node
+    integral: np.ndarray  # trapezoid of y over the k farthest nodes
+    R_min: np.ndarray    # min R over them (inf for k = 0)
+    moved: np.ndarray    # max |fit - data| over them (0 for k = 0)
+
+
+def negative_parts(R, dens):
+    """The integrands (|R_-| dV/dr, [R < 0] dV/dr) of the certificate."""
+    return np.stack([np.where(R < 0, -R, 0.0) * dens, (R < 0) * dens], -1)
+
+
+def far_table(metric, fit, sign):
+    """A corner piece's FarTable; sign -1 reverses the outer piece."""
+    R = scalar_curvature(metric)
+    moved = np.max(np.abs(fit(metric.grid.r)
+                          - np.stack([metric.A, metric.B], axis=-1)), axis=-1)
+    r, y, R, moved = (v[::sign] for v in (
+        metric.grid.r, negative_parts(R, metric.volume_density()), R, moved))
+    seg = np.abs(np.diff(r))[:, None] * (y[1:] + y[:-1]) / 2.0
+    return FarTable(sign * r, r, y,
+                    np.cumsum(np.vstack([np.zeros((2, 2)), seg]), axis=0),
+                    np.minimum.accumulate(np.r_[np.inf, R]),
+                    np.maximum.accumulate(np.r_[0.0, moved]))

@@ -48,8 +48,9 @@ def flow_grid():
 @pytest.fixture(scope="module")
 def corner_run(valid_cm, flow_grid):
     """Mollified valid corner (eps = 1e-2) evolved against itself."""
-    sm, cert = corner.mollify(valid_cm, 1e-2, grid=flow_grid)
+    mc, cert = corner.mollify(valid_cm, 1e-2)
     assert cert.satisfied
+    sm = mc.sample(flow_grid)
     cfg = flow.FlowConfig(T_final=0.2, monitor_every=20)
     traj = flow.evolve(sm, sm, cfg)
     return cert, cfg, traj

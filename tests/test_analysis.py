@@ -66,8 +66,8 @@ def invalid_smoothed():
                                    outer_num=512)
     base = metrics.build_schwarzschild_isotropic(1.0, grid)
     cm = corner.corner_example(base, 4.0, -0.1)
-    sm, _ = corner.mollify(cm, 1e-2)
-    return sm
+    mc, _ = corner.mollify(cm, 1e-2)
+    return mc.sample(cm.combined().grid)
 
 
 def test_negative_part_matches_masked_quadrature(invalid_smoothed):

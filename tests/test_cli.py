@@ -192,6 +192,15 @@ def test_epsilon_not_finite_positive_exits_config(command, eps, tmp_path,
     assert "epsilon must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["corner", "mass-liminf"])
+def test_empty_epsilon_list_exits_config(command, tmp_path, capsys):
+    # before the check, corner wrote a report with no certificate (exit 0)
+    # and mass-liminf died on an AttributeError after an empty ladder
+    assert cli.run([command, "--eps=", "--out", str(tmp_path)]) == 2
+    assert "expected a list of numbers, got ''" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_monitor_every_zero_exits_config(tmp_path):
     assert cli.run(["zero-mass", "--monitor-every", "0", "--T", "1e-3",
                     "--grid", "staggered:rmax=60,num=256",

@@ -95,18 +95,19 @@ def test_mollify_identity_for_smooth(base):
     # smooth base with R > 0 everywhere, so the certificate is noise-immune
     smooth = metrics.build_conformal(0.5, 3, base.grid)
     cm = corner.split_metric(smooth, 4.0)
-    sm, rep = corner.mollify(cm, 1e-2)
+    mc, rep = corner.mollify(cm, 1e-2)
     assert rep.satisfied
     assert rep.neg_part < 1e-3
     # metric essentially untouched
     comb = cm.combined()
+    sm = mc.sample(comb.grid)
     assert np.max(np.abs(sm.B - comb.B) / comb.B) < 1e-8
 
 
 def test_mollify_valid_ladder(valid_corner):
     K_vals = []
     for eps in (1e-1, 1e-2, 1e-3):
-        sm, rep = corner.mollify(valid_corner, eps)
+        _, rep = corner.mollify(valid_corner, eps)
         assert rep.satisfied, f"certificate failed at eps={eps}"
         assert rep.neg_part < eps
         assert rep.sandwich_lo >= 1 - eps and rep.sandwich_hi <= 1 + eps
@@ -141,8 +142,9 @@ def test_mollify_invalid_floor(invalid_corner):
 
 def test_mollified_sampling_on_foreign_grid(valid_corner):
     target = RadialGrid.staggered(300.0, 2048)
-    sm, rep = corner.mollify(valid_corner, 1e-2, grid=target)
+    mc, rep = corner.mollify(valid_corner, 1e-2)
     assert rep.satisfied
+    sm = mc.sample(target)
     assert sm.grid is target
     assert np.all(sm.A > 0) and np.all(sm.B > 0)
 
@@ -221,6 +223,19 @@ def test_support_check_reads_the_corner_data(base):
     assert not rep.support_ok and not rep.satisfied
 
 
+def test_support_check_refuses_a_far_node_the_collar_reaches():
+    # r = 3.7 passes the far-node rule r <= r0 - sigma at sigma = 0.3, but
+    # (r - r0) / sigma rounds to -0.9999999999999994, inside the collar
+    # -1 < s < 1/2, so the collar blends there too
+    r = np.concatenate([np.linspace(0.5, 3.6, 32), [3.7, 3.8, 3.9, 4.0],
+                        np.linspace(4.1, 40.0, 200)])
+    cm = corner.split_metric(
+        metrics.build_conformal(0.4, 3, RadialGrid(r)), 4.0)
+    for sig, ok in ((0.3, False), (0.29, True), (0.31, True)):
+        rep = corner._certificate(corner.MollifiedCorner(cm, sig), 10.0, 0.5)
+        assert rep.support_ok is ok, sig
+
+
 def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
     # every sigma of every corner reuses the one table build on the fixed
     # scaled collar; a cache that missed would rebuild them at each attempt
@@ -291,24 +306,28 @@ def test_collar_tables_match_direct_eval(base, sig, strength):
 def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
     # sigma = 0.25: the convolution nodes reach r0 - 0.375, across four
     # pieces of D (each 3/32 wide), where no one polynomial about r0 holds
-    sm, rep = corner.mollify(valid_corner, 0.5)
+    grid = valid_corner.combined().grid
+    mc, rep = corner.mollify(valid_corner, 0.5)
     assert rep.sigma == 0.25 and rep.satisfied
+    sm = mc.sample(grid)
 
     def per_node(self):
         rc = self.r0 + self.sigma * mollifier.COLLAR_S
         return self._raw(rc)[0], self.eval(rc, 2)
 
     monkeypatch.setattr(corner.MollifiedCorner, "collar_jets", per_node)
-    sm_ref, rep_ref = corner.mollify(valid_corner, 0.5)
+    mc_ref, rep_ref = corner.mollify(valid_corner, 0.5)
+    sm_ref = mc_ref.sample(grid)
     assert rep == rep_ref
     assert np.array_equal(sm.A, sm_ref.A) and np.array_equal(sm.B, sm_ref.B)
 
 
-def test_certificate_never_evaluates_collar_nodes(monkeypatch, valid_corner,
-                                                  invalid_corner):
+def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
     # the benchmark's four mollify calls take the moment tables for every
-    # collar: no spline sees the 16 x 2999 convolution nodes of a collar
-    # (about 48 000 points); the largest batch is a grid
+    # collar, and the far nodes' sums from sigma-free tables: over the 14
+    # attempts a spline sees each fresh corner's two pieces once, and never
+    # the 16 x 2999 convolution nodes of a collar or a per-attempt far node
+    valid, invalid = (corner.corner_example(base, 4.0, s) for s in (0.1, -0.1))
     sizes = []
     jets = Spline.jets
 
@@ -317,10 +336,103 @@ def test_certificate_never_evaluates_collar_nodes(monkeypatch, valid_corner,
         return jets(self, r, order)
 
     monkeypatch.setattr(Spline, "jets", counted)
-    for cm, eps in [(valid_corner, 1e-1), (valid_corner, 1e-2),
-                    (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
+    for cm, eps in [(valid, 1e-1), (valid, 1e-2), (valid, 1e-3),
+                    (invalid, 1e-1)]:
         corner.mollify(cm, eps)
-    assert sizes and max(sizes) < mollifier.COLLAR_S.size
+    pieces = [valid.inner.grid.num, valid.outer.grid.num]
+    assert sorted(sizes) == sorted(pieces * 2)
+
+
+def _composite_certificate(mc, K_target, epsilon):
+    """The certificate as it was measured before the sigma-free tables: one
+    trapezoid over the far nodes and the collar, and the support check by
+    evaluating the mollified metric at every far node."""
+    cm = mc.cm
+    n = cm.n
+    sig = mc.sigma
+    ri = cm.inner.grid.r
+    ro = cm.outer.grid.r
+    Ri, Ro = (curvature.scalar_curvature(p) for p in (cm.inner, cm.outer))
+    keep_i = ri <= mc.r0 - sig
+    keep_o = ro >= mc.r0 + sig
+    rc = mc.r0 + sig * mollifier.COLLAR_S
+    raw, jet = mc.collar_jets()
+    Rc = curvature.scalar(n, rc, [*jet["A"], *jet["B"]])
+    Ac, Bc = jet["A"][0], jet["B"][0]
+    r = np.concatenate([ri[keep_i], rc, ro[keep_o]])
+    R = np.concatenate([Ri[keep_i], Rc, Ro[keep_o]])
+    A = np.concatenate([cm.inner.A[keep_i], Ac, cm.outer.A[keep_o]])
+    B = np.concatenate([cm.inner.B[keep_i], Bc, cm.outer.B[keep_o]])
+    dens = metrics.volume_element(n, r, A, B)
+    neg = np.where(R < 0, -R, 0.0)
+    neg_part = float(np.trapezoid(neg * dens, r))
+    neg_measure = float(np.trapezoid((R < 0) * dens, r))
+    K_measured = float(np.min(R))
+    A0, B0 = raw.T
+    ratios = np.concatenate([Ac / A0, Bc / B0])
+    ni = np.count_nonzero(keep_i)
+    far = np.r_[:ni, ni + len(rc):len(r)]
+    jet_far = mc.eval(r[far])
+    moved = max(np.max(np.abs(jet_far[f][0] - v[far]))
+                for f, v in zip("AB", (A, B)))
+    support_ok = bool(moved < 1e-14)
+    lo, hi = float(np.min(ratios)), float(np.max(ratios))
+    satisfied = (neg_part < epsilon and K_measured > -K_target
+                 and lo >= 1 - epsilon and hi <= 1 + epsilon and support_ok)
+    return corner.SmoothingReport(epsilon, sig, K_measured, neg_part,
+                                  neg_measure, lo, hi, support_ok,
+                                  bool(satisfied))
+
+
+_CORNERS = {
+    "valid": lambda base: corner.corner_example(base, 4.0, 0.1),
+    "invalid": lambda base: corner.corner_example(base, 4.0, -0.1),
+    # R < 0 on both pieces: the inner far nodes add to the sums too
+    "split-bump": lambda base: corner.split_metric(
+        metrics.build_angular_bump(0.2, 3, base.grid), 4.0)}
+
+
+# 0.25: sigma > 1/32 drops far nodes next to r0; 0.5: the per-node collar;
+# 2: the first collar, sigma = 4, reaches r = 0, where R is nan
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+@pytest.mark.parametrize("eps", [1e-3, 1e-1, 0.25, 0.5, 2.0])
+@pytest.mark.parametrize("kind", sorted(_CORNERS))
+def test_certificate_matches_composite_grid(monkeypatch, base, eps, kind):
+    cm = _CORNERS[kind](base)
+    attempts = []
+    certificate = corner._certificate
+
+    def recorded(mc, K_target, epsilon):
+        rep = certificate(mc, K_target, epsilon)
+        attempts.append((_composite_certificate(mc, K_target, epsilon), rep))
+        return rep
+
+    monkeypatch.setattr(corner, "_certificate", recorded)
+    corner.mollify(cm, eps)
+    assert attempts
+    for want, got in attempts:
+        for f, v in vars(want).items():
+            if f in ("neg_part", "neg_measure"):
+                assert getattr(got, f) == pytest.approx(v, rel=1e-13,
+                                                        nan_ok=True), f
+            else:
+                assert getattr(got, f) == v or np.isnan([getattr(got, f), v]).all(), f
+
+
+@pytest.mark.parametrize("side", ["inner", "outer"])
+def test_support_check_reads_the_far_node_next_to_the_collar(base, side):
+    # sigma = 1/32, the fine spacing: r0 -/+ sigma is a node outside the
+    # collar, r0 a node inside it; the fits are built before the data moves
+    sig = 1.0 / 32
+    for r, fails in ((4.0 + (sig if side == "outer" else -sig), True),
+                     (4.0, False)):
+        cm = corner.corner_example(base, 4.0, 0.1)
+        cm.fits
+        piece = getattr(cm, side)
+        piece.A = piece.A.copy()
+        piece.A[piece.grid.node_at(r)] += 1e-12
+        rep = corner._certificate(corner.MollifiedCorner(cm, sig), 10.0, 0.5)
+        assert rep.support_ok is not fails, r
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.01, np.nan, np.inf])

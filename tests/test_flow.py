@@ -32,7 +32,7 @@ def lock_grid():
 def test_deturck_vector_matches_oracle(lock_grid):
     g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
     h = metrics.build_flat(3, lock_grid)
-    W = flow.deturck_vector(g, h)
+    W = flow.deturck_vector(g, flow.Background(h))
     for target in (5.0, 20.0):
         i = int(np.argmin(np.abs(lock_grid.r - target)))
         ref = oracle.deturck_vector_oracle(g, h, lock_grid.r[i])
@@ -41,14 +41,15 @@ def test_deturck_vector_matches_oracle(lock_grid):
 
 def test_deturck_vector_vanishes_on_background(lock_grid):
     g = metrics.build_conformal(0.3, 3, lock_grid)
-    W = flow.deturck_vector(g, g)
+    W = flow.deturck_vector(g, flow.Background(g))
     assert np.max(np.abs(W)) < 1e-13
 
 
 def test_rhs_matches_closed_form_flat_background(lock_grid):
     g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
     h = metrics.build_flat(3, lock_grid)
-    rA, rB = flow.eta_rhs(h, g.A - h.A, g.B - h.B, freeze_outer=0)
+    rA, rB = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B,
+                          freeze_outer=0)
     oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
     sel = (lock_grid.r > 2.0) & (lock_grid.r < 55.0)
     assert np.max(np.abs(rA - oA)[sel] / (1 + np.abs(oA[sel]))) < 1e-4
@@ -59,7 +60,8 @@ def test_rhs_matches_closed_form_curved_background(lock_grid):
     # nonflat background exercises the Riemann and quadratic terms
     g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
     h = metrics.build_conformal(0.4, 3, lock_grid)
-    rA, rB = flow.eta_rhs(h, g.A - h.A, g.B - h.B, freeze_outer=0)
+    rA, rB = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B,
+                          freeze_outer=0)
     oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
     sel = (lock_grid.r > 2.0) & (lock_grid.r < 55.0)
     assert np.max(np.abs(rA - oA)[sel] / (1 + np.abs(oA[sel]))) < 1e-4
@@ -69,7 +71,7 @@ def test_rhs_matches_closed_form_curved_background(lock_grid):
 def test_zero_eta_reduces_to_background_ricci(lock_grid):
     h = metrics.build_conformal(0.4, 3, lock_grid)
     z = np.zeros(lock_grid.num)
-    rA, rB = flow.eta_rhs(h, z, z, freeze_outer=0)
+    rA, rB = flow.eta_rhs(flow.Background(h), z, z, freeze_outer=0)
     oA, oB = oracle.tensor_eta_rhs(h, z, z)
     sel = slice(8, -8)
     assert np.max(np.abs(rA - oA)[sel]) < 1e-12
@@ -91,9 +93,9 @@ def test_closed_form_matches_tensor_kernel(n, grid_kind, background):
     h = _BACKGROUNDS[background](n, grid)
     g = metrics.build_angular_bump(0.2, n, grid, width=2.0)
     eA, eB = g.A - h.A, g.B - h.B
-    got = flow.eta_rhs(h, eA, eB, freeze_outer=0)
+    got = flow.eta_rhs(flow.Background(h), eA, eB, freeze_outer=0)
     ref = oracle.tensor_eta_rhs(h, eA, eB)
-    got += (flow.deturck_vector(g, h),)
+    got += (flow.deturck_vector(g, flow.Background(h)),)
     ref += (oracle.tensor_deturck_vector(g, h),)
     for a, b in zip(got, ref):
         assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b))
@@ -116,12 +118,11 @@ def test_rhs_discretization_converges():
         grid = RadialGrid.uniform(0.5, 60.0, num)
         g = metrics.build_schwarzschild_isotropic(1.0, grid)
         h = metrics.build_flat(3, grid)
-        rA, _ = flow.eta_rhs(h, g.A - h.A, g.B - h.B, freeze_outer=0)
-        one, zero = np.ones(num), np.zeros(num)
-        flat_jets = (one, zero, zero, one, zero, zero)
-        exact, _ = flow._rhs_pointwise(3, grid.r,
-                                       _schwarzschild_jets(1.0, grid.r),
-                                       flat_jets)
+        rA, _ = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B,
+                             freeze_outer=0)
+        # the flat background's stencil jets are exact to roundoff (5e-13)
+        exact, _ = flow._rhs_pointwise(_schwarzschild_jets(1.0, grid.r),
+                                       flow.Background(h))
         sel = (grid.r > 2.0) & (grid.r < 55.0)
         errs.append(np.max(np.abs(rA - exact)[sel]))
     # interior stencils are 4th order; demand at least cubic gain
@@ -147,10 +148,12 @@ def test_step_halving_second_order():
     g0 = metrics.build_angular_bump(0.1, 3, grid, width=2.0)
     eA0, eB0 = g0.A - h.A, g0.B - h.B
 
+    bg = flow.Background(h)
+
     def integrate(dt, steps):
         eA, eB = eA0.copy(), eB0.copy()
         for _ in range(steps):
-            eA, eB = flow.h_flow_step(h, eA, eB, dt)
+            eA, eB = flow.h_flow_step(bg, eA, eB, dt)
         return eA
 
     dt = 0.5 * flow.stable_dt(grid, g0.A, g0.B, 3, 0.2)
@@ -298,6 +301,50 @@ def test_evolve_counts_steps_and_rhs_evals():
     assert sum(traj.dt_history) == pytest.approx(2e-3, rel=1e-12)
 
 
+def test_trajectory_dump_bytes_match_row_format():
+    # the block per snapshot writes exactly what a row-by-row f-string wrote
+    grid = RadialGrid.staggered(20.0, 64)
+    g = metrics.build_conformal(0.2, 3, grid)
+    traj = flow.evolve(g, metrics.build_conformal(0.19, 3, grid),
+                       flow.FlowConfig(T_final=1e-3, monitor_every=2))
+    want = ["t,r,A,B,R,W"]
+    for s in traj.snapshots:
+        R = curvature.scalar_curvature(s.metric)
+        for j, r in enumerate(s.metric.grid.r):
+            want.append(f"{s.t:.12g},{r:.12g},{s.metric.A[j]:.12g},"
+                        f"{s.metric.B[j]:.12g},{R[j]:.12g},{s.W[j]:.12g}")
+    buf = io.StringIO()
+    traj.dump(buf)
+    assert buf.getvalue() == "\n".join(want) + "\n"
+
+
+def test_eta_rhs_reads_the_background_jet(monkeypatch):
+    # inside eta_rhs the only jet taken is eta's: h's comes from the
+    # background that evolve builds once
+    grid = RadialGrid.staggered(40.0, 256)
+    g0 = metrics.build_conformal(0.2, 3, grid)
+    inside, counts = [], {"rhs": 0, "jet": 0}
+    eta_rhs, jet = flow.eta_rhs, flow.jet
+
+    def counted_rhs(*args, **kwargs):
+        counts["rhs"] += 1
+        inside.append(True)
+        try:
+            return eta_rhs(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_jet(grid, A, B):
+        counts["jet"] += bool(inside)
+        return jet(grid, A, B)
+
+    monkeypatch.setattr(flow, "eta_rhs", counted_rhs)
+    monkeypatch.setattr(flow, "jet", counted_jet)
+    traj = flow.evolve(g0, g0, flow.FlowConfig(T_final=2e-3, monitor_every=4))
+    assert counts["rhs"] == traj.rhs_evals == 6
+    assert counts["jet"] == counts["rhs"]
+
+
 def test_trajectory_dump_format():
     grid = RadialGrid.staggered(20.0, 64)
     fl = metrics.build_flat(3, grid)
@@ -322,7 +369,7 @@ def test_rhs_at_zero_eta_is_minus_twice_ricci(n, a, b, wa, wb):
     B = 1.0 + b / (1.0 + (grid.r / wb) ** 2)
     h = metrics.RadialMetric(grid, n, A, B)
     z = np.zeros(grid.num)
-    rA, rB = flow.eta_rhs(h, z, z, freeze_outer=0)
+    rA, rB = flow.eta_rhs(flow.Background(h), z, z, freeze_outer=0)
     rad, tan = -rA / (2.0 * A), -rB / (2.0 * B)
     R = curvature.scalar_curvature(h)
     ric2 = curvature.ricci_norm_sq(h)
