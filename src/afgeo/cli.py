@@ -270,18 +270,17 @@ def cmd_verify(args):
         R = curvature.scalar_curvature(g)
         Rn = curvature.ricci_norm_sq(g)
         W = flow.deturck_vector(g, flow.Background(flat_bg))
-        for r0 in radii:
+        refs = zip(oracle.scalar_curvature_oracle(g, radii),
+                   oracle.ricci_norm_sq_oracle(g, radii),
+                   oracle.mean_curvature_oracle(g, radii),
+                   oracle.flux_quadrature(g, radii, npoints=3000),
+                   oracle.deturck_vector_oracle(g, flat_bg, radii))
+        for r0, ref_row in zip(radii, refs):
             i = grid.node_at(r0)
-            pairs = [
-                ("R", R[i], oracle.scalar_curvature_oracle(g, r0)),
-                ("ric2", Rn[i], oracle.ricci_norm_sq_oracle(g, r0)),
-                ("H", curvature.mean_curvature_sphere(g, r0),
-                 oracle.mean_curvature_oracle(g, r0)),
-                ("flux", mass.adm_mass_flux(g, r0),
-                 oracle.flux_quadrature(g, r0, npoints=3000)),
-                ("W", W[i], oracle.deturck_vector_oracle(g, flat_bg, r0)),
-            ]
-            for label, got, ref in pairs:
+            got_row = (R[i], Rn[i], curvature.mean_curvature_sphere(g, r0),
+                       mass.adm_mass_flux(g, r0), W[i])
+            for label, got, ref in zip(("R", "ric2", "H", "flux", "W"),
+                                       got_row, ref_row):
                 # near-zero quantities are held to a 1e-2 scale floor so that
                 # oracle roundoff does not masquerade as relative error
                 rel = abs(got - ref) / max(abs(ref), abs(got), 1e-2)

@@ -372,12 +372,22 @@ def mollify(cm, epsilon, K_target=10.0):
     The collar half-width starts at epsilon^2 and halves until the certificate
     (neg_part < epsilon, inf R > -K_target, sandwich, support) passes; if no
     width works the last report is returned with satisfied=False.  Returns
-    the MollifiedCorner (`sample` puts it on a grid) and the report."""
+    the MollifiedCorner (`sample` puts it on a grid) and the report.  An
+    epsilon whose first collar leaves the corner's domain is refused."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon:g}")
     # starting collar width eps^2, floored where blend-derivative roundoff
     # (growing like sigma^-2) would swamp the certificate
     sigma = max(epsilon ** 2, 1e-7)
+    # the widest collar reads the fits from its deepest convolution node,
+    # r0 - 3 sigma / 2, out to r0 + sigma: both must lie in the corner
+    lo, hi = cm.r0 - 1.5 * sigma, cm.r0 + sigma
+    r_lo, r_hi = cm.inner.grid.r[0], cm.outer.grid.r[-1]
+    if not r_lo <= lo < hi <= r_hi:
+        raise ValueError(
+            f"epsilon={epsilon:g}: the first collar, sigma = epsilon^2 = "
+            f"{sigma:g}, reads r0 - 3 sigma/2 = {lo:g} to r0 + sigma = {hi:g}, "
+            f"outside the corner's domain [{r_lo:g}, {r_hi:g}]")
     floor = max(1e-9, sigma / 2 ** 10)
     while True:
         mc = MollifiedCorner(cm, sigma)

@@ -3,11 +3,13 @@
 Everything here works on the Cartesian embedding
 g_ij(x) = B(|x|) delta_ij + (A - B)(|x|) x_i x_j / |x|^2.
 The pointwise oracles read A, B through splines and take derivatives by
-centered 5-point finite differences; the tensor flow equation at the end
-takes the grid's radial stencils and evaluates the full tensor expression
-node by node.  Slow by construction; used to lock in the closed-form
-reductions, never in inner loops.
+centered 5-point finite differences, at every point of an array at once;
+the tensor flow equation at the end takes the grid's radial stencils and
+evaluates the full tensor expression at every node.  Used to lock in the
+closed-form reductions, never in inner loops.
 """
+
+from functools import cache
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -23,123 +25,126 @@ def unit_direction(n, seed=0):
     return v / np.linalg.norm(v)
 
 
-def _diff5(fun, x, h):
-    """[k] = d fun / d x^k at x by centered 5-point differences of step h."""
-    return np.array([(-fun(x + 2 * h * e) + 8 * fun(x + h * e)
-                      - 8 * fun(x - h * e) + fun(x - 2 * h * e)) / (12 * h)
-                     for e in np.eye(len(x))])
+def _diff5(fun, x):
+    """[..., k, ...] = d fun / d x^k at the points x (..., n) by centered
+    5-point differences of step h = 0.01 max(1, 0.1 |x|) at each point."""
+    h = 0.01 * np.maximum(1.0, 0.1 * np.linalg.norm(x, axis=-1))
+    steps = h[..., None, None] * np.eye(x.shape[-1])  # (..., k, n)
+
+    def f(s):
+        return fun(x[..., None, :] + s * steps)
+
+    d = -f(2) + 8 * f(1) - 8 * f(-1) + f(-2)
+    return d / (12 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim))
+
+
+def _lower(dg):
+    """Gamma_{lij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2 from dg[..., k, i, j]."""
+    return 0.5 * (np.einsum("...ilj->...lij", dg)
+                  + np.einsum("...jli->...lij", dg) - dg)
+
+
+def _points(n, r, direction):
+    """The points r * direction, (*shape(r), n)."""
+    return np.multiply.outer(r, unit_direction(n) if direction is None
+                             else np.asarray(direction, dtype=float))
 
 
 class CartesianMetric:
-    """Radial metric evaluated as a full Cartesian tensor field."""
+    """Radial metric evaluated as a full Cartesian tensor field at points x
+    of shape (..., n); tensor indices follow the point axes."""
 
     def __init__(self, metric):
         self.n = metric.n
-        r = metric.grid.r
-        # quintic splines: second derivatives stay O(dr^4) accurate
-        self._A = make_interp_spline(r, metric.A, k=5)
-        self._B = make_interp_spline(r, metric.B, k=5)
-        self.r_lo = r[0]
-        self.r_hi = r[-1]
+        # quintic spline of (A, B): second derivatives stay O(dr^4) accurate
+        self._AB = make_interp_spline(
+            metric.grid.r, np.stack([metric.A, metric.B], -1), k=5)
 
     def g(self, x):
-        r = np.linalg.norm(x)
-        A = self._A(r)
-        B = self._B(r)
-        out = B * np.eye(self.n)
-        out += (A - B) * np.outer(x, x) / r ** 2
-        return out
+        r = np.linalg.norm(x, axis=-1)[..., None, None]
+        A, B = np.moveaxis(self._AB(r), -1, 0)
+        xx = np.einsum("...i,...j->...ij", x, x)
+        return B * np.eye(self.n) + (A - B) * xx / r ** 2
 
-    def step(self, x):
-        return 0.01 * max(1.0, 0.1 * np.linalg.norm(x))
+    def dg(self, x):
+        """dg[..., k, i, j] = d g_ij / d x^k, 5-point centered differences."""
+        return _diff5(self.g, x)
 
-    def dg(self, x, h=None):
-        """dg[k, i, j] = d g_ij / d x^k, 5-point centered differences."""
-        return _diff5(self.g, x, h or self.step(x))
+    def christoffel(self, x):
+        """Gamma[..., k, i, j] = Gamma^k_ij."""
+        return np.einsum("...kl,...lij->...kij", np.linalg.inv(self.g(x)),
+                         _lower(self.dg(x)))
 
-    def christoffel(self, x, h=None):
-        """Gamma[k, i, j] = Gamma^k_ij."""
-        low = self.christoffel_lower(x, h)
-        return np.einsum("kl,lij->kij", np.linalg.inv(self.g(x)), low)
-
-    def christoffel_lower(self, x, h=None):
-        """Gamma_{lij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2."""
-        dg = self.dg(x, h)
-        return 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
-                      - np.einsum("lij->lij", dg))
-
-    def ricci(self, x, h=None):
+    def ricci(self, x):
         """Ricci tensor by nested finite differences of the Christoffel symbols."""
-        h = h or self.step(x)
-        # dGamma[c, k, i, j] = d_c Gamma^k_ij
-        dGamma = _diff5(self.christoffel, x, h)
-        G = self.christoffel(x, h)
+        # dGamma[..., c, k, i, j] = d_c Gamma^k_ij
+        dGamma = _diff5(self.christoffel, x)
+        G = self.christoffel(x)
         # Riem^a_{bcd} = d_c Gamma^a_db - d_d Gamma^a_cb + G^a_ce G^e_db - G^a_de G^e_cb
-        riem = (np.einsum("cadb->abcd", dGamma) - np.einsum("dacb->abcd", dGamma)
-                + np.einsum("ace,edb->abcd", G, G) - np.einsum("ade,ecb->abcd", G, G))
-        return np.einsum("abad->bd", riem)
+        riem = (np.einsum("...cadb->...abcd", dGamma)
+                - np.einsum("...dacb->...abcd", dGamma)
+                + np.einsum("...ace,...edb->...abcd", G, G)
+                - np.einsum("...ade,...ecb->...abcd", G, G))
+        return np.einsum("...abad->...bd", riem)
 
+
+# The point oracles take a radius or an array of radii r and evaluate at
+# r * direction; the result has the shape of r.
 
 def scalar_curvature_oracle(metric, r, direction=None):
     """R at radius r from the full Cartesian formula (Christoffels + contractions)."""
     cm = CartesianMetric(metric)
-    x = r * (direction if direction is not None else unit_direction(metric.n))
-    ric = cm.ricci(x)
-    return float(np.einsum("ij,ij->", np.linalg.inv(cm.g(x)), ric))
+    x = _points(metric.n, r, direction)
+    return np.einsum("...ij,...ij->...", np.linalg.inv(cm.g(x)), cm.ricci(x))
 
 
 def ricci_norm_sq_oracle(metric, r, direction=None):
     cm = CartesianMetric(metric)
-    x = r * (direction if direction is not None else unit_direction(metric.n))
+    x = _points(metric.n, r, direction)
     ric = cm.ricci(x)
     ginv = np.linalg.inv(cm.g(x))
-    return float(np.einsum("ik,jl,ij,kl->", ginv, ginv, ric, ric))
+    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, ric, ric)
 
 
 def mean_curvature_oracle(metric, r, direction=None):
     """H of the sphere |x| = r via the divergence of the unit normal."""
     cm = CartesianMetric(metric)
-    n = metric.n
-    x = r * (direction if direction is not None else unit_direction(n))
+    x = _points(metric.n, r, direction)
 
     def nu_cov(y):
-        N = y / np.linalg.norm(y)
+        N = y / np.linalg.norm(y, axis=-1)[..., None]
         ginv = np.linalg.inv(cm.g(y))
-        norm = np.sqrt(ginv @ N @ N)
-        return N / norm
+        norm = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, N, N))
+        return N / norm[..., None]
 
-    dnu = _diff5(nu_cov, x, cm.step(x))  # [i, j] = d_i nu_j
-    G = cm.christoffel(x)
+    dnu = _diff5(nu_cov, x)  # [..., i, j] = d_i nu_j
     nu = nu_cov(x)
     ginv = np.linalg.inv(cm.g(x))
-    nuup = ginv @ nu
-    proj = ginv - np.outer(nuup, nuup)
-    cov = dnu - np.einsum("kij,k->ij", G, nu)
-    return float(np.einsum("ij,ij->", proj, cov))
+    nuup = np.einsum("...ij,...j->...i", ginv, nu)
+    proj = ginv - np.einsum("...i,...j->...ij", nuup, nuup)
+    cov = dnu - np.einsum("...kij,...k->...ij", cm.christoffel(x), nu)
+    return np.einsum("...ij,...ij->...", proj, cov)
 
 
 def deturck_vector_oracle(g_metric, h_metric, r, direction=None):
     """Contravariant radial component of W^k = g^{pq}(Gamma^k_pq - Gamma~^k_pq)."""
-    cg = CartesianMetric(g_metric)
-    ch = CartesianMetric(h_metric)
-    x = r * (direction if direction is not None else unit_direction(g_metric.n))
-    ginv = np.linalg.inv(cg.g(x))
-    Vg = np.einsum("pq,kpq->k", ginv, cg.christoffel(x))
-    Vh = np.einsum("pq,kpq->k", ginv, ch.christoffel(x))
-    return float((Vg - Vh) @ (x / np.linalg.norm(x)))
+    cg, ch = CartesianMetric(g_metric), CartesianMetric(h_metric)
+    x = _points(g_metric.n, r, direction)
+    W = np.einsum("...pq,...kpq->...k", np.linalg.inv(cg.g(x)),
+                  cg.christoffel(x) - ch.christoffel(x))
+    return np.einsum("...k,...k->...", W, x) / np.linalg.norm(x, axis=-1)
 
 
-def flux_integrand(metric, r, direction):
-    """(g_ij,j - g_jj,i) xhat_i at the point r * direction."""
-    cm = CartesianMetric(metric)
-    x = r * np.asarray(direction, dtype=float)
+def _flux_integrand(cm, x):
+    """(g_ij,j - g_jj,i) xhat_i at the points x."""
     dg = cm.dg(x)
-    vec = np.einsum("jij->i", dg) - np.einsum("ijj->i", dg)
-    return float(vec @ (x / np.linalg.norm(x)))
+    vec = np.einsum("...jij->...i", dg) - np.einsum("...ijj->...i", dg)
+    return np.einsum("...i,...i->...", vec, x) / np.linalg.norm(x, axis=-1)
 
 
 def flux_quadrature(metric, r, npoints=12000, seed=3):
-    """Brute-force surface quadrature of the mass flux integrand over |x| = r.
+    """Brute-force surface quadrature of the mass flux integrand over |x| = r
+    (a radius or an array of radii).
 
     n = 3 uses a latitude-longitude product grid with >= npoints nodes;
     higher dimensions exploit rotational symmetry by averaging the constant
@@ -152,36 +157,31 @@ def flux_quadrature(metric, r, npoints=12000, seed=3):
         nph = 2 * nth
         u, wu = np.polynomial.legendre.leggauss(nth)
         ph = (np.arange(nph) + 0.5) * 2.0 * np.pi / nph
-        cm = CartesianMetric(metric)
-        total = 0.0
-        for uu, w in zip(u, wu):
-            s = np.sqrt(1.0 - uu * uu)
-            for p in ph:
-                d = np.array([s * np.cos(p), s * np.sin(p), uu])
-                x = r * d
-                dg = cm.dg(x)
-                vec = np.einsum("jij->i", dg) - np.einsum("ijj->i", dg)
-                total += w * float(vec @ d)
-        total *= (2.0 * np.pi / nph) * r ** 2
-        return total
-    vals = [flux_integrand(metric, r, unit_direction(n, seed + k)) for k in range(6)]
-    return float(np.mean(vals)) * sphere_area(n) * r ** (n - 1)
+        s = np.sqrt(1.0 - u * u)[:, None]
+        dirs = np.stack(np.broadcast_arrays(s * np.cos(ph), s * np.sin(ph),
+                                            u[:, None]), axis=-1).reshape(-1, 3)
+        w = np.repeat(wu, nph) * (2.0 * np.pi / nph)
+    else:
+        dirs = np.array([unit_direction(n, seed + k) for k in range(6)])
+        w = np.full(6, sphere_area(n) / 6)
+    vals = _flux_integrand(CartesianMetric(metric), np.multiply.outer(r, dirs))
+    return vals @ w * np.power(r, n - 1)
 
 
-def mass_correction_density(metric, r, direction=None, cm=None):
+def mass_correction_density(metric, r, direction=None):
     """Integrand (per metric volume) of the two correction terms in the
     integrated scalar-curvature identity: g^{ij}Gamma_i d_j log|g| / 2 minus
     the triple-Christoffel contraction."""
-    cm = cm or CartesianMetric(metric)
-    x = r * (direction if direction is not None else unit_direction(metric.n))
-    g = cm.g(x)
-    ginv = np.linalg.inv(g)
-    low = cm.christoffel_lower(x)
-    Gam = np.einsum("pq,jpq->j", ginv, low)
+    cm = CartesianMetric(metric)
+    x = _points(metric.n, r, direction)
+    ginv = np.linalg.inv(cm.g(x))
     dg = cm.dg(x)
-    dlog = np.einsum("pq,jpq->j", ginv, dg)
-    X = float(ginv @ Gam @ dlog)
-    Y = float(np.einsum("ij,kl,pq,ikp,jql->", ginv, ginv, ginv, low, low))
+    low = _lower(dg)
+    Gam = np.einsum("...pq,...jpq->...j", ginv, low)
+    dlog = np.einsum("...pq,...jpq->...j", ginv, dg)
+    X = np.einsum("...ij,...i,...j->...", ginv, Gam, dlog)
+    Y = np.einsum("...ij,...kl,...pq,...ikp,...jql->...",
+                  ginv, ginv, ginv, low, low)
     return 0.5 * X - Y
 
 
@@ -189,12 +189,8 @@ def mass_correction_density(metric, r, direction=None, cm=None):
 # Radial tensors there are combinations of delta_ab, the axis projector and 1/r
 # factors; no warped-product reduction is used, unlike flow.py.
 
-_IDX_CACHE = {}
-
-
+@cache
 def _idx(n):
-    if n in _IDX_CACHE:
-        return _IDX_CACHE[n]
     I = np.eye(n)
     e = np.zeros(n)
     e[0] = 1.0
@@ -210,16 +206,14 @@ def _idx(n):
                    + np.einsum("db,a,c->dcab", I, e, e)
                    + np.einsum("dc,a,b->dcab", I, e, e))
           + 8.0 * np.einsum("d,c,a,b->dcab", e, e, e, e))
-    out = {"I": I, "e": e, "E": E, "U1": U1, "U2": U2,
-           "dI": np.einsum("c,ab->cab", e, I),
-           "dE": np.einsum("c,ab->cab", e, E),
-           "Icd_I": np.einsum("dc,ab->dcab", I, I),
-           "ee_I": np.einsum("d,c,ab->dcab", e, e, I),
-           "Icd_E": np.einsum("dc,ab->dcab", I, E),
-           "ee_E": np.einsum("d,c,ab->dcab", e, e, E),
-           "eU1": np.einsum("c,dab->cdab", e, U1)}
-    _IDX_CACHE[n] = out
-    return out
+    return {"I": I, "e": e, "E": E, "U1": U1, "U2": U2,
+            "dI": np.einsum("c,ab->cab", e, I),
+            "dE": np.einsum("c,ab->cab", e, E),
+            "Icd_I": np.einsum("dc,ab->dcab", I, I),
+            "ee_I": np.einsum("d,c,ab->dcab", e, e, I),
+            "Icd_E": np.einsum("dc,ab->dcab", I, E),
+            "ee_E": np.einsum("d,c,ab->dcab", e, e, E),
+            "eU1": np.einsum("c,dab->cdab", e, U1)}
 
 
 def _sym_fields(n, r, beta, gamma, d1b, d1g, d2b=None, d2g=None):

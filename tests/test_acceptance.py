@@ -149,7 +149,7 @@ def test_criterion_7_oracle_equivalence(tmp_path):
     wall = time.perf_counter() - t0
     text = (tmp_path / "verify.txt").read_text()
     worst = float(text.split("worst_rel=")[1].splitlines()[0])
-    ok = code == 0 and worst < 1e-5 and wall < 60.0
+    ok = code == 0 and worst < 1e-5 and wall < 10.0
     _report(7, "oracle equivalence", ok,
             f"worst_rel={worst:.1e} wall={wall:.0f}s")
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,19 @@ def test_epsilon_not_finite_positive_exits_config(command, eps, tmp_path,
     # failed certificate (exit 1, or 3 from mass-liminf)
     assert cli.run([command, f"--eps={eps}", "--out", str(tmp_path)]) == 2
     assert "epsilon must be finite and > 0" in capsys.readouterr().err
+
+
+def test_corner_refuses_a_collar_outside_the_corner(tmp_path, capsys):
+    # r0 = 4, r_min = 0.5: epsilon = 2 gives sigma = 4, whose collar reads
+    # down to r = -2; before the check it divided by zero at r = 0 and
+    # exited 0.  epsilon = 1 reads down to 2.5 and runs as before.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["corner", "--eps", "2", "--out", str(tmp_path)]) == 2
+        assert "r0 - 3 sigma/2 = -2" in capsys.readouterr().err
+        assert cli.run(["corner", "--eps", "1", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "corner.txt").read_text()
+    assert "eps=1 epsilon=1 sigma=0.5 " in text and "satisfied=True" in text
 
 
 @pytest.mark.parametrize("command", ["corner", "mass-liminf"])

@@ -393,9 +393,9 @@ _CORNERS = {
 
 
 # 0.25: sigma > 1/32 drops far nodes next to r0; 0.5: the per-node collar;
-# 2: the first collar, sigma = 4, reaches r = 0, where R is nan
-@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
-@pytest.mark.parametrize("eps", [1e-3, 1e-1, 0.25, 0.5, 2.0])
+# 1: the widest collars, sigma = 1 and 1/2; 2: the first collar, sigma = 4,
+# would read down to r = -2, so mollify refuses it before any attempt
+@pytest.mark.parametrize("eps", [1e-3, 1e-1, 0.25, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("kind", sorted(_CORNERS))
 def test_certificate_matches_composite_grid(monkeypatch, base, eps, kind):
     cm = _CORNERS[kind](base)
@@ -408,6 +408,11 @@ def test_certificate_matches_composite_grid(monkeypatch, base, eps, kind):
         return rep
 
     monkeypatch.setattr(corner, "_certificate", recorded)
+    if eps == 2.0:
+        with pytest.raises(ValueError, match="outside the corner's domain"):
+            corner.mollify(cm, eps)
+        assert not attempts
+        return
     corner.mollify(cm, eps)
     assert attempts
     for want, got in attempts:
@@ -439,6 +444,16 @@ def test_support_check_reads_the_far_node_next_to_the_collar(base, side):
 def test_mollify_refuses_epsilon_not_finite_positive(valid_corner, eps):
     with pytest.raises(ValueError, match="finite and > 0"):
         corner.mollify(valid_corner, eps)
+
+
+def test_mollify_refuses_a_first_collar_that_reads_below_the_corner(
+        valid_corner):
+    # r0 = 4, r_lo = 0.5: the deepest convolution node of the sigma = eps^2
+    # collar, r0 - 3 sigma/2, is 0.125 inside at eps = 1.5 and 0.011 outside
+    # at eps = 1.53
+    corner.mollify(valid_corner, 1.5)
+    with pytest.raises(ValueError, match=r"r0 - 3 sigma/2 = 0\.48865 "):
+        corner.mollify(valid_corner, 1.53)
 
 
 def test_gauss_legendre_matches_leggauss():

@@ -21,9 +21,7 @@ def mass_parts_residual(metric, r, mass, direction=None):
         raise ValueError(f"r={r} is not a grid node")
     dens = metric.volume_density()
     int_R = np.trapezoid((scalar_curvature(metric) * dens)[i0:], grid.r[i0:])
-    cm = oracle.CartesianMetric(metric)
-    corr = np.array([oracle.mass_correction_density(metric, ri, direction, cm=cm)
-                     for ri in grid.r[i0:]])
+    corr = oracle.mass_correction_density(metric, grid.r[i0:], direction)
     int_corr = np.trapezoid(corr * dens[i0:], grid.r[i0:])
     return float(int_R + adm_mass_flux(metric, r) + int_corr - mass)
 
