@@ -12,6 +12,7 @@ import numpy as np
 from .grid import RadialGrid, smoothstep
 from .metrics import build_flat, build_distorted_flat, radial_kink_map, volume_element
 from .curvature import scalar_curvature
+from .mollifier import negative_parts
 from . import corner as corner_mod
 from . import flow as flow_mod
 from . import mass as mass_mod
@@ -156,27 +157,11 @@ def _weighted_R(metric):
     return scalar_curvature(metric), w
 
 
-def negative_part(metric, deltas=(1e-4, 1e-6, 1e-8)):
-    """integral of |R| over {R < 0}, via the smooth penalisation
-    (sqrt(R^2 + delta) - R)/2 shifted to vanish at R = 0, extrapolated to
-    delta -> 0 (first order in sqrt(delta))."""
+def negative_part(metric):
+    """integral of |R| over {R < 0}: the trapezoid of the corner
+    certificate's integrand."""
     R, w = _weighted_R(metric)
-    vals = []
-    for d in deltas:
-        pen = 0.5 * (np.sqrt(R ** 2 + d) - R) - 0.5 * np.sqrt(d)
-        vals.append(metric.grid.trapz(w * np.maximum(pen, 0.0)))
-    s1, s2 = np.sqrt(deltas[-2]), np.sqrt(deltas[-1])
-    if s1 == s2:
-        return float(max(vals[-1], 0.0))
-    # linear model v(sqrt(delta)); eliminate the slope with the last two rungs
-    v0 = (s1 * vals[-1] - s2 * vals[-2]) / (s1 - s2)
-    return float(max(v0, 0.0))
-
-
-def negative_part_masked(metric):
-    """Direct route: masked quadrature of |R| where R < 0."""
-    R, w = _weighted_R(metric)
-    return float(metric.grid.trapz(w * np.where(R < 0.0, -R, 0.0)))
+    return float(metric.grid.trapz(negative_parts(R, w)[:, 0]))
 
 
 def rneg_monitor(trajectory, K, tol=1e-6):
@@ -300,9 +285,9 @@ def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0),
     return report, traj
 
 
-def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
-                           rel_tol=1e-2, r_floor_tol=1e-4, grid=None,
-                           K_target=10.0):
+def mass_liminf_experiment(cm, eps_ladder, config, grid,
+                           radii=(60.0, 80.0, 100.0), rel_tol=1e-2,
+                           r_floor_tol=1e-4, K_target=10.0):
     """Smooth the corner at each epsilon, evolve, and compare masses.
 
     Checks: smoothing is mass-neutral across the ladder before the flow, all
@@ -312,9 +297,6 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
     |r - r0| < sigma: where it is 0 the grid samples the unsmoothed corner."""
     if not eps_ladder:
         raise ValueError("the epsilon ladder is empty")
-    if grid is None:
-        # excised uniform grid: the corner base is singular at the center
-        grid = RadialGrid.uniform(0.5, cm.inner.grid.r_max, 2048)
     base = cm.combined()
     targets = grid.snap(radii)
     base_mass = mass_mod.adm_mass(base, base.grid.snap(radii)).mass
@@ -359,18 +341,17 @@ def mass_liminf_experiment(cm, eps_ladder, config, radii=(60.0, 80.0, 100.0),
 
 
 def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,
-                         smooth_width=None, mass_tol=1e-3, r_tol=1e-4,
-                         roundtrip_tol=1e-2, map_tol=1e-1, n=3):
+                         mass_tol=1e-3, r_tol=1e-4, roundtrip_tol=1e-2,
+                         map_tol=1e-1, n=3):
     """Flat metric in kinked coordinates: mass 0, flow flattens, and the
     extracted diffeomorphism recovers both the data and the coordinate map.
 
-    The kink is resolved at grid scale (smooth_width, default 6 cells):
-    sub-cell corner structure is unrepresentable and pointwise sampling of
-    the bare Lipschitz map injects a phase-dependent curvature moment."""
+    The kink is resolved over 6 grid cells: sub-cell corner structure is
+    unrepresentable and pointwise sampling of the bare Lipschitz map
+    injects a phase-dependent curvature moment."""
     if grid is None:
         grid = RadialGrid.staggered(60.0, 2048)
-    if smooth_width is None:
-        smooth_width = 6.0 * grid.dr_min
+    smooth_width = 6.0 * grid.dr_min
     g0 = build_distorted_flat(n, grid, kink_radius=kink_radius, amp=amp,
                               smooth_width=smooth_width)
     h = build_flat(n, grid)

@@ -244,7 +244,7 @@ def cmd_heat_demo(args):
 
 
 def cmd_verify(args):
-    # the oracle brings in scipy, which no other subcommand loads
+    # only verify needs the oracle
     from . import oracle
 
     grid = parse_grid(args.grid)

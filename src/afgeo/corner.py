@@ -7,7 +7,6 @@ there; mollification turns a valid corner into a smooth metric whose negative
 scalar-curvature mass can be certified small.
 """
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -87,30 +86,6 @@ class CornerMetric:
         B = np.concatenate([self.inner.B, self.outer.B[1:]])
         return RadialMetric(RadialGrid(r), self.n, A, B, self.delta)
 
-    # -- file format: two metric blocks split by a `# corner r0=` line ------
-
-    def dump(self, fh):
-        self.inner.dump(fh)
-        fh.write(f"# corner r0={self.r0:.17g}\n")
-        self.outer.dump(fh)
-
-    def dumps(self):
-        buf = io.StringIO()
-        self.dump(buf)
-        return buf.getvalue()
-
-    @classmethod
-    def load(cls, fh):
-        text = fh.read()
-        head, sep, tail = text.partition("# corner r0=")
-        if not sep:
-            raise ValueError("missing corner separator line")
-        line, _, rest = tail.partition("\n")
-        r0 = float(line)
-        inner = RadialMetric.load(io.StringIO(head))
-        outer = RadialMetric.load(io.StringIO(rest))
-        return cls(inner, outer, r0, inner.n, inner.delta)
-
     @cached_property
     def fits(self):
         """One-sided fits, the deviation polynomial and their Taylor forms at
@@ -157,26 +132,12 @@ def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
     return RadialGrid(np.concatenate([fine, outer]))
 
 
-def split_metric(metric, r0):
-    """View a single radial metric as a (trivial) corner at the node r0."""
-    i0 = metric.grid.node_at(r0)
-    if i0 is None:
-        raise ValueError(f"r0={r0} is not a grid node")
-    gi = RadialGrid(metric.grid.r[:i0 + 1])
-    go = RadialGrid(metric.grid.r[i0:])
-    inner = RadialMetric(gi, metric.n, metric.A[:i0 + 1], metric.B[:i0 + 1],
-                         metric.delta)
-    outer = RadialMetric(go, metric.n, metric.A[i0:], metric.B[i0:], metric.delta)
-    return CornerMetric(inner, outer, float(metric.grid.r[i0]), metric.n,
-                        metric.delta)
-
-
-def corner_condition(cm, tol=1e-8):
+def corner_condition(cm):
     """One-sided mean curvatures at the interface and the comparison
-    H(-) >= H(+) (outward normal on both sides)."""
+    H(-) >= H(+) (outward normal on both sides), to within 1e-8."""
     H_minus = mean_curvature_sphere(cm.inner, cm.r0, side="-")
     H_plus = mean_curvature_sphere(cm.outer, cm.r0, side="+")
-    return H_minus, H_plus, bool(H_minus >= H_plus - tol)
+    return H_minus, H_plus, bool(H_minus >= H_plus - 1e-8)
 
 
 def corner_example(base, r0, strength):

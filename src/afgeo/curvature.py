@@ -76,21 +76,20 @@ def sectional_bound(metric):
     return float(np.max(_on_grid(metric, k_max)))
 
 
-def one_sided_deriv(grid, f, i0, side, order=1, width=5):
-    """Derivative of sampled f at node i0 using nodes on one side only."""
+def one_sided_deriv(grid, f, i0, side):
+    """First derivative of sampled f at node i0 from up to 5 nodes on one
+    side only."""
     if side == "-":
-        lo = max(0, i0 - width + 1)
-        sel = slice(lo, i0 + 1)
+        sel = slice(max(0, i0 - 4), i0 + 1)
     elif side == "+":
-        hi = min(grid.num, i0 + width)
-        sel = slice(i0, hi)
+        sel = slice(i0, i0 + 5)
     else:
         raise ValueError("side must be '-' or '+'")
     nodes = grid.r[sel]
-    if len(nodes) < order + 2:
+    if len(nodes) < 3:
         raise ValueError("not enough nodes on that side")
-    c = fornberg_weights(grid.r[i0], nodes, order)
-    return float(c[order] @ np.asarray(f, dtype=float)[sel])
+    c = fornberg_weights(grid.r[i0], nodes, 1)
+    return float(c[1] @ np.asarray(f, dtype=float)[sel])
 
 
 def mean_curvature_sphere(metric, r0, side=None):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import RadialGrid, Spline, interp_spline
 from .metrics import RadialMetric
-from .curvature import jet, ricci, scalar_curvature, ricci_norm_sq
+from .curvature import jet, ricci, scalar_curvature
 from .norms import fairness_ratios, is_delta_fair, eta_sup_norms
 
 
@@ -26,10 +26,14 @@ class FlowAbort(RuntimeError):
 class Background:
     """The fixed background h of the gauged flow, with all the right-hand side
     reads of h alone: its 2-jet from the parity stencils and the h-only terms
-    of `_deturck`.  `evolve` builds one for every stage."""
+    of `_deturck`, and the boundary nodes the flow holds fixed: the last two,
+    and the first two of an excised grid (r[0] >= dr_min), which has no
+    center symmetry.  `evolve` builds one for every stage."""
 
     def __init__(self, h):
         self.h, self.n, self.r = h, h.n, h.grid.r
+        self.frozen = ([0, 1, -2, -1] if h.grid.r[0] >= h.grid.dr_min
+                       else [-2, -1])
         self.jet = Ah, dAh, ddAh, Bh, dBh, ddBh = jet(h.grid, h.A, h.B)
         self.lA, lB, self.ddA = dAh / Ah, dBh / Bh, ddAh / Ah
         self.two_r, self.two_r2 = 2.0 / self.r, 2.0 / self.r ** 2
@@ -79,20 +83,17 @@ def deturck_vector(g, bg):
     return _deturck(jet(g.grid, g.A, g.B), bg)[0]
 
 
-def eta_rhs(bg, eta_A, eta_B, freeze_outer=2, freeze_inner=0):
-    """Time derivative of (eta_A, eta_B) under the background-gauged flow.
+def eta_rhs(bg, eta_A, eta_B):
+    """Time derivative of (eta_A, eta_B) under the background-gauged flow, at
+    every node.
 
     The jets of g = h + eta are those of h plus those of eta, each from the
-    parity stencils; the frozen end nodes hold their values.
+    parity stencils.
     """
     gj = tuple(a + b for a, b in zip(bg.jet, jet(bg.h.grid, eta_A, eta_B)))
     if np.any(gj[0] <= 0) or np.any(gj[3] <= 0):
         raise FlowAbort("metric positivity lost")
-    out_A, out_B = _rhs_pointwise(gj, bg)
-    for out in (out_A, out_B):
-        out[:freeze_inner] = 0.0
-        out[len(out) - freeze_outer:] = 0.0
-    return out_A, out_B
+    return _rhs_pointwise(gj, bg)
 
 
 # -- time stepping ----------------------------------------------------------
@@ -152,11 +153,13 @@ def stable_dt(grid, A, B, n, cfl):
 HEUN_STAGES = 2  # eta_rhs evaluations per h_flow_step
 
 
-def h_flow_step(bg, eta_A, eta_B, dt, freeze_inner=0):
-    """One Heun (RK2) step of the eta evolution against the background bg."""
-    kA1, kB1 = eta_rhs(bg, eta_A, eta_B, freeze_inner=freeze_inner)
-    kA2, kB2 = eta_rhs(bg, eta_A + dt * kA1, eta_B + dt * kB1,
-                       freeze_inner=freeze_inner)
+def h_flow_step(bg, eta_A, eta_B, dt):
+    """One Heun (RK2) step of the eta evolution against the background bg;
+    the nodes of bg.frozen hold their values."""
+    kA1, kB1 = eta_rhs(bg, eta_A, eta_B)
+    kA1[bg.frozen] = kB1[bg.frozen] = 0.0
+    kA2, kB2 = eta_rhs(bg, eta_A + dt * kA1, eta_B + dt * kB1)
+    kA2[bg.frozen] = kB2[bg.frozen] = 0.0
     return eta_A + 0.5 * dt * (kA1 + kA2), eta_B + 0.5 * dt * (kB1 + kB2)
 
 
@@ -190,9 +193,6 @@ def evolve(metric, h, config):
     if not ok:
         raise FlowAbort(f"background not {config.fairness}-fair: ratios {rng}")
 
-    # excised inner boundary: no center symmetry, hold the edge fixed
-    inner = 0 if grid.r[0] < grid.dr_min else 2
-
     bg = Background(h)
     eta_A = metric.A - h.A
     eta_B = metric.B - h.B
@@ -203,7 +203,7 @@ def evolve(metric, h, config):
     while t < config.T_final - 1e-15:
         dt = min(stable_dt(grid, h.A + eta_A, h.B + eta_B, h.n, config.cfl),
                  config.T_final - t)
-        eta_A, eta_B = h_flow_step(bg, eta_A, eta_B, dt, freeze_inner=inner)
+        eta_A, eta_B = h_flow_step(bg, eta_A, eta_B, dt)
         if np.any(~np.isfinite(eta_A)) or np.any(~np.isfinite(eta_B)):
             raise FlowAbort(f"NaN detected at t={t:.6g}")
         t += dt
@@ -220,28 +220,7 @@ def evolve(metric, h, config):
                           rhs_evals=HEUN_STAGES * step)
 
 
-# -- comparisons and diagnostics -------------------------------------------
-
-def scalar_evolution_residual(trajectory, include_advection=True):
-    """Pointwise residual of dR/dt = Lap R + 2|Ric|^2 + W dR/dr across
-    consecutive snapshot triples.  Returns array (len-2, num_nodes)."""
-    snaps = trajectory.snapshots
-    if len(snaps) < 3:
-        raise ValueError("need at least 3 snapshots")
-    grid = snaps[0].metric.grid
-    R_all = [scalar_curvature(s.metric) for s in snaps]
-    out = []
-    for i in range(1, len(snaps) - 1):
-        s = snaps[i]
-        dRdt = (R_all[i + 1] - R_all[i - 1]) / (snaps[i + 1].t - snaps[i - 1].t)
-        R = R_all[i]
-        dR = grid.deriv(R, 1, parity=True)
-        resid = dRdt - s.metric.laplacian(R) - 2.0 * ricci_norm_sq(s.metric)
-        if include_advection:
-            resid = resid - s.W * dR
-        out.append(resid)
-    return np.array(out)
-
+# -- the gauge diffeomorphism ----------------------------------------------
 
 @dataclass
 class DiffeoMap:
@@ -260,9 +239,9 @@ class DiffeoMap:
         return self.maps[i]
 
 
-def extract_diffeomorphism(trajectory, substeps=8):
-    """Integrate d phi / dt = W(phi, t) backward from T with RK4; W cubic in
-    r, linear in t between snapshots."""
+def extract_diffeomorphism(trajectory):
+    """Integrate d phi / dt = W(phi, t) backward from T with RK4, 8 steps
+    between snapshots; W cubic in r, linear in t between snapshots."""
     snaps = trajectory.snapshots
     grid = snaps[0].metric.grid
     times = trajectory.times()
@@ -282,9 +261,9 @@ def extract_diffeomorphism(trajectory, substeps=8):
             w = pair(x)
             return (1 - lam) * w[:, 0] + lam * w[:, 1]
 
-        dt = (t_lo - t_hi) / substeps  # negative
+        dt = (t_lo - t_hi) / 8  # negative
         t = t_hi
-        for _ in range(substeps):
+        for _ in range(8):
             k1 = Wfun(phi, t)
             k2 = Wfun(phi + 0.5 * dt * k1, t + 0.5 * dt)
             k3 = Wfun(phi + 0.5 * dt * k2, t + 0.5 * dt)

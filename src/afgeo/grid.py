@@ -160,10 +160,10 @@ class RadialGrid:
         """The node radius nearest to each target radius."""
         return [float(self.r[np.argmin(np.abs(self.r - t))]) for t in targets]
 
-    def node_at(self, r0, tol=1e-9):
-        """Index of the node equal to r0, or None."""
+    def node_at(self, r0):
+        """Index of the node equal to r0 to 1e-9 relative, or None."""
         i = int(np.argmin(np.abs(self.r - r0)))
-        if abs(self.r[i] - r0) <= tol * max(1.0, abs(r0)):
+        if abs(self.r[i] - r0) <= 1e-9 * max(1.0, abs(r0)):
             return i
         return None
 

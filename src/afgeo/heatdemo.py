@@ -32,13 +32,6 @@ def initial_profile(x_max=200.0, dx=0.05):
     return HeatProfile(x, np.sin(x) / (1.0 + x ** 2), 0.0)
 
 
-def gaussian_profile(sigma=2.0, x_max=200.0, dx=0.05):
-    num = int(round(2 * x_max / dx))
-    x = np.linspace(-x_max, x_max, num + 1)
-    f = np.exp(-x ** 2 / (2.0 * sigma ** 2))
-    return HeatProfile(x, f, 0.0)
-
-
 def _rhs(f, dx):
     # flux form: d/dt f_i = (F_{i+1/2} - F_{i-1/2}) / dx, F = df/dx centered;
     # far-field Dirichlet f = 0 outside the domain
@@ -49,13 +42,13 @@ def _rhs(f, dx):
     return out
 
 
-def heat_evolve(profile, T, dt=None):
-    """Heun time stepping of df/dt = d^2f/dx^2 up to time t + T."""
+def heat_evolve(profile, T):
+    """Heun time stepping of df/dt = d^2f/dx^2 up to time t + T, in steps of
+    0.4 dx^2."""
     if T < 0:
         raise ValueError("T must be nonnegative")
     dx = profile.dx
-    if dt is None:
-        dt = 0.4 * dx ** 2
+    dt = 0.4 * dx ** 2
     f = profile.f.copy()
     f[0] = 0.0
     f[-1] = 0.0

@@ -1,11 +1,10 @@
 """Radial asymptotically flat metrics g = A dr^2 + B r^2 dOmega^2."""
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, rho_weight, sphere_area
+from .grid import RadialGrid, smoothstep, sphere_area
 
 
 def volume_element(n, r, A, B):
@@ -46,51 +45,6 @@ class RadialMetric:
         dens = self.volume_density()
         df = self.grid.deriv(f, 1, parity=True)
         return self.grid.deriv(dens / self.A * df, 1, parity=False) / dens
-
-    def measured_kappa(self):
-        """sup rho^delta (|A-1| + |B-1|) over the outer half of the grid."""
-        half = self.grid.num // 2
-        rho = rho_weight(self.grid.r[half:])
-        dev = np.abs(self.A[half:] - 1.0) + np.abs(self.B[half:] - 1.0)
-        return float(np.max(rho ** self.delta * dev))
-
-    def check_smooth_center(self, tol=1e-3):
-        """A(0)=B(0) and vanishing one-sided slopes when the grid reaches r=0."""
-        if not self.grid.includes_origin():
-            return True
-        ok = abs(self.A[0] - self.B[0]) < tol
-        # one-sided slopes: a parity stencil would hide an odd kink
-        dA = self.grid.deriv(self.A, 1, parity=False)
-        dB = self.grid.deriv(self.B, 1, parity=False)
-        return ok and abs(dA[0]) < tol and abs(dB[0]) < tol
-
-    def copy(self):
-        return RadialMetric(self.grid, self.n, self.A.copy(), self.B.copy(), self.delta)
-
-    # -- file format: CSV `r,A,B` with `# n=<dim> delta=<d>` header --------
-
-    def dump(self, fh):
-        fh.write(f"# n={self.n} delta={self.delta:.17g}\n")
-        fh.write("r,A,B\n")
-        for r, a, b in zip(self.grid.r, self.A, self.B):
-            fh.write(f"{r:.17g},{a:.17g},{b:.17g}\n")
-
-    def dumps(self):
-        buf = io.StringIO()
-        self.dump(buf)
-        return buf.getvalue()
-
-    @classmethod
-    def load(cls, fh):
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing metric header line")
-        kv = dict(tok.split("=") for tok in header[1:].split())
-        n = int(kv["n"])
-        delta = float(kv["delta"])
-        data = np.loadtxt(fh, delimiter=",", skiprows=1)
-        grid = RadialGrid(data[:, 0])
-        return cls(grid, n, data[:, 1], data[:, 2], delta)
 
 
 def build_flat(n, grid):
@@ -133,16 +87,12 @@ def build_angular_bump(c, n, grid, width=1.0):
 
 
 def _smooth_pos(u, w):
-    """C^3 regularisation of max(0, u), active only on |u| <= w."""
+    """C^3 regularisation of max(0, u), active only on |u| <= w; its
+    derivative in u is smoothstep((u/w + 1)/2)."""
     x = np.clip((u / w + 1.0) / 2.0, 0.0, 1.0)
     # antiderivative of the quintic smoothstep
     T = x ** 4 * (2.5 - 3.0 * x + x ** 2)
     return np.where(u >= w, u, 2.0 * w * T)
-
-
-def _smooth_pos_deriv(u, w):
-    x = np.clip((u / w + 1.0) / 2.0, 0.0, 1.0)
-    return x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2)
 
 
 def _kink_profile(r, k, amp, smooth_width):
@@ -153,7 +103,8 @@ def _kink_profile(r, k, amp, smooth_width):
     if smooth_width > 0.0:
         # the kink sits where u crosses 0 with slope |u'(k)| = 2/k
         w = smooth_width * 2.0 / k
-        return amp * _smooth_pos(u, w), amp * _smooth_pos_deriv(u, w) * du
+        return (amp * _smooth_pos(u, w),
+                amp * smoothstep((u / w + 1.0) / 2.0) * du)
     return amp * np.maximum(0.0, u), amp * np.where(u > 0.0, du, 0.0)
 
 

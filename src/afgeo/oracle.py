@@ -12,9 +12,8 @@ closed-form reductions, never in inner loops.
 from functools import cache
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
-from .grid import sphere_area
+from .grid import interp_spline, sphere_area
 from .metrics import RadialMetric
 
 
@@ -57,7 +56,7 @@ class CartesianMetric:
     def __init__(self, metric):
         self.n = metric.n
         # quintic spline of (A, B): second derivatives stay O(dr^4) accurate
-        self._AB = make_interp_spline(
+        self._AB = interp_spline(
             metric.grid.r, np.stack([metric.A, metric.B], -1), k=5)
 
     def g(self, x):
@@ -142,7 +141,7 @@ def _flux_integrand(cm, x):
     return np.einsum("...i,...i->...", vec, x) / np.linalg.norm(x, axis=-1)
 
 
-def flux_quadrature(metric, r, npoints=12000, seed=3):
+def flux_quadrature(metric, r, npoints=12000):
     """Brute-force surface quadrature of the mass flux integrand over |x| = r
     (a radius or an array of radii).
 
@@ -162,7 +161,7 @@ def flux_quadrature(metric, r, npoints=12000, seed=3):
                                             u[:, None]), axis=-1).reshape(-1, 3)
         w = np.repeat(wu, nph) * (2.0 * np.pi / nph)
     else:
-        dirs = np.array([unit_direction(n, seed + k) for k in range(6)])
+        dirs = np.array([unit_direction(n, 3 + k) for k in range(6)])
         w = np.full(6, sphere_area(n) / 6)
     vals = _flux_integrand(CartesianMetric(metric), np.multiply.outer(r, dirs))
     return vals @ w * np.power(r, n - 1)

@@ -70,19 +70,30 @@ def invalid_smoothed():
     return mc.sample(cm.combined().grid)
 
 
+def _masked_negative_part(metric):
+    """integral of |R| over {R < 0} by the trapezoid rule, the weight of the
+    5 nodes at each end zeroed."""
+    R = curvature.scalar_curvature(metric)
+    w = metric.volume_density()
+    w[:5] = w[-5:] = 0.0
+    return metric.grid.trapz(w * np.where(R < 0.0, -R, 0.0))
+
+
 def test_negative_part_matches_masked_quadrature(invalid_smoothed):
     v = analysis.negative_part(invalid_smoothed)
-    ref = analysis.negative_part_masked(invalid_smoothed)
+    ref = _masked_negative_part(invalid_smoothed)
     assert v > 1.0
-    assert abs(v - ref) / ref < 1e-4
+    assert abs(v - ref) <= 1e-12 * ref
 
 
-def test_negative_part_delta_rungs_agree(invalid_smoothed):
-    # extrapolations anchored at the (1e-6, 1e-8) rungs agree with the
-    # coarser-rung extrapolation to the stated tolerance
-    v6 = analysis.negative_part(invalid_smoothed, deltas=(1e-2, 1e-4, 1e-6))
-    v8 = analysis.negative_part(invalid_smoothed, deltas=(1e-4, 1e-6, 1e-8))
-    assert abs(v6 - v8) < 1e-6 * (1.0 + v8)
+def test_negative_part_counts_small_curvature_in_full():
+    # |R| ~ 1e-5 here, far below the 1e-4 scale at which a smoothed penalty
+    # (sqrt(R^2 + delta) - R) / 2 stops telling R_- from |R| / 2
+    g = metrics.build_conformal(-1e-6, 3, RadialGrid.staggered(40.0, 512))
+    v = analysis.negative_part(g)
+    ref = _masked_negative_part(g)
+    assert ref > 0
+    assert abs(v - ref) <= 1e-12 * ref
 
 
 @pytest.fixture(scope="module")

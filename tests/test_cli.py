@@ -293,6 +293,18 @@ for argv in {runs!r}:
         assert name == "import" or rest[0] in ("0", "1"), line
 
 
+def test_verify_loads_no_scipy(tmp_path):
+    # the oracle's quintic spline is grid.interp_spline; the lat-long rule
+    # of flux_quadrature still loads numpy.polynomial, so only scipy is read
+    script = f"""
+import sys
+import afgeo.cli as cli
+rc = cli.run(['verify', '--out', {str(tmp_path)!r}])
+print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    assert _fresh_interpreter(script) == ["0 []"]
+
+
 class _PastFirstCheck(Exception):
     pass
 

@@ -49,6 +49,15 @@ def _imported_modules(tree):
 
 
 def test_oracle_imports_none_of_the_code_it_checks():
+    # grid is not checked: verify checks curvature, flow and mass, none of
+    # which reads the spline, and test_interp_spline_matches_scipy pins the
+    # spline to scipy's
     imported = _imported_modules(ast.parse(Path(oracle.__file__).read_text()))
     assert "afgeo.grid" in imported  # the resolution sees relative imports
     assert not imported & {f"afgeo.{m}" for m in CHECKED}
+
+
+def test_no_module_imports_scipy():
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        imported = _imported_modules(ast.parse(path.read_text()))
+        assert not {m for m in imported if m.split(".")[0] == "scipy"}, path
