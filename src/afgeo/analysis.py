@@ -269,18 +269,18 @@ def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0),
     traj = flow_mod.evolve(metric, h, config)
     targets = metric.grid.snap(radii)
     rows = []
-    masses = []
     for s in traj.snapshots:
         rep = mass_mod.adm_mass(s.metric, targets)
-        masses.append(rep.mass)
-        rows.append({"t": s.t, "mass": rep.mass})
-    m0 = masses[0]
+        rows.append({"t": s.t, "mass": rep.mass, "mass_err": rep.mass_err})
+    m0 = rows[0]["mass"]
     scale = max(abs(m0), 1.0)
-    drift = max(abs(m - m0) for m in masses) / scale
+    drift = max(abs(row["mass"] - m0) for row in rows) / scale
     report = MonitorReport("mass_constancy", drift < rel_tol,
                            {"rel_tol": rel_tol},
                            {"mass_initial": m0,
-                            "mass_final": masses[-1],
+                            "mass_err_initial": rows[0]["mass_err"],
+                            "mass_final": rows[-1]["mass"],
+                            "mass_err_final": rows[-1]["mass_err"],
                             "drift_rel": drift}, rows)
     return report, traj
 
@@ -315,10 +315,10 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
         pre_masses.append(pre)
         traj = flow_mod.evolve(sm, sm, config)
         for s in traj.snapshots:
-            m = mass_mod.adm_mass(s.metric, targets).mass
-            all_masses.append(m)
-            rows.append({"eps": eps, "t": s.t, "mass": m,
-                         "collar_nodes": collar})
+            rep = mass_mod.adm_mass(s.metric, targets)
+            all_masses.append(rep.mass)
+            rows.append({"eps": eps, "t": s.t, "mass": rep.mass,
+                         "mass_err": rep.mass_err, "collar_nodes": collar})
     RT = scalar_curvature(traj.snapshots[-1].metric)
     sel = grid.r < 0.9 * grid.r_max
     final_R_min = float(np.min(RT[sel]))
@@ -356,7 +356,7 @@ def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,
                               smooth_width=smooth_width)
     h = build_flat(n, grid)
     targets = grid.snap(grid.r_max * np.array([0.5, 0.7, 0.9]))
-    m0 = mass_mod.adm_mass(g0, targets).mass
+    rep0 = mass_mod.adm_mass(g0, targets)
     traj = flow_mod.evolve(g0, h, config)
     gT = traj.snapshots[-1].metric
     R = scalar_curvature(gT)
@@ -372,13 +372,14 @@ def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,
     phi_err = float(np.max(np.abs(phi.at_time(0.0) - Phi)[s2]))
     rows = [{"t": s.t, "max_grad_eta": s.diagnostics["max_grad_eta"]}
             for s in traj.snapshots]
-    passed = (abs(m0) < mass_tol and supR < r_tol
+    passed = (abs(rep0.mass) < mass_tol and supR < r_tol
               and rt_err < roundtrip_tol and phi_err < map_tol)
     report = MonitorReport("zero_mass", passed,
                            {"mass_tol": mass_tol, "R_tol": r_tol,
                             "roundtrip_tol": roundtrip_tol,
                             "map_tol": map_tol},
-                           {"mass": m0, "sup_R_final": supR,
+                           {"mass": rep0.mass, "mass_err": rep0.mass_err,
+                            "sup_R_final": supR,
                             "roundtrip_c0": rt_err,
                             "map_recovery_c0": phi_err}, rows)
     return report, traj

@@ -41,8 +41,11 @@ def _shift(c, h):
     """Spline coefficients c (highest power first, in powers of x - a)
     re-expanded in powers of x - (a + h)."""
     k = len(c) - 1
-    return np.array([sum(comb(q, p) * h ** (q - p) * c[k - q]
-                         for q in range(p, k + 1)) for p in range(k, -1, -1)])
+    out = np.zeros(np.broadcast_shapes(c.shape, np.shape(h)))
+    for e in range(k + 1):  # out[k - p] += comb(p + e, p) h^e c[k - p - e]
+        w = np.array([comb(p + e, p) for p in range(k - e + 1)], ndmin=c.ndim)
+        out[:k - e + 1] += w.T * h ** e * c[k - e::-1]
+    return out[::-1]
 
 
 def _deviation(inner, outer, r0, r_hi):
@@ -146,8 +149,8 @@ def corner_example(base, r0, strength):
     so that B'(r0-) - B'(r0+) = strength while R >= 0 away from the corner.
 
     U solves -r^2 U'(r) = q0 * S(r/r0) (S the quintic smoothstep), with U and
-    U' matched at r0; q0 >= 0 keeps Delta U <= 0 and hence R >= 0, which caps
-    the admissible strength at -4 u(r0)^3 u'(r0) r0 ... see the q0 check below.
+    U' matched at r0; q0 >= 0, which holds exactly when strength <=
+    -4 u(r0)^3 u'(r0) (u = B^(1/4) of the base), keeps Delta U <= 0 and R >= 0.
     """
     grid = base.grid
     i0 = grid.node_at(r0)
@@ -271,11 +274,12 @@ class MollifiedCorner:
         a, b, d = (c * sig ** np.arange(6.0)[:, None] for c in f.taylor)
         at, powers, H = certificate_collar()
         lo = np.searchsorted(COLLAR_S, 0.0, "right")  # the rows s <= 0
-        jets = [np.concatenate([powers[:lo] @ (U @ a), powers[lo:] @ (U @ b)])
-                / sig ** k for k, U in enumerate(POWER_DERIV)]
+        scale = np.array([sig ** k for k in range(3)])[:, None, None]
+        jets = np.concatenate([powers[:lo] @ (POWER_DERIV @ a),
+                               powers[lo:] @ (POWER_DERIV @ b)], 1) / scale
         raw = jets[0].copy()
-        for k, Hk in enumerate(H):
-            jets[k][at] += Hk @ np.vstack([d, f.jump * sig ** (k - 1)]) / sig ** k
+        jets[:, at] += H @ [np.vstack([d, f.jump * sig ** (k - 1)])
+                            for k in range(3)] / scale
         return raw, {k: [jet[:, i] for jet in jets] for i, k in enumerate("AB")}
 
     def sample(self, grid):
@@ -307,7 +311,8 @@ def _certificate(mc, K_target, epsilon):
     y = np.concatenate([ti.y[ki - 1:ki],
                         negative_parts(Rc, volume_element(cm.n, rc, Ac, Bc)),
                         to.y[ko - 1:ko]])
-    neg_part, neg_measure = (np.trapezoid(y, x, axis=0) + ti.integral[ki]
+    seg = np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0  # np.trapezoid's terms
+    neg_part, neg_measure = (np.cumsum(seg, axis=0)[-1] + ti.integral[ki]
                              + to.integral[ko]).tolist()
     K_measured = float(np.min([ti.R_min[ki], np.min(Rc), to.R_min[ko]]))
 

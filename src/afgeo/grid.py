@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 MIN_NODES = 16
+BLOCK = 32  # rows per dense block of _solve_banded
 
 
 def sphere_area(n):
@@ -20,31 +21,31 @@ def fornberg_weights(z, x, m):
     Returns an array of shape (..., m+1, nd); row k holds the weights of the
     k-th derivative.
     """
-    x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    nd = x.shape[-1]
-    c = np.zeros(x.shape[:-1] + (m + 1, nd))
+    # node-major: each c[k, i] below is one contiguous row over the points
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0).copy()
+    nd = len(x)
+    c = np.zeros((m + 1, nd) + x.shape[1:])
     c1 = 1.0
-    c4 = x[..., 0] - z
-    c[..., 0, 0] = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
     for i in range(1, nd):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[..., i] - z
+        c4 = x[i] - z
         for j in range(i):
-            c3 = x[..., i] - x[..., j]
+            c3 = x[i] - x[j]
             c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[..., k, i] = (c1 * (k * c[..., k - 1, i - 1]
-                                          - c5 * c[..., k, i - 1]) / c2)
-                c[..., 0, i] = -c1 * c5 * c[..., 0, i - 1] / c2
+                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
             for k in range(mn, 0, -1):
-                c[..., k, j] = (c4 * c[..., k, j] - k * c[..., k - 1, j]) / c3
-            c[..., 0, j] = c4 * c[..., 0, j] / c3
+                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
         c1 = c2
-    return c
+    return np.moveaxis(c, (0, 1), (-2, -1))
 
 
 def smoothstep(x):
@@ -141,15 +142,16 @@ class RadialGrid:
         # window start of every row, clipped to one-sided near the ends
         lo = np.clip(np.arange(self.num) + offset - width // 2, 0, ng - width)
         win = lo[:, None] + np.arange(width)
-        w = fornberg_weights(self.r, rg[win], order)[:, order]
-        return gmap[win], w
+        return gmap[win], fornberg_weights(self.r, rg[win], order)
 
     def deriv(self, f, order=1, parity=False):
         """Radial derivative of sampled values f. parity=True treats f as even in r."""
         f = np.asarray(f, dtype=float)
         key = (order, bool(parity))
-        if key not in self._stencils:
-            self._stencils[key] = self._build_stencils(order, parity)
+        if key not in self._stencils:  # one Fornberg pass: orders <= 2
+            idx, w = self._build_stencils(max(order, 2), parity)
+            for o in range(min(order, 1), w.shape[1]):
+                self._stencils[o, key[1]] = idx, w[:, o].copy()
         idx, w = self._stencils[key]
         return np.einsum("ij,ij->i", w, f[idx])
 
@@ -222,20 +224,20 @@ def _bspline_basis(t, k, x, ell):
     """The B-splines on knots t that are nonzero on [t[ell], t[ell+1]), at
     x, for every degree d <= k (Cox-de Boor recursion): entry d has shape
     (len(x), d+1), column q for B_(ell-d+q) of degree d."""
-    h = [np.ones((len(x), 1))]
+    h = [np.ones((1, len(x)))]
     for d in range(1, k + 1):
-        prev = h[-1]
-        cur = np.zeros((len(x), d + 1))
-        for q in range(1, d + 1):
-            xb, xa = t[ell + q], t[ell + q - d]
-            w = prev[:, q - 1] / (xb - xa)
-            cur[:, q - 1] += w * (xb - x)
-            cur[:, q] = w * (x - xa)
+        # rows q = 1..d: the knots t[ell+q-d] and t[ell+q]
+        knots = t[np.arange(1 - d, d + 1)[:, None] + ell]
+        xa, xb = knots[:d], knots[d:]
+        w = h[-1] / (xb - xa)
+        cur = np.zeros((d + 1, len(x)))
+        cur[1:] = w * (x - xa)
+        cur[:-1] += w * (xb - x)
         h.append(cur)
-    return h
+    return [v.T for v in h]
 
 
-def _solve_banded(band, first, y, block=32):
+def _solve_banded(band, first, y):
     """Solve M a = y, row i of M holding band[i] from column first[i].
 
     Block Thomas elimination over dense diagonal blocks, with no pivoting
@@ -245,26 +247,23 @@ def _solve_banded(band, first, y, block=32):
     """
     n, w = band.shape
     k = w - 1
-    P = -(-n // block)
-    N = P * block
-    # identity rows pad the system to whole blocks
-    first = np.concatenate([first, np.arange(n, N)])
-    band = np.concatenate([band, np.eye(1, w).repeat(N - n, axis=0)])
-    # the rows of block b hold columns (b-1) block .. (b+2) block
-    b, i = np.divmod(np.arange(N), block)
-    M = np.zeros((P, block, 3 * block))
-    M[b[:, None], i[:, None],
-      first[:, None] + np.arange(w) - (b[:, None] - 1) * block] = band
-    rhs = np.zeros((N, y.shape[1]))
-    rhs[:n] = y
-    rhs = rhs.reshape(P, block, -1)
-    low, diag = M[:, :, :block], M[:, :, block:2 * block]
-    aug = np.concatenate([M[:, :, 2 * block:2 * block + k], rhs], axis=2)
+    P = -(-n // BLOCK)
+    # block b's rows hold columns b BLOCK - k .. (b+1) BLOCK + k: k columns
+    # coupling back, the diagonal block, k coupling forward, then y; rows
+    # past n are identity rows that pad the system to whole blocks
+    M = np.zeros((P * BLOCK, BLOCK + 2 * k + y.shape[1]))
+    i = np.arange(n)[:, None]
+    M[i, first[:, None] + np.arange(w) - i // BLOCK * BLOCK + k] = band
+    pad = np.arange(n, P * BLOCK)
+    M[pad, pad % BLOCK + k] = 1.0
+    M[:n, BLOCK + 2 * k:] = y
+    M = M.reshape(P, BLOCK, -1)
+    low, diag, aug = M[:, :, :k], M[:, :, k:BLOCK + k], M[:, :, BLOCK + k:]
     sol = []
     for b in range(P):
         if b:
             # only the first k rows couple back, to the last k columns
-            T = low[b, :k, -k:] @ sol[-1][-k:]
+            T = low[b, :k] @ sol[-1][-k:]
             diag[b, :k, :k] -= T[:, :k]
             aug[b, :k, k:] -= T[:, k:]
         sol.append(np.linalg.solve(diag[b], aug[b]))
@@ -302,9 +301,10 @@ def interp_spline(x, y, k=3):
     c = np.empty((k + 1, len(left), a.shape[1]))
     for p in range(k + 1):
         d = k - p
-        idx = left[:, None] - d + np.arange(d + 1)
-        c[d] = np.einsum("iq,iqf->if", basis[d], a[idx]) / math.factorial(p)
+        # the d+1 B-splines of degree d, in order: a[left - d + q]
+        c[d] = sum(basis[d][:, q, None] * a[k - d + q:n - d + q]
+                   for q in range(d + 1)) / math.factorial(p)
         if p < k:
-            j = np.arange(p + 1, n)
-            a[p + 1:] = d * (a[p + 1:] - a[p:-1]) / (t[j + d] - t[j])[:, None]
+            a[p + 1:] = (d * (a[p + 1:] - a[p:-1])
+                         / (t[p + 1 + d:n + d] - t[p + 1:n])[:, None])
     return Spline(c.reshape(c.shape[:2] + y.shape[1:]), t[k:n + 1])

@@ -40,26 +40,32 @@ def gauss_legendre():
     return z, 2 / ((1 - z * z) * dp * dp)
 
 
+def _psi(x):
+    """The unnormalized bump exp(-1 / (1 - 4 x^2)) of half-width 1/2."""
+    return np.exp(-1.0 / (1.0 - np.clip(2.0 * x, -1 + 1e-14, 1 - 1e-14) ** 2))
+
+
 def conv_nodes(s):
     """Split Gauss-Legendre rule of the normalized bump of half-width 1/2 at
     kink offsets s: the nodes t on [s, 1/2], their normalized weights and the
     bump density at s, for the exact jump term.  Nodes on [-1/2, s] would sit
-    at r - sigma t >= r0, where the deviation vanishes."""
-    c = np.clip(s, -0.5, 0.5)
+    at r - sigma t >= r0, where the deviation vanishes.  Built node by node,
+    once per distinct clip(s, -1/2, 1/2): every s <= -1/2 shares one rule."""
+    c, col = np.unique(np.clip(s, -0.5, 0.5), return_inverse=True)
     z, gw = gauss_legendre()
-    mid = np.stack([(c - 0.5) / 2, (c + 0.5) / 2])[:, None]  # [-1/2, c], [c, 1/2]
-    half = np.stack([(c + 0.5) / 2, (0.5 - c) / 2])[:, None]
-    t = (mid + half * z[:, None]).reshape(2 * len(z), len(s))
-    jac = (half * gw[:, None]).reshape(t.shape)
-
-    def psi(x):
-        u = np.clip(2.0 * x, -1 + 1e-14, 1 - 1e-14)
-        return np.exp(-1.0 / (1.0 - u ** 2))
-
-    wt = jac * psi(t)
-    Z = np.sum(wt, axis=0)
-    dens = psi(s) / Z  # exactly 0 for |s| >= 1/2
-    return t[len(z):], wt[len(z):] / Z, dens
+    mid = np.stack([(c - 0.5) / 2, (c + 0.5) / 2])  # [-1/2, c], [c, 1/2]
+    half = np.stack([(c + 0.5) / 2, (0.5 - c) / 2])
+    t, wt = np.empty((2, len(z), len(s)))
+    Z = 0.0  # the weights summed in node order, [-1/2, c] first
+    for zi, gi, ti, wi in zip(z, gw, t, wt):
+        tp = half * zi + mid
+        wp = half * gi * _psi(tp)
+        Z = Z + wp[0]
+        tp[1].take(col, out=ti, mode="clip")  # "clip": no buffered copy
+        wp[1].take(col, out=wi, mode="clip")
+    Z = sum(wt, Z[col])
+    wt /= Z
+    return t, wt, _psi(s) / Z  # dens exactly 0 for |s| >= 1/2
 
 
 def blend(s):
@@ -101,21 +107,27 @@ def certificate_collar():
     - s^m [s <= 0], m = 0..5, by Leibniz' rule, and the bump-density jump
     term.  G comes from running products; the blend derivatives multiply the
     roundoff of G_0 and G_1 by up to 1 / sigma, so these two are summed in
-    np.longdouble."""
+    np.longdouble.  H is one (3, N, 7) array."""
     at, t, wt, dens, chi = collar(COLLAR_S)
-    x = COLLAR_S[at].astype(np.longdouble)
-    term, u, sm, G = wt.astype(x.dtype), x - t, (x <= 0).astype(x.dtype), []
-    for m in range(6):
-        G.append(term.sum(axis=0) - sm)
-        if m == 1:
-            term, u, sm, x = (v.astype(float) for v in (term, u, sm, x))
-        term *= u
-        sm *= x
-    G, H = np.stack(G, axis=1).astype(float), []
-    for k in range(3):
-        conv = sum(comb(k, j) * chi[j] * G @ POWER_DERIV[k - j]
-                   for j in range(k + 1))
-        H.append(np.hstack([conv, (k == 2) * chi[0] * dens[:, None]]))
+    x = COLLAR_S[at]
+    # row by row in node order; np.full: a zero page read first faults twice
+    xl, G1, G = x.astype(np.longdouble), 0, np.full((6, len(x)), 0.0)
+    for ti, wi in zip(t, wt):
+        term = (xl - ti) * wi
+        G1 = G1 + term
+        u, term = x - ti, term.astype(float)  # x - t: as rounded
+        for Gm in G[2:]:
+            term *= u
+            Gm += term
+    sm = np.cumprod([x * (x <= 0)] + [x] * 4, axis=0)  # s^m [s <= 0], m >= 1
+    G[:2] = [wt.sum(axis=0, dtype=xl.dtype) - (x <= 0), G1 - sm[0]]
+    G[2:] -= sm[1:]
+    # chi_j G_m, shifted to power m - k + j (POWER_DERIV) and scaled
+    H = np.full((3, len(x), 7), 0.0)
+    for k, j in [(k, j) for k in range(3) for j in range(k + 1)]:
+        for q, w in enumerate(POWER_DERIV[k - j].diagonal(k - j), k - j):
+            H[k, :, q] += chi[j][:, 0] * G[q - k + j] * (comb(k, j) * w)
+    H[2, :, 6] = chi[0][:, 0] * dens
     return at, np.vander(COLLAR_S, 6, True), H
 
 

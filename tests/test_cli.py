@@ -169,8 +169,41 @@ def test_mass_liminf_defaults_pass(tmp_path):
     # the default grid has no node within sigma of r0 = 4 at any epsilon
     assert "collar_nodes_min=0" in text.splitlines()
     csv = (tmp_path / "mass_liminf.csv").read_text().splitlines()
-    assert csv[0] == "eps,t,mass,collar_nodes"
+    assert csv[0] == "eps,t,mass,mass_err,collar_nodes"
     assert {row.split(",")[-1] for row in csv[1:]} == {"0"}
+
+
+def test_mass_reports_carry_mass_err(tmp_path):
+    # every reported ADM mass has its leave-one-out error next to it: in
+    # the reports and in each CSV row that carries a mass
+    def report(name):
+        text = (tmp_path / f"{name}.txt").read_text().splitlines()
+        return dict(line.split("=", 1) for line in text if "=" in line)
+
+    def csv_column(name, col):
+        head, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+        i = head.split(",").index(col)
+        return [float(row.split(",")[i]) for row in rows]
+
+    assert cli.run(["mass-constancy", "--T", "1e-3", "--radii", "30,40,50",
+                    "--grid", "uniform:rmin=0.5,rmax=120,num=256",
+                    "--out", str(tmp_path)]) in (0, 1)
+    assert cli.run(["zero-mass", "--T", "1e-3",
+                    "--grid", "staggered:rmax=60,num=128",
+                    "--out", str(tmp_path)]) in (0, 1)
+    assert cli.run(["mass-liminf", "--eps", "1e-1", "--T", "1e-3",
+                    "--grid", "uniform:rmin=0.5,rmax=300,num=256",
+                    "--out", str(tmp_path)]) in (0, 1)
+    errs = [float(report("mass_constancy")[k])
+            for k in ("mass_err_initial", "mass_err_final")]
+    errs += [float(report("zero_mass")["mass_err"])]
+    errs += csv_column("mass_constancy", "mass_err")
+    errs += csv_column("mass_liminf", "mass_err")
+    assert len(errs) >= 5
+    assert all(np.isfinite(e) and e >= 0 for e in errs), errs
+    # the masses beside them keep their keys
+    assert "mass_final" in report("mass_constancy")
+    assert "mass" in report("zero_mass")
 
 
 def test_mass_liminf_counts_collar_nodes(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ def test_mollified_sampling_on_foreign_grid(valid_corner):
     assert np.all(sm.A > 0) and np.all(sm.B > 0)
 
 
+@pytest.mark.parametrize("shape", [(6, 2), (6, 7, 2)])
+def test_shift_matches_the_term_by_term_sum(shape):
+    # re-expansion by powers of h, summed over the terms of each power in
+    # ascending order: the same sums as the term-by-term formula
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=shape)
+    h = rng.normal(size=(7, 1)) if len(shape) == 3 else 0.37
+    want = np.array([sum(comb(q, p) * h ** (q - p) * c[5 - q]
+                         for q in range(p, 6)) for p in range(5, -1, -1)])
+    got = corner._shift(c, h)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_deviation_matches_spline_difference(valid_corner):
     # sigma = 0.2: the convolution nodes reach r0 - 0.3, across several pieces
     fits = valid_corner.fits
@@ -285,6 +299,77 @@ def test_collar_moments_g0_g1_summed_exactly():
             exact -= x ** m if s[j] <= 0 else 0
             got = H0[j, m] / chi[0][j, 0]
             assert abs(got - float(exact)) <= 1e-18 + 4e-16 * abs(got), (j, m)
+
+
+def direct_conv_nodes(s):
+    """The split rule built column by column, every s on its own: the
+    reference for `mollifier.conv_nodes`, which builds it once per distinct
+    clipped offset."""
+    c = np.clip(s, -0.5, 0.5)
+    z, gw = mollifier.gauss_legendre()
+    mid = np.stack([(c - 0.5) / 2, (c + 0.5) / 2])[:, None]
+    half = np.stack([(c + 0.5) / 2, (0.5 - c) / 2])[:, None]
+    t = (mid + half * z[:, None]).reshape(2 * len(z), len(s))
+    jac = (half * gw[:, None]).reshape(t.shape)
+
+    def psi(x):
+        u = np.clip(2.0 * x, -1 + 1e-14, 1 - 1e-14)
+        return np.exp(-1.0 / (1.0 - u ** 2))
+
+    wt = jac * psi(t)
+    Z = np.sum(wt, axis=0)
+    return t[len(z):], wt[len(z):] / Z, psi(s) / Z
+
+
+def direct_certificate_collar():
+    """The collar tables built directly: every column's split rule, the
+    moments with their running products (G_0 and G_1 in np.longdouble),
+    then chi_j G @ POWER_DERIV[k - j] summed over j by Leibniz' rule."""
+    s = mollifier.COLLAR_S
+    at = np.flatnonzero(mollifier.in_collar(s))
+    t, wt, dens = direct_conv_nodes(s[at])
+    chi = [c[:, None] for c in mollifier.blend(s[at])]
+    x = s[at].astype(np.longdouble)
+    term, u, sm, G = wt.astype(x.dtype), x - t, (x <= 0).astype(x.dtype), []
+    for m in range(6):
+        G.append(term.sum(axis=0) - sm)
+        if m == 1:
+            term, u, sm, x = (v.astype(float) for v in (term, u, sm, x))
+        term *= u
+        sm *= x
+    G, H = np.stack(G, axis=1).astype(float), []
+    for k in range(3):
+        conv = sum(comb(k, j) * chi[j] * G @ mollifier.POWER_DERIV[k - j]
+                   for j in range(k + 1))
+        H.append(np.hstack([conv, (k == 2) * chi[0] * dens[:, None]]))
+    return at, (t, wt, dens), np.vander(s, 6, True), H
+
+
+def test_collar_tables_equal_the_direct_build():
+    # the split rule once per distinct clipped offset, long double for the
+    # two sums alone and the H_k without per-k temporaries: the same
+    # arithmetic as the direct build, so the same bits
+    at, rule, powers, H = direct_certificate_collar()
+    fast_at, fast_powers, fast_H = mollifier.certificate_collar()
+    got_at, *got_rule, _ = mollifier.collar(mollifier.COLLAR_S)
+    assert np.array_equal(np.arange(len(mollifier.COLLAR_S))[got_at], at)
+    assert np.arange(len(mollifier.COLLAR_S))[fast_at].tolist() == at.tolist()
+    for got, want in zip(got_rule, rule):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(fast_powers, powers)
+    assert len(fast_H) == 3
+    for got, want in zip(fast_H, H):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_split_rule_dedup_matches_direct_off_the_collar():
+    # eval's scaled radii are arbitrary: repeats, both clipped ends, the
+    # kink itself and no radius at all
+    s = np.array([-0.9, 0.3, -0.5, -0.7, 0.0, 0.3, 0.5, 0.7, -0.25, 1e-9])
+    for got, want in zip(mollifier.conv_nodes(s), direct_conv_nodes(s)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    for got in mollifier.conv_nodes(s[:0]):
+        assert got.size == 0
 
 
 @pytest.mark.parametrize("sig", [1e-2, 1e-4, 1e-6, 1e-8])

@@ -41,6 +41,26 @@ def test_fornberg_batched_is_exact_for_quartics():
         assert np.array_equal(c[i], fornberg_weights(z[i], x[i], 2))
 
 
+def test_one_fornberg_pass_serves_every_lower_order():
+    # the recursion's row k never reads a row above k, so the stencils of
+    # orders 0..2 taken from one order-2 pass are those of their own passes
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.0, 2.0, (40, 5)), axis=-1)
+    z = rng.uniform(0.0, 2.0, 40)
+    full = fornberg_weights(z, x, 2)
+    for m in range(3):
+        assert np.array_equal(full[:, m], fornberg_weights(z, x, m)[:, m])
+    # so deriv does not depend on the order in which the orders are asked
+    r = np.sort(rng.uniform(0.1, 5.0, 64))
+    f = np.cos(r)
+    g1, g2 = RadialGrid(r), RadialGrid(r)
+    first = [g1.deriv(f, o, parity=True) for o in (1, 2)]
+    second = [g2.deriv(f, o, parity=True) for o in (2, 1)][::-1]
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert sorted(g1._stencils) == [(1, True), (2, True)]  # the one pass
+    assert np.allclose(g1.deriv(f, 0, parity=True), f, rtol=0, atol=1e-12)
+
+
 def test_fornberg_uniform_five_point_first_derivative():
     h = 0.25
     c = fornberg_weights(1.0, 1.0 + h * np.arange(-2, 3), 1)
@@ -170,3 +190,116 @@ def test_interp_spline_needs_odd_degree_and_increasing_nodes():
         interp_spline(x, x, 4)
     with pytest.raises(ValueError):
         interp_spline(x[::-1], x, 3)
+
+
+# -- the loop-by-loop builds, kept as references ------------------------------
+
+def point_major_fornberg(z, x, m):
+    """Fornberg's recursion with the points as the leading axes."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    nd = x.shape[-1]
+    c = np.zeros(x.shape[:-1] + (m + 1, nd))
+    c1, c4 = 1.0, x[..., 0] - z
+    c[..., 0, 0] = 1.0
+    for i in range(1, nd):
+        c2, c5, c4 = 1.0, c4, x[..., i] - z
+        for j in range(i):
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for k in range(min(i, m), 0, -1):
+                    c[..., k, i] = (c1 * (k * c[..., k - 1, i - 1]
+                                          - c5 * c[..., k, i - 1]) / c2)
+                c[..., 0, i] = -c1 * c5 * c[..., 0, i - 1] / c2
+            for k in range(min(i, m), 0, -1):
+                c[..., k, j] = (c4 * c[..., k, j] - k * c[..., k - 1, j]) / c3
+            c[..., 0, j] = c4 * c[..., 0, j] / c3
+        c1 = c2
+    return c
+
+
+def column_basis(t, k, x, ell):
+    """Cox-de Boor one B-spline column at a time."""
+    h = [np.ones((len(x), 1))]
+    for d in range(1, k + 1):
+        cur = np.zeros((len(x), d + 1))
+        for q in range(1, d + 1):
+            xb, xa = t[ell + q], t[ell + q - d]
+            w = h[-1][:, q - 1] / (xb - xa)
+            cur[:, q - 1] += w * (xb - x)
+            cur[:, q] = w * (x - xa)
+        h.append(cur)
+    return h
+
+
+def wide_window_solve(band, first, y, block=32):
+    """Block Thomas with each block row stored over three whole blocks."""
+    n, w = band.shape
+    k, P = w - 1, -(-n // block)
+    N = P * block
+    first = np.concatenate([first, np.arange(n, N)])
+    band = np.concatenate([band, np.eye(1, w).repeat(N - n, axis=0)])
+    b, i = np.divmod(np.arange(N), block)
+    M = np.zeros((P, block, 3 * block))
+    M[b[:, None], i[:, None],
+      first[:, None] + np.arange(w) - (b[:, None] - 1) * block] = band
+    rhs = np.zeros((N, y.shape[1]))
+    rhs[:n] = y
+    low, diag = M[:, :, :block], M[:, :, block:2 * block]
+    aug = np.concatenate([M[:, :, 2 * block:2 * block + k],
+                          rhs.reshape(P, block, -1)], axis=2)
+    sol = []
+    for b in range(P):
+        if b:
+            T = low[b, :k, -k:] @ sol[-1][-k:]
+            diag[b, :k, :k] -= T[:, :k]
+            aug[b, :k, k:] -= T[:, k:]
+        sol.append(np.linalg.solve(diag[b], aug[b]))
+    out = [sol[-1][:, k:]]
+    for s in sol[-2::-1]:
+        out.append(s[:, k:] - s[:, :k] @ out[-1][:k])
+    return np.concatenate(out[::-1])[:n]
+
+
+def einsum_taylor_spline(x, y, k):
+    """interp_spline's coefficients from the references above, with the
+    Taylor sums taken by einsum over gathered coefficients."""
+    n, m = len(x), (k - 1) // 2
+    t = np.concatenate([np.full(k + 1, x[0]), x[m + 1:n - m - 1],
+                        np.full(k + 1, x[-1])])
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    a = wide_window_solve(column_basis(t, k, x, ell)[k], ell - k,
+                          y.reshape(n, -1))
+    left = np.arange(k, n)
+    basis = column_basis(t, k, t[left], left)
+    c = np.empty((k + 1, len(left), a.shape[1]))
+    for p in range(k + 1):
+        d = k - p
+        idx = left[:, None] - d + np.arange(d + 1)
+        c[d] = (np.einsum("iq,iqf->if", basis[d], a[idx])
+                / np.prod(np.arange(1.0, p + 1)))
+        if p < k:
+            j = np.arange(p + 1, n)
+            a[p + 1:] = d * (a[p + 1:] - a[p:-1]) / (t[j + d] - t[j])[:, None]
+    return c.reshape(c.shape[:2] + y.shape[1:])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", [(), (7,), (40,), (4, 3)])
+def test_fornberg_equals_the_point_major_recursion(shape, m):
+    rng = np.random.default_rng(len(shape) * 10 + m)
+    x = np.sort(rng.uniform(0.0, 3.0, shape + (5,)), axis=-1)
+    z = rng.uniform(0.0, 3.0, shape)
+    got, want = fornberg_weights(z, x, m), point_major_fornberg(z, x, m)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("n", [6, 31, 32, 33, 113, 769])
+def test_interp_spline_equals_the_loop_by_loop_build(k, n):
+    # the same sums in the same order: equal to the last bit
+    rng = np.random.default_rng(n + k)
+    x = np.cumsum(rng.uniform(0.05, 1.0, n))
+    y = rng.normal(size=(n, 2))
+    got = interp_spline(x, y, k)
+    assert np.array_equal(got.c, einsum_taylor_spline(x, y, k))
