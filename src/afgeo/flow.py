@@ -35,33 +35,34 @@ class Background:
         self.frozen = ([0, 1, -2, -1] if h.grid.r[0] >= h.grid.dr_min
                        else [-2, -1])
         self.jet = Ah, dAh, ddAh, Bh, dBh, ddBh = jet(h.grid, h.A, h.B)
-        self.lA, lB, self.ddA = dAh / Ah, dBh / Bh, ddAh / Ah
-        self.two_r, self.two_r2 = 2.0 / self.r, 2.0 / self.r ** 2
-        self.Q, self.lBA = lB + self.two_r, lB - self.lA
-        self.half_mQ = 0.5 * (h.n - 1) * self.Q
-        self.dQ = ddBh / Bh - lB ** 2 - self.two_r2
+        self.lA, self.lB = lA, lB = dAh / Ah, dBh / Bh
+        self.lA2, self.lB2 = lA ** 2, lB ** 2
+        self.ddA, self.ddB = ddAh / Ah, ddBh / Bh
+        self.lBA, half_m = lB - lA, 0.5 * (h.n - 1)
+        self.half_mQ = half_m * (lB + 2.0 / self.r)
+        self.half_mdQ = half_m * (self.ddB - self.lB2 - 2.0 / self.r ** 2)
 
 
 def _deturck(gj, bg):
     """W = g^pq (Gamma^r_pq - Gamma~^r_pq) and dW/dr, in closed form from the
     2-jet gj of g and the background bg.
 
-    W = P/(2A) + (m/2) Q S with P = A'/A - A~'/A~ - m (B'/B + 2/r),
-    Q = B~'/B~ + 2/r and S = B~/(A~ B); dW/dr is their exact derivative, so
-    no derivative of sampled W is ever taken.
+    W = D/(2A) + (m/2) Q E with D = A'/A - A~'/A~ - m (B'/B - B~'/B~),
+    Q = B~'/B~ + 2/r and E = B~/(A~ B) - 1/A = (B~ A - A~ B)/(A~ A B): like
+    terms are differenced before any division, so W = dW/dr = 0 exactly at
+    g = h.  dW/dr is their exact derivative; no sampled W is differentiated.
     """
     A, dA, ddA, B, dB, ddB = gj
-    m = bg.n - 1
+    m, A2 = bg.n - 1, 2.0 * A
     lA, lB = dA / A, dB / B
-    P = lA - bg.lA - m * (lB + bg.two_r)
-    S = bg.jet[3] / (bg.jet[0] * B)
-    W = P / (2.0 * A) + bg.half_mQ * S
-    # like terms of g and h are differenced first, so they cancel exactly
-    # when g = h
-    dP = ((ddA / A - bg.ddA) - (lA ** 2 - bg.lA ** 2)
-          - m * (ddB / B - lB ** 2 - bg.two_r2))
-    dS = S * (bg.lBA - lB)
-    dW = (dP - P * dA / A) / (2.0 * A) + 0.5 * m * (bg.dQ * S + bg.Q * dS)
+    dlA, dlB = lA - bg.lA, lB - bg.lB
+    D = dlA - m * dlB
+    E = (bg.jet[3] * A - bg.jet[0] * B) / (bg.jet[0] * A * B)
+    W = D / A2 + bg.half_mQ * E
+    dD = ((ddA / A - bg.ddA) - (lA ** 2 - bg.lA2)
+          - m * ((ddB / B - bg.ddB) - (lB ** 2 - bg.lB2)))
+    dE = E * (bg.lBA - lB) + (dlA - dlB) / A
+    dW = (dD - D * lA) / A2 + bg.half_mdQ * E + bg.half_mQ * dE
     return W, dW
 
 

@@ -3,9 +3,10 @@ of the scaled radius s = (r - r0) / sigma alone: the normalized bump of
 half-width 1/2 and its split 16-point Gauss-Legendre rule, the cutoff chi of
 the collar -1 < s < 1 and the moment tables of the certificate's fixed
 collar; `corner` scales them by sigma, and a new quadrature rule replaces
-`conv_nodes` here and nothing else.  A corner piece's FarTable holds the
-certificate's running sums over its nodes."""
+`conv_nodes` here and regenerates COLLAR_MOMENTS.  A corner piece's FarTable
+holds the certificate's running sums over its nodes."""
 
+import os
 from functools import cache
 from math import comb, perm
 from typing import NamedTuple
@@ -16,6 +17,8 @@ from .curvature import scalar_curvature
 from .grid import smoothstep
 
 COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
+COLLAR_MOMENTS = os.path.join(os.path.dirname(__file__), "collar_moments.npy")
+REGENERATE = "PYTHONPATH=src python tests/test_corner.py"
 
 
 @cache
@@ -83,11 +86,9 @@ def in_collar(s):
 
 def collar(s):
     """The mollifier's tables at scaled radii s = (r - r0) / sigma: the
-    collar `in_collar` (a slice when contiguous), `conv_nodes` and `blend`
-    there.  In r the nodes are sigma t, the density dens / sigma."""
+    indices of the collar `in_collar`, `conv_nodes` and `blend` there.  In r
+    the nodes are sigma t, the density dens / sigma."""
     at = np.flatnonzero(in_collar(s))
-    if at.size and at[-1] - at[0] == at.size - 1:
-        at = slice(at[0], at[-1] + 1)
     return at, *conv_nodes(s[at]), [chi[:, None] for chi in blend(s[at])]
 
 
@@ -98,37 +99,35 @@ POWER_DERIV = [np.diag([perm(q, p) for q in range(p, 6)], p) for p in range(3)]
 
 @cache
 def certificate_collar():
-    """The tables on COLLAR_S, built once per process and shared by every
-    sigma and every corner; no caller writes to them: the collar slice, the
-    powers s^m and H_k, k = 0, 1, 2.  Where D is one polynomial
-    sum_q d_q (r - r0)^q, the collar adds H_k @ [d_q sigma^q; jump
-    sigma^(k-1)] / sigma^k to the k-th derivative at r0 + sigma s: the blend
-    derivatives times the moments G_m(s) = sum_i w_i (s - t_i)^m
-    - s^m [s <= 0], m = 0..5, by Leibniz' rule, and the bump-density jump
-    term.  G comes from running products; the blend derivatives multiply the
-    roundoff of G_0 and G_1 by up to 1 / sigma, so these two are summed in
-    np.longdouble.  H is one (3, N, 7) array."""
-    at, t, wt, dens, chi = collar(COLLAR_S)
-    x = COLLAR_S[at]
-    # row by row in node order; np.full: a zero page read first faults twice
-    xl, G1, G = x.astype(np.longdouble), 0, np.full((6, len(x)), 0.0)
-    for ti, wi in zip(t, wt):
-        term = (xl - ti) * wi
-        G1 = G1 + term
-        u, term = x - ti, term.astype(float)  # x - t: as rounded
-        for Gm in G[2:]:
-            term *= u
-            Gm += term
-    sm = np.cumprod([x * (x <= 0)] + [x] * 4, axis=0)  # s^m [s <= 0], m >= 1
-    G[:2] = [wt.sum(axis=0, dtype=xl.dtype) - (x <= 0), G1 - sm[0]]
-    G[2:] -= sm[1:]
+    """The tables on COLLAR_S, loaded once per process and shared, read-only,
+    by every sigma and every corner: the collar slice, the powers s^m and
+    H_k, k = 0, 1, 2.  Where D is one polynomial sum_q d_q (r - r0)^q, the
+    collar adds H_k @ [d_q sigma^q; jump sigma^(k-1)] / sigma^k to the k-th
+    derivative at r0 + sigma s: the blend derivatives times the moments
+    G_m(s) = sum_i w_i (s - t_i)^m - s^m [s <= 0], m = 0..5, by Leibniz'
+    rule, and the bump-density jump term.  G_0..G_5 and the density ship as
+    the rows of COLLAR_MOMENTS, built by REGENERATE from the tests' direct
+    build (G_0 and G_1, whose roundoff the blend derivatives multiply by up
+    to 1 / sigma, summed in x87 long double).  H is one (3, N, 7) array."""
+    i = np.flatnonzero(in_collar(COLLAR_S))
+    try:
+        table = np.load(COLLAR_MOMENTS, allow_pickle=False)
+        if table.shape != (7, len(i)) or table.dtype != float:
+            raise ValueError(f"{table.dtype} {table.shape}, not float64 "
+                             f"(7, {len(i)}) for COLLAR_S")
+    except (OSError, ValueError) as err:
+        raise RuntimeError(f"bad collar moment table {COLLAR_MOMENTS}: {err}; "
+                           f"regenerate it with `{REGENERATE}`") from err
+    chi = blend(COLLAR_S[i])
     # chi_j G_m, shifted to power m - k + j (POWER_DERIV) and scaled
-    H = np.full((3, len(x), 7), 0.0)
+    H = np.full((3, len(i), 7), 0.0)
     for k, j in [(k, j) for k in range(3) for j in range(k + 1)]:
         for q, w in enumerate(POWER_DERIV[k - j].diagonal(k - j), k - j):
-            H[k, :, q] += chi[j][:, 0] * G[q - k + j] * (comb(k, j) * w)
-    H[2, :, 6] = chi[0][:, 0] * dens
-    return at, np.vander(COLLAR_S, 6, True), H
+            H[k, :, q] += chi[j] * table[q - k + j] * (comb(k, j) * w)
+    H[2, :, 6] = chi[0] * table[6]
+    powers = np.vander(COLLAR_S, 6, True)
+    powers.flags.writeable = H.flags.writeable = False
+    return slice(i[0], i[-1] + 1), powers, H
 
 
 class FarTable(NamedTuple):

@@ -256,8 +256,9 @@ def test_support_check_refuses_a_far_node_the_collar_reaches():
 
 
 def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
-    # every sigma of every corner reuses the one table build on the fixed
-    # scaled collar; a cache that missed would rebuild them at each attempt
+    # the moments on the fixed scaled collar ship as a table: no corner runs
+    # the split rule on COLLAR_S, and every sigma of every corner reuses the
+    # one load; a cache that missed would reload it at each attempt
     builds, sigmas = [], []
     collar, init = mollifier.collar, corner.MollifiedCorner.__init__
 
@@ -276,18 +277,44 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
                     (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
         corner.mollify(cm, eps)
     assert len(sigmas) == 14  # 3 valid, then 11 halvings of the invalid one
-    assert builds.count(True) == 1
-    # the moment tables: one build, read by every attempt
+    assert builds.count(True) == 0
+    # the moment tables: one load, read by every attempt
     info = mollifier.certificate_collar.cache_info()
     assert (info.misses, info.hits) == (1, 13)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="np.longdouble is float64 here")
+def test_collar_tables_are_read_only():
+    # every sigma of every corner shares them: an in-place write must fail
+    # (times 1.0, which would leave the shared values as they are)
+    at, powers, H = mollifier.certificate_collar()
+    for table in (powers, H):
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 1.0
+
+
+@pytest.mark.parametrize("table", [None, np.zeros((7, 2998)),
+                                   np.zeros((6, 2999)),
+                                   np.zeros((7, 2999), np.float32)],
+                         ids=["missing", "7x2998", "6x2999", "float32"])
+def test_a_missing_or_misshapen_collar_table_is_refused(monkeypatch, tmp_path,
+                                                        table):
+    path = tmp_path / "collar_moments.npy"
+    if table is not None:
+        np.save(path, table)
+    monkeypatch.setattr(mollifier, "COLLAR_MOMENTS", str(path))
+    mollifier.certificate_collar.cache_clear()
+    with pytest.raises(RuntimeError) as err:
+        mollifier.certificate_collar()
+    assert str(path) in str(err.value)
+    assert mollifier.REGENERATE in str(err.value)
+    monkeypatch.undo()
+    assert mollifier.certificate_collar()[2].shape == (3, 2999, 7)
+
+
 def test_collar_moments_g0_g1_summed_exactly():
     # the blend derivatives multiply G_0 and G_1 by up to 1 / sigma: on the
-    # collar they must match exact rational sums over the float nodes and
-    # weights to 1e-18, where a float64 sum errs by about 1e-16
+    # collar the shipped table must match exact rational sums over the float
+    # nodes and weights to 1e-18, where a float64 sum errs by about 1e-16
     at, t, wt, dens, chi = mollifier.collar(mollifier.COLLAR_S)
     s = mollifier.COLLAR_S[at]
     H0 = mollifier.certificate_collar()[2][0]  # chi G on the collar
@@ -324,7 +351,9 @@ def direct_conv_nodes(s):
 def direct_certificate_collar():
     """The collar tables built directly: every column's split rule, the
     moments with their running products (G_0 and G_1 in np.longdouble),
-    then chi_j G @ POWER_DERIV[k - j] summed over j by Leibniz' rule."""
+    then chi_j G @ POWER_DERIV[k - j] summed over j by Leibniz' rule.  The
+    last item is the table `mollifier.COLLAR_MOMENTS` ships: G_0..G_5 and
+    the bump density, one row each."""
     s = mollifier.COLLAR_S
     at = np.flatnonzero(mollifier.in_collar(s))
     t, wt, dens = direct_conv_nodes(s[at])
@@ -342,23 +371,44 @@ def direct_certificate_collar():
         conv = sum(comb(k, j) * chi[j] * G @ mollifier.POWER_DERIV[k - j]
                    for j in range(k + 1))
         H.append(np.hstack([conv, (k == 2) * chi[0] * dens[:, None]]))
-    return at, (t, wt, dens), np.vander(s, 6, True), H
+    return (at, (t, wt, dens), np.vander(s, 6, True), H,
+            np.vstack([G.T, dens]))
 
 
+# the shipped table was summed with x87's 64-bit significand; another
+# np.longdouble rounds G_0 and G_1 otherwise
+X87_LONGDOUBLE = np.finfo(np.longdouble).nmant == 63
+
+
+@pytest.mark.skipif(not X87_LONGDOUBLE,
+                    reason="np.longdouble is not x87 80-bit here, so the "
+                           "direct build cannot reproduce the shipped table "
+                           "to the bit; test_collar_moments_g0_g1_summed_"
+                           "exactly still holds it to exact sums")
 def test_collar_tables_equal_the_direct_build():
-    # the split rule once per distinct clipped offset, long double for the
-    # two sums alone and the H_k without per-k temporaries: the same
-    # arithmetic as the direct build, so the same bits
-    at, rule, powers, H = direct_certificate_collar()
+    # the staleness gate: the shipped table is the direct build's, to the
+    # bit, and so are the collar slice, the powers and the H_k read from it
+    at, rule, powers, H, table = direct_certificate_collar()
+    shipped = np.load(mollifier.COLLAR_MOMENTS, allow_pickle=False)
+    assert shipped.dtype == table.dtype and shipped.shape == table.shape
+    assert np.array_equal(shipped, table), (
+        f"{mollifier.COLLAR_MOMENTS} is stale; regenerate it with "
+        f"`{mollifier.REGENERATE}`")
     fast_at, fast_powers, fast_H = mollifier.certificate_collar()
-    got_at, *got_rule, _ = mollifier.collar(mollifier.COLLAR_S)
-    assert np.array_equal(np.arange(len(mollifier.COLLAR_S))[got_at], at)
     assert np.arange(len(mollifier.COLLAR_S))[fast_at].tolist() == at.tolist()
-    for got, want in zip(got_rule, rule):
-        assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(fast_powers, powers)
     assert len(fast_H) == 3
     for got, want in zip(fast_H, H):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_split_rule_dedup_matches_direct_on_the_collar():
+    # the split rule once per distinct clipped offset: the same arithmetic
+    # as the direct build, so the same bits
+    at, rule = direct_certificate_collar()[:2]
+    got_at, *got_rule, _ = mollifier.collar(mollifier.COLLAR_S)
+    assert np.array_equal(np.arange(len(mollifier.COLLAR_S))[got_at], at)
+    for got, want in zip(got_rule, rule):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -556,3 +606,11 @@ def test_gauss_legendre_matches_leggauss():
     # 16 points integrate degree 31 exactly
     assert abs(np.sum(w * z ** 30) - 2 / 31) <= 1e-15
     assert abs(np.sum(w * z ** 31)) <= 1e-15
+
+
+if __name__ == "__main__":
+    # writes the collar moment table the package ships, from the direct
+    # build; run from the repository root as mollifier.REGENERATE says
+    np.save(mollifier.COLLAR_MOMENTS, direct_certificate_collar()[-1],
+            allow_pickle=False)
+    print("wrote", mollifier.COLLAR_MOMENTS)

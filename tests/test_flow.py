@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from afgeo import curvature, flow, mass, metrics, norms, oracle
@@ -398,6 +398,9 @@ _bump_amp = st.floats(0.05, 0.5) | st.floats(-0.5, -0.05)
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([3, 4, 5]), a=_bump_amp, b=_bump_amp,
        wa=st.floats(1.0, 4.0), wb=st.floats(1.0, 4.0))
+# W and dW/dr of 7e-15 and 3e-14 at r = 0.04-0.12, from dividing before
+# differencing, once broke the |Ric|^2 bound here, where max |Ric|^2 is 8e-6
+@example(n=3, a=0.0625, b=0.0625, wa=1.5234375, wb=2.59375)
 def test_rhs_at_zero_eta_is_minus_twice_ricci(n, a, b, wa, wb):
     # g = h: W vanishes, so dt A = -2 A Ric_rad and dt B = -2 B Ric_tan
     grid = RadialGrid.staggered(20.0, 256)
@@ -412,6 +415,18 @@ def test_rhs_at_zero_eta_is_minus_twice_ricci(n, a, b, wa, wb):
     assert np.max(np.abs(rad + (n - 1) * tan - R)) <= 1e-10 * np.max(np.abs(R))
     assert (np.max(np.abs(rad ** 2 + (n - 1) * tan ** 2 - ric2))
             <= 1e-10 * np.max(ric2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_deturck_vector_is_exactly_zero_at_the_background(n):
+    # g = h: like terms are differenced before any division, so W and dW/dr
+    # cancel to the bit, not to roundoff
+    grid = RadialGrid.staggered(20.0, 256)
+    A = 1.0 + 0.0625 * np.exp(-(grid.r / 1.5234375) ** 2)
+    B = 1.0 + 0.0625 / (1.0 + (grid.r / 2.59375) ** 2)
+    bg = flow.Background(metrics.RadialMetric(grid, n, A, B))
+    W, dW = flow._deturck(bg.jet, bg)
+    assert not np.any(W) and not np.any(dW)
 
 
 def test_background_curvature_checked_once_and_fairness_every_step(
