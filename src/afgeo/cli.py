@@ -4,11 +4,11 @@ Exit codes: 0 all monitors pass, 1 monitor failure, 2 configuration error,
 3 numerical abort (NaN / positivity / fairness loss).
 """
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,57 +31,61 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_kv(body):
-    out = {}
-    if not body:
-        return out
-    for item in body.split(","):
-        if "=" not in item:
-            raise ConfigError(f"expected key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        out[k.strip()] = float(v)
-    return out
+# each grid and metric constructor: its keys and their defaults, None for a
+# key the spec must give; a grid's keys in the order of its arguments
+GRID_KEYS = {"staggered": {"rmax": None, "num": None},
+             "uniform": {"rmin": 0.5, "rmax": None, "num": None},
+             "geometric": {"rmin": 0.5, "rmax": None, "num": None,
+                           "ratio": 1.005}}
+METRIC_KEYS = {"flat": {}, "schwarzschild": {"m": 1.0},
+               "conformal": {"c": 0.4},
+               "angular-bump": {"c": 0.2, "width": 1.0},
+               "distorted-flat": {"kink": 3.0, "amp": 0.05}}
+
+
+def _parse_spec(spec, table, kind):
+    """The name in `name:key=value,...` and all its keys, as numbers."""
+    name, _, body = spec.partition(":")
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}")
+    kv = dict(table[name])
+    for item in body.split(",") if body else ():
+        k, _, v = item.partition("=")
+        if (k := k.strip()) not in kv:
+            raise ConfigError(f"{kind} {name!r} has no key {k!r} "
+                              f"(its keys: {', '.join(kv) or 'none'})")
+        kv[k] = float(v)
+    if missing := [k for k, v in kv.items() if v is None]:
+        raise ConfigError(f"{kind} spec {spec!r} missing {missing[0]!r}")
+    return name, kv
 
 
 def parse_grid(spec):
-    """Grid constructors: staggered:rmax=..,num=.. | uniform:rmin=..,rmax=..,num=.."""
-    name, _, body = spec.partition(":")
-    kv = _parse_kv(body)
-    try:
-        if name == "staggered":
-            return RadialGrid.staggered(kv["rmax"], int(kv["num"]))
-        if name == "uniform":
-            return RadialGrid.uniform(kv.get("rmin", 0.5), kv["rmax"],
-                                      int(kv["num"]))
-        if name == "geometric":
-            return RadialGrid.geometric(kv.get("rmin", 0.5), kv["rmax"],
-                                        int(kv["num"]), kv.get("ratio", 1.005))
-    except KeyError as e:
-        raise ConfigError(f"grid spec {spec!r} missing {e}")
-    raise ConfigError(f"unknown grid type {name!r}")
+    """Grid constructors: staggered:rmax=..,num=.. | uniform:rmin=..,rmax=..,
+    num=.. | geometric:rmin=..,rmax=..,num=..,ratio=.."""
+    name, kv = _parse_spec(spec, GRID_KEYS, "grid type")
+    if not kv["num"].is_integer():
+        raise ConfigError(f"grid spec {spec!r}: num is not an integer")
+    kv["num"] = int(kv["num"])
+    return getattr(RadialGrid, name)(*kv.values())
 
 
 def parse_metric(spec, grid, dim=3):
     """Metric constructors addressable as name:key=value,..."""
-    name, _, body = spec.partition(":")
-    kv = _parse_kv(body)
+    name, kv = _parse_spec(spec, METRIC_KEYS, "metric")
     if name == "flat":
         return metrics.build_flat(dim, grid)
     if name == "schwarzschild":
         if dim != 3:
             raise ConfigError(f"metric {spec!r} exists for n = 3 only, "
                               f"not --dim {dim}")
-        return metrics.build_schwarzschild_isotropic(kv.get("m", 1.0), grid)
+        return metrics.build_schwarzschild_isotropic(kv["m"], grid)
     if name == "conformal":
-        return metrics.build_conformal(kv.get("c", 0.4), dim, grid)
+        return metrics.build_conformal(kv["c"], dim, grid)
     if name == "distorted-flat":
-        return metrics.build_distorted_flat(dim, grid,
-                                            kink_radius=kv.get("kink", 3.0),
-                                            amp=kv.get("amp", 0.05))
-    if name == "angular-bump":
-        return metrics.build_angular_bump(kv.get("c", 0.2), dim, grid,
-                                          width=kv.get("width", 1.0))
-    raise ConfigError(f"unknown metric {name!r}")
+        return metrics.build_distorted_flat(dim, grid, kink_radius=kv["kink"],
+                                            amp=kv["amp"])
+    return metrics.build_angular_bump(kv["c"], dim, grid, width=kv["width"])
 
 
 def _float_list(text):
@@ -91,24 +95,18 @@ def _float_list(text):
 
 
 def _outdir(args):
-    path = args.out or os.environ.get(ENV_OUTDIR) or "reports"
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    out = Path(args.out or os.environ.get(ENV_OUTDIR) or "reports")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def _write_report(outdir, name, config_lines, body_lines):
-    path = outdir / f"{name}.txt"
-    with open(path, "w") as fh:
-        for line in config_lines:
-            fh.write(f"config.{line}\n")
-        for line in body_lines:
-            fh.write(line + "\n")
-    return path
-
-
-def _config_lines(args, keys):
-    return [f"{k}={getattr(args, k.replace('-', '_'))}" for k in keys]
+def _write_report(args, name, keys, body_lines):
+    """Write `name`.txt: the options `keys`, then the body; return its dir."""
+    out = _outdir(args)
+    lines = [f"config.{k}={getattr(args, k.replace('-', '_'))}" for k in keys]
+    (out / f"{name}.txt").write_text("".join(f"{line}\n"
+                                             for line in lines + body_lines))
+    return out
 
 
 def _flow_config(args):
@@ -123,9 +121,7 @@ def cmd_mass(args):
     grid = parse_grid(args.grid)
     g = parse_metric(args.metric, grid, args.dim)
     rep = mass.adm_mass(g, grid.snap(_float_list(args.radii)))
-    out = _outdir(args)
-    _write_report(out, "mass",
-                  _config_lines(args, ["metric", "grid", "radii", "dim"]),
+    _write_report(args, "mass", ["metric", "grid", "radii", "dim"],
                   rep.lines())
     return EXIT_OK if rep.converged else EXIT_MONITOR
 
@@ -135,18 +131,15 @@ def cmd_flow(args):
     g = parse_metric(args.metric, grid, args.dim)
     h = parse_metric(args.background, grid, args.dim) if args.background else g
     traj = flow.evolve(g, h, _flow_config(args))
-    out = _outdir(args)
-    with open(out / "trajectory.csv", "w") as fh:
-        traj.dump(fh)
     last = traj.snapshots[-1]
-    body = [f"steps={traj.steps}",
-            f"rhs_evals={traj.rhs_evals}",
+    body = [f"steps={traj.steps}", f"rhs_evals={traj.rhs_evals}",
             f"T_final={last.t:.12g}",
             f"max_eta={float(np.max(np.abs(last.eta_A))):.12g}",
             f"max_grad_eta={last.diagnostics['max_grad_eta']:.12g}"]
-    _write_report(out, "flow",
-                  _config_lines(args, ["metric", "background", "grid", "T",
-                                       "cfl", "monitor-every"]), body)
+    out = _write_report(args, "flow", ["metric", "background", "grid", "T",
+                                       "cfl", "monitor-every"], body)
+    with open(out / "trajectory.csv", "w") as fh:
+        traj.dump(fh)
     return EXIT_OK
 
 
@@ -168,19 +161,16 @@ def cmd_corner(args):
         _, cert = corner.mollify(cm, eps, K_target=args.K)
         body.append(f"eps={eps:g} " + " ".join(cert.lines()))
         all_ok = all_ok and cert.satisfied
-    out = _outdir(args)
-    _write_report(out, "corner",
-                  _config_lines(args, ["base", "r0", "strength", "eps", "K"]),
+    _write_report(args, "corner", ["base", "r0", "strength", "eps", "K"],
                   body)
     return EXIT_OK if all_ok else EXIT_MONITOR
 
 
 def _finish_monitor(args, name, report, keys, traj=None):
-    out = _outdir(args)
     body = report.lines()
     if traj is not None:
         body += [f"steps={traj.steps}", f"rhs_evals={traj.rhs_evals}"]
-    _write_report(out, name, _config_lines(args, keys), body)
+    out = _write_report(args, name, keys, body)
     with open(out / f"{name}.csv", "w") as fh:
         report.write_csv(fh)
     return EXIT_OK if report.passed else EXIT_MONITOR
@@ -231,13 +221,11 @@ def cmd_heat_demo(args):
     for t0, t1 in zip(times, times[1:]):
         p = heatdemo.heat_evolve(p, t1 - t0)
         profiles.append(p)
-    out = _outdir(args)
-    with open(out / "heat_decay.csv", "w") as fh:
+    with open(_outdir(args) / "heat_decay.csv", "w") as fh:
         rows = heatdemo.decay_table(profiles, fh)
     k0 = [r["sup_k0"] for r in rows]
     ok = min(k0) >= 0.05 and max(k0) <= 1.1
-    _write_report(out, "heat_demo",
-                  _config_lines(args, ["times", "x-max", "dx"]),
+    _write_report(args, "heat_demo", ["times", "x-max", "dx"],
                   [f"sup_k0_min={min(k0):.6g}", f"sup_k0_max={max(k0):.6g}",
                    f"floor_ok={ok}"])
     return EXIT_OK if ok else EXIT_MONITOR
@@ -248,25 +236,19 @@ def cmd_verify(args):
     from . import oracle
 
     grid = parse_grid(args.grid)
-    probes = [
-        ("flat", metrics.build_flat(args.dim, grid)),
-        # isotropic Schwarzschild exists for n = 3 only
-        ("schwarzschild", metrics.build_schwarzschild_isotropic(1.0, grid)
-         if args.dim == 3 else None),
-        ("conformal", metrics.build_conformal(0.4, args.dim, grid)),
-        ("angular-bump", metrics.build_angular_bump(0.2, args.dim, grid)),
-        ("distorted-flat", metrics.build_distorted_flat(args.dim, grid,
-                                                        kink_radius=3.0,
-                                                        amp=0.03)),
-    ]
+    body, probes = [], []
+    for spec in ("flat", "schwarzschild", "conformal", "angular-bump",
+                 "distorted-flat:amp=0.03"):
+        name = spec.partition(":")[0]
+        if name == "schwarzschild" and args.dim != 3:
+            # isotropic Schwarzschild exists for n = 3 only
+            body.append(f"skipped_probe={name} (dim={args.dim})")
+        else:
+            probes.append((name, parse_metric(spec, grid, args.dim)))
     flat_bg = metrics.build_flat(args.dim, grid)
     radii = grid.snap((10.0, 20.0))
-    body = [f"skipped_probe={name} (dim={args.dim})"
-            for name, g in probes if g is None]
     worst = 0.0
     for name, g in probes:
-        if g is None:
-            continue
         R = curvature.scalar_curvature(g)
         Rn = curvature.ricci_norm_sq(g)
         W = flow.deturck_vector(g, flow.Background(flat_bg))
@@ -288,10 +270,8 @@ def cmd_verify(args):
                 body.append(f"{name}_r{r0:g}_{label}: value={got:.10g} "
                             f"oracle={ref:.10g} rel={rel:.3e}")
     ok = worst < args.tol
-    body.append(f"worst_rel={worst:.3e}")
-    body.append(f"passed={ok}")
-    _write_report(_outdir(args), "verify",
-                  _config_lines(args, ["grid", "tol"]), body)
+    body += [f"worst_rel={worst:.3e}", f"passed={ok}"]
+    _write_report(args, "verify", ["grid", "tol"], body)
     return EXIT_OK if ok else EXIT_MONITOR
 
 
@@ -334,69 +314,89 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(only=None):
-    """The CLI's parser; with `only`, the one subcommand it names is all it
-    parses."""
-    top = argparse.ArgumentParser(prog="afgeo")
-    # the full choice list keeps the usage line with one subparser
-    sub = top.add_subparsers(dest="command", required=True, metavar=(
-        "{%s}" % ",".join(SUBCOMMANDS) if only else None))
-    for name, (func, opts) in SUBCOMMANDS.items():
-        if only not in (None, name):
-            continue
-        p = sub.add_parser(name)
-        p.add_argument("--out", default=None, help="output directory "
-                       f"(default ${ENV_OUTDIR} or ./reports)")
-        p.add_argument("--config", default=None,
-                       help="key=value file; command-line flags win")
-        p.add_argument("--dim", type=int, default=3, choices=(3, 4, 5))
-        for flag, default in opts.items():
-            p.add_argument(flag, default=default,
-                           type=float if default is None else type(default))
-        p.set_defaults(func=func)
-    return top
+# the options of every subcommand besides its own; --dim is 3, 4 or 5
+COMMON_OPTS = {"--out": "", "--config": "", "--dim": 3}
+USAGE = ("usage: afgeo {%s} [--flag VALUE | --flag=VALUE]..."
+         % ",".join(SUBCOMMANDS))
 
 
-def _config_flags(args):
-    """The lines `key = value` of the --config file as `--key=value` flags."""
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    flags = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+class UsageError(ConfigError):
+    """Input the flag grammar refuses; reported under the usage line."""
+
+
+def _typed(flag, default, text):
+    """`text` as a value of `flag`: of its default's type, float for None."""
+    kind = float if default is None else type(default)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise UsageError(f"argument {flag}: invalid {kind.__name__} value: "
+                         f"{text!r}") from None
+    if flag == "--dim" and value not in (3, 4, 5):
+        raise UsageError(f"argument --dim: invalid choice: {value} "
+                         "(choose from 3, 4, 5)")
+    return value
+
+
+def _config_flags(path, opts):
+    """The `key = value` lines of a --config file as {flag: value}."""
+    if not Path(path).is_file():
+        raise ConfigError(f"config file {path!r} does not exist")
+    flags = {}
+    for line in Path(path).read_text().splitlines():
+        if not (line := line.strip()) or line.startswith("#"):
             continue
-        if "=" not in line:
+        k, eq, v = (s.strip() for s in line.partition("="))
+        if not eq:
             raise ConfigError(f"bad config line {line!r}")
-        k, v = (s.strip() for s in line.split("=", 1))
-        if not hasattr(args, k.replace("-", "_")):
+        flag = "--" + k.replace("_", "-")
+        if flag not in opts or flag == "--config":
             raise ConfigError(f"unknown config key {k!r}")
-        flags.append(f"--{k.replace('_', '-')}={v}")
+        flags[flag] = v
     return flags
 
 
-def _parse(parser, argv):
-    """The arguments, with the --config lines read as flags."""
-    args = parser.parse_args(argv)
-    if args.config:
-        # file lines become flags after the command word: later flags win
-        i = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:i] + _config_flags(args) + argv[i:])
-    return args
+def _parse(argv):
+    """The handler's arguments: each option's default, overridden by the
+    --config file's lines, in turn by the flags; None after --help."""
+    name, *rest = argv or [""]
+    if name in ("-h", "--help"):
+        print(USAGE)
+        return None
+    if name not in SUBCOMMANDS:
+        raise UsageError(f"invalid choice of subcommand: {name!r}" if name
+                         else "the subcommand is missing")
+    opts = {**COMMON_OPTS, **SUBCOMMANDS[name][1]}
+    flags, tokens = {}, iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(f"usage: afgeo {name} [--flag VALUE | --flag=VALUE]...",
+                  "", "flags and their defaults:", sep="\n")
+            for flag, default in opts.items():
+                print(f"  {flag:<16}{default!r}")
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in opts:
+            raise UsageError(f"unrecognized arguments: {token}")
+        # the value is always the next token: --strength -0.1 is a value
+        if not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"argument {flag}: expected one argument")
+        flags[flag] = value
+    if "--config" in flags:
+        flags = {**_config_flags(flags["--config"], opts), **flags}
+    return SimpleNamespace(command=name, func=SUBCOMMANDS[name][0], **{
+        flag[2:].replace("-", "_"):
+        _typed(flag, d, flags[flag]) if flag in flags else d
+        for flag, d in opts.items()})
 
 
 def run(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # without a subcommand word, help and errors list all eight
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
-        try:
-            args = _parse(parser, argv)
-        except SystemExit as e:
-            # argparse has printed why: 0 after --help, 2 for input it rejects
-            return EXIT_OK if e.code == 0 else EXIT_CONFIG
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return EXIT_OK if args is None else args.func(args)
+    except UsageError as e:
+        print(f"{USAGE}\nafgeo: error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except flow.FlowAbort as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC

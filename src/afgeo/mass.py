@@ -20,15 +20,23 @@ def adm_mass_flux(metric, r):
 
     flux = omega_{n-1} r^{n-1} (n-1) [ (A-B)/r - B' ].
     """
-    i = metric.grid.node_at(r)
-    if i is None:
-        raise ValueError(f"r={r} is not a grid node")
-    if abs(metric.A[i] - 1.0) > 0.5:
-        warnings.warn(f"flux radius r={r} outside asymptotic regime (|A-1| > 0.5)")
-    n = metric.n
-    dB = metric.grid.deriv(metric.B, 1, parity=True)[i]
-    val = (metric.A[i] - metric.B[i]) / r - dB
-    return float(sphere_area(n) * r ** (n - 1) * (n - 1) * val)
+    return _fluxes(metric, [r])[0]
+
+
+def _fluxes(metric, radii):
+    """The flux through each sphere of `radii`, from one B' on the grid."""
+    dB = metric.grid.deriv(metric.B, 1, parity=True)
+    n, out = metric.n, []
+    for r in radii:
+        i = metric.grid.node_at(r)
+        if i is None:
+            raise ValueError(f"r={r} is not a grid node")
+        if abs(metric.A[i] - 1.0) > 0.5:
+            warnings.warn(f"flux radius r={r} outside asymptotic regime "
+                          "(|A-1| > 0.5)")
+        val = (metric.A[i] - metric.B[i]) / r - dB[i]
+        out.append(float(sphere_area(n) * r ** (n - 1) * (n - 1) * val))
+    return out
 
 
 def _at_zero(x, f):
@@ -74,7 +82,7 @@ def adm_mass(metric, radii):
     radii = sorted(float(r) for r in radii)
     if len(set(radii)) < len(radii) or len(radii) < 3:
         raise ValueError(f"need at least 3 distinct radii, got {radii}")
-    flux = np.array([adm_mass_flux(metric, r) for r in radii])
+    flux = np.array(_fluxes(metric, radii))
     m, err = fit_power_tail(radii, flux, metric.n)
     converged = err < MASS_REL_TOL * max(1.0, abs(m))
     if not converged:

@@ -384,44 +384,135 @@ print(gc.get_freeze_count() > 0, gc.isenabled(), ref() is None)
     assert out == ["True True True"]
 
 
-def _parsed(parser, argv):
-    args = vars(cli._parse(parser, argv))
-    return {**args, "func": args["func"].__name__}
+def _record_handler(monkeypatch, name):
+    """The arguments of each call of subcommand `name`'s handler, which now
+    only records them and returns 0."""
+    seen = []
+    func, opts = cli.SUBCOMMANDS[name]
+    monkeypatch.setitem(cli.SUBCOMMANDS, name,
+                        (lambda args: seen.append(vars(args)) or 0, opts))
+    return seen
 
 
 @pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
-def test_one_subparser_parses_like_all(name, tmp_path, capsys):
-    one, full = cli.build_parser(name), cli.build_parser()
-    assert _parsed(one, [name]) == _parsed(full, [name])
+def test_one_subparser_parses_like_all(name, tmp_path, monkeypatch, capsys):
+    # a subcommand's row of SUBCOMMANDS is all its parse reads: with no
+    # flags its handler gets every option at its default, typed by it
+    func, opts = cli.SUBCOMMANDS[name]
+    seen = _record_handler(monkeypatch, name)
+    assert cli.run([name]) == 0
+    defaults = {"out": "", "config": "", "dim": 3,
+                **{f[2:].replace("-", "_"): d for f, d in opts.items()}}
+    assert seen[0] == {"command": name, "func": cli.SUBCOMMANDS[name][0],
+                       **defaults}
     # the subcommand's first own option, at its default, and --dim from a file
-    flag, default = next(iter(cli.SUBCOMMANDS[name][1].items()))
+    flag, default = next(iter(opts.items()))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dim = 4\n{flag[2:]} = {default}\n")
-    argv = [name, "--config", str(cfg), "--out", str(tmp_path)]
-    assert _parsed(one, argv) == _parsed(full, argv)
-    assert _parsed(one, argv)["dim"] == 4
+    assert cli.run([name, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert seen[1] == {**seen[0], "dim": 4, "config": str(cfg),
+                       "out": str(tmp_path)}
+    # help lists every flag with its default
     capsys.readouterr()
     assert cli.run([name, "--help"]) == 0
-    text = capsys.readouterr().out
-    for flag in ["--out", "--config", "--dim", *cli.SUBCOMMANDS[name][1]]:
-        assert flag in text
-    with pytest.raises(SystemExit):
-        full.parse_args([name, "--help"])
-    assert capsys.readouterr().out == text
-    # errors keep the full usage line
+    listed = {line.split()[0]: line for line in
+              capsys.readouterr().out.splitlines() if line.startswith("  --")}
+    for flag, default in {**cli.COMMON_OPTS, **opts}.items():
+        assert repr(default) in listed[flag], flag
+    # errors keep the full usage line, which offers every subcommand
     assert cli.run([name, "--warp", "9"]) == 2
-    err = capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        full.parse_args([name, "--warp", "9"])
-    assert capsys.readouterr().err == err
+    err = capsys.readouterr().err.splitlines()
+    assert err == [cli.USAGE, "afgeo: error: unrecognized arguments: --warp"]
+    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in err[0]
+    assert len(seen) == 2
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--dim", "7", "corner"]])
 def test_no_subcommand_word_exits_config(argv, capsys):
-    # the error is the full parser's: every subcommand is offered
+    # the error is the one usage line, which offers every subcommand, and
+    # the reason
     assert cli.run(argv) == 2
-    err = capsys.readouterr().err
-    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in err
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(argv)
-    assert capsys.readouterr().err == err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == cli.USAGE
+    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in err[0]
+    assert err[1].startswith("afgeo: error: ")
+
+
+# argv ("CFG" names the config file), the config file's text, the exit code
+# and the handler's arguments (a dict), the error (a str) or help (None)
+FLAG_GRAMMAR = [
+    (["corner", "--strength", "-0.1"], "", 0, {"strength": -0.1}),
+    (["corner", "--eps=1e-1"], "", 0, {"eps": "1e-1", "strength": 0.1}),
+    (["corner", "--r0", "3", "--r0=5"], "", 0, {"r0": 5.0}),
+    (["corner", "--config", "CFG", "--strength", "0.3"],
+     "strength = 0.2\nouter_num = 64\n", 0,
+     {"strength": 0.3, "outer_num": 64}),
+    (["corner", "--str", "0.1"], "", 2, "unrecognized arguments: --str"),
+    (["flow", "--T"], "", 2, "argument --T: expected one argument"),
+    (["flow", "--monitor-every", "2.5"], "", 2,
+     "argument --monitor-every: invalid int value: '2.5'"),
+    (["flow", "--dim=7"], "", 2,
+     "argument --dim: invalid choice: 7 (choose from 3, 4, 5)"),
+    (["flow", "--config", "CFG"], "cfl = fast\n", 2,
+     "argument --cfl: invalid float value: 'fast'"),
+    (["flow", "--config", "CFG"], "config = other.cfg\n", 2, None),
+    (["corner", "-h"], "", 0, None),
+]
+
+
+@pytest.mark.parametrize("argv, cfg_text, code, expect", FLAG_GRAMMAR,
+                         ids=[" ".join(c[0]).replace(
+                             "CFG", c[1].split("=")[0].strip() + ".cfg")
+                             for c in FLAG_GRAMMAR])
+def test_flag_grammar(argv, cfg_text, code, expect, tmp_path, monkeypatch,
+                      capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    seen = _record_handler(monkeypatch, argv[0])
+    assert cli.run([str(cfg) if a == "CFG" else a for a in argv]) == code
+    out, err = capsys.readouterr()
+    if isinstance(expect, dict):
+        assert seen and {k: seen[0][k] for k in expect} == expect
+        return
+    assert not seen
+    if isinstance(expect, str):
+        assert err.splitlines() == [cli.USAGE, f"afgeo: error: {expect}"]
+    elif code == 2:
+        assert err == "config error: unknown config key 'config'\n"
+    else:
+        assert out.startswith(f"usage: afgeo {argv[0]} ")
+        assert "--strength" in out
+
+
+@pytest.mark.parametrize("spec", [
+    "metric=schwarzschild:mass=2", "grid=staggered:rmax=300,nmu=3,num=256",
+    "grid=staggered:rmax=300,num=256.7", "grid=staggered:rmax=300,num=nan",
+    "grid=uniform:num=256", "metric=flat:c=1"])
+def test_spec_refuses_what_it_cannot_honour(spec, tmp_path, capsys):
+    # before the check, schwarzschild:mass=2 ran m = 1, an unknown grid key
+    # was ignored and num=256.7 ran 256 nodes
+    kind, text = spec.split("=", 1)
+    with pytest.raises(cli.ConfigError):
+        if kind == "grid":
+            cli.parse_grid(text)
+        else:
+            cli.parse_metric(text, cli.parse_grid("staggered:rmax=40,num=64"))
+    assert cli.run(["mass", f"--{kind}", text, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_run_loads_no_argparse(tmp_path):
+    # argparse's parser cost about 4 ms per process: gettext's first lookup
+    # imports locale, and argparse compiles its regexes
+    script = f"""
+import sys
+import afgeo.cli as cli
+for argv in (['heat-demo', '--times', '0.1'], ['corner', '--str', '0.1'],
+             ['mass', '--help']):
+    rc = cli.run(argv + ['--out', {str(tmp_path)!r}])
+    print('rc', rc, sorted(m for m in ('argparse', 'gettext', 'locale')
+                           if m in sys.modules))
+"""
+    lines = [l for l in _fresh_interpreter(script) if l.startswith("rc ")]
+    assert lines == ["rc 0 []", "rc 2 []", "rc 0 []"]

@@ -149,3 +149,23 @@ def test_mass_unchanged_by_compact_diffeomorphism(grid, amp, center, width):
     m0, m1 = mass.adm_mass(sch, radii), mass.adm_mass(moved, radii)
     assert abs(m1.mass - m0.mass) <= 1e-9 * abs(m0.mass)
     assert m1.converged
+
+
+def test_ladder_takes_one_derivative(monkeypatch):
+    # B' is taken once per ladder, and each rung's flux is bitwise the
+    # closed form with B' taken for that rung alone
+    grid = RadialGrid.uniform(0.5, 300.0, 768)
+    g = metrics.build_schwarzschild_isotropic(1.0, grid)
+    radii = grid.snap((100.0, 150.0, 200.0))
+    ref = []
+    for r in radii:
+        i = grid.node_at(r)
+        dB = grid.deriv(g.B, 1, parity=True)[i]
+        val = (g.A[i] - g.B[i]) / r - dB
+        ref.append(float(sphere_area(3) * r ** 2 * 2 * val))
+    calls = []
+    deriv = RadialGrid.deriv
+    monkeypatch.setattr(RadialGrid, "deriv", lambda self, *a, **k:
+                        calls.append(a) or deriv(self, *a, **k))
+    assert list(mass.adm_mass(g, radii).flux) == ref
+    assert len(calls) == 1
