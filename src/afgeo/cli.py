@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import analysis, corner, curvature, flow, heatdemo, mass, metrics
+from . import analysis, corner, curvature, flow, mass, metrics
 from .grid import RadialGrid
 
 # the ~22 000 objects the imports leave live as long as the process: keep
@@ -145,6 +145,8 @@ def cmd_flow(args):
 
 def _corner(args):
     """The example corner metric of the corner options."""
+    if not args.fine_density > 0:
+        raise ConfigError(f"--fine-density {args.fine_density:g} is not > 0")
     grid = corner.make_corner_grid(args.rmin, args.r0, args.rmax,
                                    fine_dr=1.0 / args.fine_density,
                                    outer_num=args.outer_num)
@@ -210,6 +212,8 @@ def cmd_zero_mass(args):
 
 
 def cmd_heat_demo(args):
+    from . import heatdemo  # only heat-demo needs it
+
     if args.dim != 3:
         raise ConfigError(f"heat-demo is one-dimensional; --dim {args.dim} "
                           "has no meaning there")

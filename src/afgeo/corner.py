@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import RadialGrid, Spline, interp_spline
+from .grid import RadialGrid, Spline, fornberg_weights, interp_spline
 from .metrics import RadialMetric, volume_element
 from .curvature import mean_curvature_sphere, scalar
 from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar, collar,
@@ -110,6 +110,9 @@ class CornerMetric:
 def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
     """Grid with a node exactly at r0: uniform spacing fine_dr out to 3 r0,
     then geometrically stretched to r_max."""
+    if not 0 < fine_dr < np.inf or outer_num < 1:
+        raise ValueError(f"need a finite fine_dr > 0 and outer_num >= 1, got "
+                         f"fine_dr={fine_dr:g}, outer_num={outer_num}")
     k0 = round((r0 - r_min) / fine_dr)
     if abs(r_min + k0 * fine_dr - r0) > 1e-12 * r0:
         raise ValueError("r0 must sit on the fine lattice")
@@ -161,12 +164,12 @@ def corner_example(base, r0, strength):
     if np.max(np.abs(base.A - base.B)) > 1e-12:
         raise ValueError("base must be conformally flat (A = B)")
 
-    u = base.B ** 0.25
-    du = grid.deriv(u, 1, parity=True)
-    u0 = float(u[i0])
+    win = slice(i0 - 2, i0 + 3)  # u = B^(1/4) on grid.deriv's row at i0
+    u = base.B[win] ** 0.25
+    w = fornberg_weights(grid.r[i0], grid.r[None, win], 1)[:, 1]
+    du0, u0 = float(np.einsum("ij,ij->i", w, u[None])[0]), float(u[2])
     # target inner slope: B' jump of `strength` means U' gains strength/(4 u0^3)
-    dU0 = float(du[i0]) + strength / (4.0 * u0 ** 3)
-    q0 = -r0 ** 2 * dU0
+    q0 = -r0 ** 2 * (du0 + strength / (4.0 * u0 ** 3))
     if q0 < 0:
         raise ValueError("strength too large: inner factor would lose R >= 0")
 
@@ -178,10 +181,9 @@ def corner_example(base, r0, strength):
         raise ValueError("inner conformal factor not positive")
     Ain = U ** 4
 
-    gi = RadialGrid(ri)
-    go = RadialGrid(grid.r[i0:])
-    inner = RadialMetric(gi, 3, Ain, Ain.copy(), base.delta)
-    outer = RadialMetric(go, 3, base.A[i0:], base.B[i0:], base.delta)
+    inner = RadialMetric(RadialGrid(ri), 3, Ain, Ain.copy(), base.delta)
+    outer = RadialMetric(RadialGrid(grid.r[i0:]), 3, base.A[i0:], base.B[i0:],
+                         base.delta)
     return CornerMetric(inner, outer, float(grid.r[i0]), 3, base.delta)
 
 
@@ -274,12 +276,14 @@ class MollifiedCorner:
         a, b, d = (c * sig ** np.arange(6.0)[:, None] for c in f.taylor)
         at, powers, H = certificate_collar()
         lo = np.searchsorted(COLLAR_S, 0.0, "right")  # the rows s <= 0
-        scale = np.array([sig ** k for k in range(3)])[:, None, None]
-        jets = np.concatenate([powers[:lo] @ (POWER_DERIV @ a),
-                               powers[lo:] @ (POWER_DERIV @ b)], 1) / scale
+        jets = np.empty((3, len(COLLAR_S), 2))  # every product in place
+        np.matmul(powers[:lo], POWER_DERIV @ a, out=jets[:, :lo])
+        np.matmul(powers[lo:], POWER_DERIV @ b, out=jets[:, lo:])
         raw = jets[0].copy()
-        jets[:, at] += H @ [np.vstack([d, f.jump * sig ** (k - 1)])
-                            for k in range(3)] / scale
+        for k, jet in enumerate(jets):
+            jet /= sig ** k
+            conv = H[k] @ np.vstack([d, f.jump * sig ** (k - 1)])
+            jet[at] += np.divide(conv, sig ** k, out=conv)
         return raw, {k: [jet[:, i] for jet in jets] for i, k in enumerate("AB")}
 
     def sample(self, grid):
@@ -300,8 +304,11 @@ def _certificate(mc, K_target, epsilon):
     cm, sig, r0 = mc.cm, mc.sigma, mc.r0
     rc = r0 + sig * COLLAR_S
     raw, jet = mc.collar_jets()
-    Rc = scalar(cm.n, rc, [*jet["A"], *jet["B"]])
     Ac, Bc = jet["A"][0], jet["B"][0]
+    ratios = np.stack([Ac, Bc], -1) / raw
+    sandwich_lo, sandwich_hi = float(np.min(ratios)), float(np.max(ratios))
+    del raw, ratios  # a lower peak: glibc keeps the heap between attempts
+    Rc = scalar(cm.n, rc, [*jet["A"], *jet["B"]])
 
     # the far nodes: r <= r0 - sigma inside, r >= r0 + sigma outside; their
     # nearest, [k - 1:k], is empty when k = 0
@@ -311,19 +318,18 @@ def _certificate(mc, K_target, epsilon):
     y = np.concatenate([ti.y[ki - 1:ki],
                         negative_parts(Rc, volume_element(cm.n, rc, Ac, Bc)),
                         to.y[ko - 1:ko]])
-    seg = np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0  # np.trapezoid's terms
-    neg_part, neg_measure = (np.cumsum(seg, axis=0)[-1] + ti.integral[ki]
+    seg = np.add(y[1:], y[:-1])  # np.trapezoid's terms, in place
+    seg *= np.diff(x)[:, None]
+    seg /= 2.0
+    neg_part, neg_measure = (np.cumsum(seg, 0, out=seg)[-1] + ti.integral[ki]
                              + to.integral[ko]).tolist()
     K_measured = float(np.min([ti.R_min[ki], np.min(Rc), to.R_min[ko]]))
 
-    ratios = np.stack([Ac, Bc], -1) / raw
     # outside the collar the metric must be the corner's own data: the fits
     # match it there, and the collar adds nothing at any far node
     far = np.concatenate([ti.r[:ki], to.r[:ko]])
     support_ok = bool(max(ti.moved[ki], to.moved[ko]) < 1e-14
                       and not in_collar((far - r0) / sig).any())
-    sandwich_lo = float(np.min(ratios))
-    sandwich_hi = float(np.max(ratios))
 
     satisfied = (neg_part < epsilon and K_measured > -K_target
                  and sandwich_lo >= 1 - epsilon and sandwich_hi <= 1 + epsilon

@@ -1,14 +1,14 @@
 """The corner certificate's sigma-free tables.  The mollifier's are functions
 of the scaled radius s = (r - r0) / sigma alone: the normalized bump of
 half-width 1/2 and its split 16-point Gauss-Legendre rule, the cutoff chi of
-the collar -1 < s < 1 and the moment tables of the certificate's fixed
-collar; `corner` scales them by sigma, and a new quadrature rule replaces
-`conv_nodes` here and regenerates COLLAR_MOMENTS.  A corner piece's FarTable
-holds the certificate's running sums over its nodes."""
+the collar -1 < s < 1 and the operator of the certificate's fixed collar,
+shipped as COLLAR_OPERATOR; `corner` scales them by sigma, and a new rule
+replaces `conv_nodes` here and regenerates COLLAR_OPERATOR.  A corner
+piece's FarTable holds the certificate's running sums over its nodes."""
 
 import os
 from functools import cache
-from math import comb, perm
+from math import perm
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +17,7 @@ from .curvature import scalar_curvature
 from .grid import smoothstep
 
 COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
-COLLAR_MOMENTS = os.path.join(os.path.dirname(__file__), "collar_moments.npy")
+COLLAR_OPERATOR = os.path.join(os.path.dirname(__file__), "collar_operator.npy")
 REGENERATE = "PYTHONPATH=src python tests/test_corner.py"
 
 
@@ -101,30 +101,20 @@ POWER_DERIV = [np.diag([perm(q, p) for q in range(p, 6)], p) for p in range(3)]
 def certificate_collar():
     """The tables on COLLAR_S, loaded once per process and shared, read-only,
     by every sigma and every corner: the collar slice, the powers s^m and
-    H_k, k = 0, 1, 2.  Where D is one polynomial sum_q d_q (r - r0)^q, the
-    collar adds H_k @ [d_q sigma^q; jump sigma^(k-1)] / sigma^k to the k-th
-    derivative at r0 + sigma s: the blend derivatives times the moments
-    G_m(s) = sum_i w_i (s - t_i)^m - s^m [s <= 0], m = 0..5, by Leibniz'
-    rule, and the bump-density jump term.  G_0..G_5 and the density ship as
-    the rows of COLLAR_MOMENTS, built by REGENERATE from the tests' direct
-    build (G_0 and G_1, whose roundoff the blend derivatives multiply by up
-    to 1 / sigma, summed in x87 long double).  H is one (3, N, 7) array."""
+    the (3, N, 7) operator H as COLLAR_OPERATOR ships it.  Where D is one
+    polynomial sum_q d_q (r - r0)^q, the collar adds H_k @ [d_q sigma^q;
+    jump sigma^(k-1)] / sigma^k to the k-th derivative at r0 + sigma s: the
+    blend derivatives times the moments G_m(s) = sum_i w_i (s - t_i)^m -
+    s^m [s <= 0], m = 0..5, by Leibniz' rule, plus the bump-density jump."""
     i = np.flatnonzero(in_collar(COLLAR_S))
     try:
-        table = np.load(COLLAR_MOMENTS, allow_pickle=False)
-        if table.shape != (7, len(i)) or table.dtype != float:
-            raise ValueError(f"{table.dtype} {table.shape}, not float64 "
-                             f"(7, {len(i)}) for COLLAR_S")
+        H = np.load(COLLAR_OPERATOR, allow_pickle=False)
+        if H.shape != (3, len(i), 7) or H.dtype != float:
+            raise ValueError(f"{H.dtype} {H.shape}, not float64 "
+                             f"(3, {len(i)}, 7) for COLLAR_S")
     except (OSError, ValueError) as err:
-        raise RuntimeError(f"bad collar moment table {COLLAR_MOMENTS}: {err}; "
-                           f"regenerate it with `{REGENERATE}`") from err
-    chi = blend(COLLAR_S[i])
-    # chi_j G_m, shifted to power m - k + j (POWER_DERIV) and scaled
-    H = np.full((3, len(i), 7), 0.0)
-    for k, j in [(k, j) for k in range(3) for j in range(k + 1)]:
-        for q, w in enumerate(POWER_DERIV[k - j].diagonal(k - j), k - j):
-            H[k, :, q] += chi[j] * table[q - k + j] * (comb(k, j) * w)
-    H[2, :, 6] = chi[0] * table[6]
+        raise RuntimeError(f"bad collar operator table {COLLAR_OPERATOR}: "
+                           f"{err}; regenerate it with `{REGENERATE}`") from err
     powers = np.vander(COLLAR_S, 6, True)
     powers.flags.writeable = H.flags.writeable = False
     return slice(i[0], i[-1] + 1), powers, H

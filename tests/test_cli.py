@@ -240,6 +240,19 @@ def test_corner_refuses_a_collar_outside_the_corner(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["corner", "mass-liminf"])
+@pytest.mark.parametrize("flag, value", [
+    ("--outer-num", "0"), ("--outer-num", "-5"),
+    ("--fine-density", "0"), ("--fine-density", "-32")])
+def test_bad_corner_grid_exits_config(command, flag, value, tmp_path, capsys):
+    # before the check, 0 raised ZeroDivisionError and a negative value
+    # IndexError: a traceback and exit 1, the code of a failed monitor
+    assert cli.run([command, flag, value, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and value in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["corner", "mass-liminf"])
 def test_empty_epsilon_list_exits_config(command, tmp_path, capsys):
     # before the check, corner wrote a report with no certificate (exit 0)
     # and mass-liminf died on an AttributeError after an empty ladder
@@ -366,6 +379,14 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     out = _fresh_interpreter("import sys, afgeo.cli; "
                              "print('numpy.polynomial' in sys.modules)")
     assert out == ["False"]
+
+
+def test_cli_import_leaves_heatdemo_and_oracle_unloaded():
+    # only heat-demo and verify read them: no other subcommand compiles them
+    out = _fresh_interpreter(
+        "import sys, afgeo.cli; print(sorted(m for m in sys.modules "
+        "if m in ('afgeo.heatdemo', 'afgeo.oracle')))")
+    assert out == ["[]"]
 
 
 def test_import_freezes_and_collection_still_runs():

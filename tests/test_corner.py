@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,18 @@ def test_corner_grid_refuses_outer_cells_past_r_max():
     # 10^5 cells no shorter than fine_dr cannot fit between 3 r0 and r_max
     with pytest.raises(ValueError, match="overrun"):
         corner.make_corner_grid(0.5, 4.0, 300.0, outer_num=100000)
+
+
+@pytest.mark.parametrize("kw", [{"fine_dr": 0.0}, {"fine_dr": -1 / 32},
+                                {"fine_dr": np.nan}, {"fine_dr": np.inf},
+                                {"outer_num": 0}, {"outer_num": -5}],
+                         ids=["dr-0", "dr-negative", "dr-nan", "dr-inf",
+                              "num-0", "num-negative"])
+def test_corner_grid_refuses_a_bad_spacing_or_cell_count(kw):
+    # before the check, 0 divided by zero and -5 indexed an empty array
+    (key, value), = kw.items()
+    with pytest.raises(ValueError, match=f"{key}={value:g}"):
+        corner.make_corner_grid(0.5, 4.0, 300.0, **kw)
 
 
 def test_smooth_split_trivial_condition(base):
@@ -256,7 +272,7 @@ def test_support_check_refuses_a_far_node_the_collar_reaches():
 
 
 def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
-    # the moments on the fixed scaled collar ship as a table: no corner runs
+    # the operator on the fixed scaled collar ships as a table: no corner runs
     # the split rule on COLLAR_S, and every sigma of every corner reuses the
     # one load; a cache that missed would reload it at each attempt
     builds, sigmas = [], []
@@ -278,9 +294,40 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
         corner.mollify(cm, eps)
     assert len(sigmas) == 14  # 3 valid, then 11 halvings of the invalid one
     assert builds.count(True) == 0
-    # the moment tables: one load, read by every attempt
+    # the operator table: one load, read by every attempt
     info = mollifier.certificate_collar.cache_info()
     assert (info.misses, info.hits) == (1, 13)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_collar_attempts_map_no_fresh_memory():
+    # each sigma attempt writes its jets in place and frees its largest
+    # arrays early, so once a first mollify has loaded the tables and fitted
+    # the corner, the 11 attempts of a second one reuse the heap's pages.
+    # Whether glibc trims them in between depends on the heap's layout, so
+    # three layouts: 0 faults each, against 770 to 1 200 in some layout
+    # when every attempt paid for fresh memory
+    script = """
+import resource, sys
+import numpy as np
+from afgeo import corner, metrics
+layout = [np.empty(n) for n in range(1, 8 * int(sys.argv[1]), 8)]
+grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32, outer_num=512)
+cm = corner.corner_example(metrics.build_schwarzschild_isotropic(1.0, grid),
+                           4.0, -0.1)
+corner.mollify(cm, 0.1)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+mc, rep = corner.mollify(cm, 0.1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, rep.sigma)
+"""
+    src = str(Path(corner.__file__).resolve().parents[1])
+    for k in (0, 4, 9):
+        out = subprocess.run([sys.executable, "-c", script, str(k)],
+                             check=True, env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True).stdout.split()
+        assert float(out[1]) == 0.1 ** 2 / 2 ** 10  # all 11 attempts ran
+        assert int(out[0]) < 100, k
 
 
 def test_collar_tables_are_read_only():
@@ -292,16 +339,18 @@ def test_collar_tables_are_read_only():
             table *= 1.0
 
 
-@pytest.mark.parametrize("table", [None, np.zeros((7, 2998)),
-                                   np.zeros((6, 2999)),
-                                   np.zeros((7, 2999), np.float32)],
-                         ids=["missing", "7x2998", "6x2999", "float32"])
+@pytest.mark.parametrize("table", [None, np.zeros((3, 2998, 7)),
+                                   np.zeros((3, 2999, 6)),
+                                   np.zeros((7, 2999)),
+                                   np.zeros((3, 2999, 7), np.float32)],
+                         ids=["missing", "3x2998x7", "3x2999x6", "7x2999",
+                              "float32"])
 def test_a_missing_or_misshapen_collar_table_is_refused(monkeypatch, tmp_path,
                                                         table):
-    path = tmp_path / "collar_moments.npy"
+    path = tmp_path / "collar_operator.npy"
     if table is not None:
         np.save(path, table)
-    monkeypatch.setattr(mollifier, "COLLAR_MOMENTS", str(path))
+    monkeypatch.setattr(mollifier, "COLLAR_OPERATOR", str(path))
     mollifier.certificate_collar.cache_clear()
     with pytest.raises(RuntimeError) as err:
         mollifier.certificate_collar()
@@ -352,8 +401,8 @@ def direct_certificate_collar():
     """The collar tables built directly: every column's split rule, the
     moments with their running products (G_0 and G_1 in np.longdouble),
     then chi_j G @ POWER_DERIV[k - j] summed over j by Leibniz' rule.  The
-    last item is the table `mollifier.COLLAR_MOMENTS` ships: G_0..G_5 and
-    the bump density, one row each."""
+    last item, H, is the (3, N, 7) table `mollifier.COLLAR_OPERATOR`
+    ships."""
     s = mollifier.COLLAR_S
     at = np.flatnonzero(mollifier.in_collar(s))
     t, wt, dens = direct_conv_nodes(s[at])
@@ -371,8 +420,7 @@ def direct_certificate_collar():
         conv = sum(comb(k, j) * chi[j] * G @ mollifier.POWER_DERIV[k - j]
                    for j in range(k + 1))
         H.append(np.hstack([conv, (k == 2) * chi[0] * dens[:, None]]))
-    return (at, (t, wt, dens), np.vander(s, 6, True), H,
-            np.vstack([G.T, dens]))
+    return at, (t, wt, dens), np.vander(s, 6, True), np.stack(H)
 
 
 # the shipped table was summed with x87's 64-bit significand; another
@@ -386,20 +434,18 @@ X87_LONGDOUBLE = np.finfo(np.longdouble).nmant == 63
                            "to the bit; test_collar_moments_g0_g1_summed_"
                            "exactly still holds it to exact sums")
 def test_collar_tables_equal_the_direct_build():
-    # the staleness gate: the shipped table is the direct build's, to the
-    # bit, and so are the collar slice, the powers and the H_k read from it
-    at, rule, powers, H, table = direct_certificate_collar()
-    shipped = np.load(mollifier.COLLAR_MOMENTS, allow_pickle=False)
-    assert shipped.dtype == table.dtype and shipped.shape == table.shape
-    assert np.array_equal(shipped, table), (
-        f"{mollifier.COLLAR_MOMENTS} is stale; regenerate it with "
+    # the staleness gate: the shipped operator H is the direct build's, to
+    # the bit, and so are the collar slice and the powers
+    at, rule, powers, H = direct_certificate_collar()
+    shipped = np.load(mollifier.COLLAR_OPERATOR, allow_pickle=False)
+    assert shipped.dtype == H.dtype and shipped.shape == H.shape
+    assert np.array_equal(shipped, H), (
+        f"{mollifier.COLLAR_OPERATOR} is stale; regenerate it with "
         f"`{mollifier.REGENERATE}`")
     fast_at, fast_powers, fast_H = mollifier.certificate_collar()
     assert np.arange(len(mollifier.COLLAR_S))[fast_at].tolist() == at.tolist()
     assert np.array_equal(fast_powers, powers)
-    assert len(fast_H) == 3
-    for got, want in zip(fast_H, H):
-        assert got.shape == want.shape and np.array_equal(got, want)
+    assert fast_H.shape == H.shape and np.array_equal(fast_H, H)
 
 
 def test_split_rule_dedup_matches_direct_on_the_collar():
@@ -425,7 +471,7 @@ def test_split_rule_dedup_matches_direct_off_the_collar():
 @pytest.mark.parametrize("sig", [1e-2, 1e-4, 1e-6, 1e-8])
 @pytest.mark.parametrize("strength", [0.1, -0.1])
 def test_collar_tables_match_direct_eval(base, sig, strength):
-    # the moment tables at the exact collar points r0 + sigma s, against
+    # the operator table at the exact collar points r0 + sigma s, against
     # eval's per-node convolution at the float radii rc, whose scaled radii
     # (rc - r0) / sigma differ from COLLAR_S by up to ulp(r0) / sigma: the
     # collar points are known only to ulp(r0)
@@ -463,7 +509,7 @@ def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
 
 
 def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
-    # the benchmark's four mollify calls take the moment tables for every
+    # the benchmark's four mollify calls take the operator table for every
     # collar, and the far nodes' sums from sigma-free tables: over the 14
     # attempts a spline sees each fresh corner's two pieces once, and never
     # the 16 x 2999 convolution nodes of a collar or a per-attempt far node
@@ -609,8 +655,8 @@ def test_gauss_legendre_matches_leggauss():
 
 
 if __name__ == "__main__":
-    # writes the collar moment table the package ships, from the direct
+    # writes the collar operator table the package ships, from the direct
     # build; run from the repository root as mollifier.REGENERATE says
-    np.save(mollifier.COLLAR_MOMENTS, direct_certificate_collar()[-1],
+    np.save(mollifier.COLLAR_OPERATOR, direct_certificate_collar()[-1],
             allow_pickle=False)
-    print("wrote", mollifier.COLLAR_MOMENTS)
+    print("wrote", mollifier.COLLAR_OPERATOR)
