@@ -255,6 +255,7 @@ def cmd_verify(args):
     for name, g in probes:
         R = curvature.scalar_curvature(g)
         Rn = curvature.ricci_norm_sq(g)
+        jet = curvature.jet(grid, g.A, g.B)
         W = flow.deturck_vector(g, flow.Background(flat_bg))
         refs = zip(oracle.scalar_curvature_oracle(g, radii),
                    oracle.ricci_norm_sq_oracle(g, radii),
@@ -263,8 +264,8 @@ def cmd_verify(args):
                    oracle.deturck_vector_oracle(g, flat_bg, radii))
         for r0, ref_row in zip(radii, refs):
             i = grid.node_at(r0)
-            got_row = (R[i], Rn[i], curvature.mean_curvature_sphere(g, r0),
-                       mass.adm_mass_flux(g, r0), W[i])
+            got_row = (R[i], Rn[i], curvature.mean_curvature(
+                g.n, r0, [f[i] for f in jet]), mass.adm_mass_flux(g, r0), W[i])
             for label, got, ref in zip(("R", "ric2", "H", "flux", "W"),
                                        got_row, ref_row):
                 # near-zero quantities are held to a 1e-2 scale floor so that
@@ -333,6 +334,8 @@ def _typed(flag, default, text):
     kind = float if default is None else type(default)
     try:
         value = kind(text)
+        if value != value:  # a NaN is no number to run with either
+            raise ValueError
     except ValueError:
         raise UsageError(f"argument {flag}: invalid {kind.__name__} value: "
                          f"{text!r}") from None

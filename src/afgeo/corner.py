@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import RadialGrid, Spline, fornberg_weights, interp_spline
 from .metrics import RadialMetric, volume_element
-from .curvature import mean_curvature_sphere, scalar
+from .curvature import mean_curvature, scalar
 from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar, collar,
                         far_table, in_collar, negative_parts)
 
@@ -139,10 +139,11 @@ def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
 
 
 def corner_condition(cm):
-    """One-sided mean curvatures at the interface and the comparison
-    H(-) >= H(+) (outward normal on both sides), to within 1e-8."""
-    H_minus = mean_curvature_sphere(cm.inner, cm.r0, side="-")
-    H_plus = mean_curvature_sphere(cm.outer, cm.r0, side="+")
+    """One-sided mean curvatures at r0, from the fits' Taylor forms, and the
+    comparison H(-) >= H(+) (outward normal on both sides), to within 1e-8."""
+    # a Taylor form holds f^(k) / k!, so the 2-jet is t[:3] times (1, 1, 2)
+    H_minus, H_plus = (float(mean_curvature(cm.n, cm.r0, (
+        t[:3] * [[1.0], [1.0], [2.0]]).T.ravel())) for t in cm.fits.taylor[:2])
     return H_minus, H_plus, bool(H_minus >= H_plus - 1e-8)
 
 

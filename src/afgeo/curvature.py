@@ -7,8 +7,6 @@ in oracle.py lock them in.
 
 import numpy as np
 
-from .grid import fornberg_weights
-
 
 def jet(grid, A, B):
     """The 2-jet (A, A', A'', B, B', B'') from the parity stencils."""
@@ -50,6 +48,13 @@ def scalar(n, r, jet):
     return (n - 1) * (2.0 * k_rad + (n - 2) * k_tan)
 
 
+def mean_curvature(n, r, jet):
+    """Mean curvature H = (n-1) f1/phi of the sphere of radius r, outward
+    normal, from a 2-jet."""
+    phi, f1, _ = _phi_jets(r, jet)
+    return (n - 1) * f1 / phi
+
+
 def _on_grid(metric, fn):
     """fn(n, r, jet) of the metric at its grid nodes."""
     j = jet(metric.grid, metric.A, metric.B)
@@ -74,37 +79,3 @@ def sectional_bound(metric):
     def k_max(n, r, j):
         return np.max(np.abs(sectional(r, j)), axis=0)
     return float(np.max(_on_grid(metric, k_max)))
-
-
-def one_sided_deriv(grid, f, i0, side):
-    """First derivative of sampled f at node i0 from up to 5 nodes on one
-    side only."""
-    if side == "-":
-        sel = slice(max(0, i0 - 4), i0 + 1)
-    elif side == "+":
-        sel = slice(i0, i0 + 5)
-    else:
-        raise ValueError("side must be '-' or '+'")
-    nodes = grid.r[sel]
-    if len(nodes) < 3:
-        raise ValueError("not enough nodes on that side")
-    c = fornberg_weights(grid.r[i0], nodes, 1)
-    return float(c[1] @ np.asarray(f, dtype=float)[sel])
-
-
-def mean_curvature_sphere(metric, r0, side=None):
-    """Mean curvature of the coordinate sphere r = r0 w.r.t. the outward normal.
-
-    H = (n-1) (d/dr)(r sqrt(B)) / (sqrt(A) r sqrt(B)); `side` ('-' or '+')
-    selects one-sided stencils for metrics with a derivative kink at r0.
-    """
-    grid = metric.grid
-    i0 = grid.node_at(r0)
-    if i0 is None:
-        raise ValueError(f"r0={r0} is not a grid node")
-    if side is None:
-        dB0 = grid.deriv(metric.B, 1, parity=True)[i0]
-    else:
-        dB0 = one_sided_deriv(grid, metric.B, i0, side)
-    phi, f1, _ = _phi_jets(r0, (metric.A[i0], 0, 0, metric.B[i0], dB0, 0))
-    return float((metric.n - 1) * f1 / phi)

@@ -107,8 +107,12 @@ class FlowConfig:
     fairness: float = 1.1       # background must stay this fair to g(t)
 
     def __post_init__(self):
-        if self.T_final <= 0:
-            raise ValueError("T_final must be positive")
+        if not 0 < self.T_final < np.inf:
+            raise ValueError(f"T_final must be finite and > 0, got "
+                             f"{self.T_final:g}")
+        if not 1 <= self.fairness < np.inf:
+            raise ValueError(f"fairness must be finite and >= 1, got "
+                             f"{self.fairness:g}")
         if not 0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.monitor_every < 1:

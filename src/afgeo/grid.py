@@ -74,6 +74,8 @@ class RadialGrid:
         r = np.asarray(r, dtype=float)
         if r.ndim != 1 or len(r) < MIN_NODES:
             raise ValueError(f"grid needs >= {MIN_NODES} nodes")
+        if not np.isfinite(r).all():
+            raise ValueError("grid radii must be finite")
         if np.any(np.diff(r) <= 0):
             raise ValueError("grid radii must be strictly increasing")
         if r[0] < 0:
@@ -159,8 +161,16 @@ class RadialGrid:
         return np.trapezoid(f, self.r)
 
     def snap(self, targets):
-        """The node radius nearest to each target radius."""
-        return [float(self.r[np.argmin(np.abs(self.r - t))]) for t in targets]
+        """The node radius nearest to each target radius.  A target that is
+        not finite, or lies outside [r[0], r[-1]] by more than the end
+        cell's width, is refused."""
+        r, out = self.r, []
+        for t in targets:
+            if not 2 * r[0] - r[1] <= t <= 2 * r[-1] - r[-2]:
+                raise ValueError(f"radius {t:g} lies off the grid "
+                                 f"[{r[0]:g}, {r[-1]:g}] by more than a cell")
+            out.append(float(r[np.argmin(np.abs(r - t))]))
+        return out
 
     def node_at(self, r0):
         """Index of the node equal to r0 to 1e-9 relative, or None."""

@@ -26,8 +26,11 @@ class HeatProfile:
 
 
 def initial_profile(x_max=200.0, dx=0.05):
-    """Probe data sin(x)/(1 + x^2) on a symmetric grid."""
-    num = int(round(2 * x_max / dx))
+    """Probe data sin(x)/(1 + x^2) on a symmetric grid of at least 3 nodes."""
+    finite = 0 < dx < np.inf and 0 < x_max < np.inf
+    if not finite or (num := int(round(2 * x_max / dx))) < 2:
+        raise ValueError(f"dx={dx:g}, x_max={x_max:g}: need both finite and "
+                         "> 0, and at least 3 nodes")
     x = np.linspace(-x_max, x_max, num + 1)
     return HeatProfile(x, np.sin(x) / (1.0 + x ** 2), 0.0)
 
@@ -45,8 +48,8 @@ def _rhs(f, dx):
 def heat_evolve(profile, T):
     """Heun time stepping of df/dt = d^2f/dx^2 up to time t + T, in steps of
     0.4 dx^2."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"T must be finite and >= 0, got {T:g}")
     dx = profile.dx
     dt = 0.4 * dx ** 2
     f = profile.f.copy()

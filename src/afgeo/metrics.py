@@ -31,6 +31,8 @@ class RadialMetric:
             raise ValueError("dimension must be >= 3")
         if self.A.shape != self.grid.r.shape or self.B.shape != self.grid.r.shape:
             raise ValueError("A, B must be sampled on the grid")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
+            raise ValueError("metric coefficients must be finite")
         if np.any(self.A <= 0) or np.any(self.B <= 0):
             raise ValueError("metric coefficients must be positive")
 

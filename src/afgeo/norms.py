@@ -17,7 +17,7 @@ def _sup_terms(grid, f, k, delta):
 def fairness_ratios(h, A, B, fairness):
     """(ok, (lo, hi)): whether the ratios A / h.A and B / h.B, radial and
     tangential, lie in [1/fairness, fairness] at every node."""
-    if fairness < 1.0:
+    if not fairness >= 1.0:
         raise ValueError("fairness must be >= 1")
     ratios = np.concatenate([A / h.A, B / h.B])
     lo = float(np.min(ratios))

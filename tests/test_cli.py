@@ -261,6 +261,42 @@ def test_empty_epsilon_list_exits_config(command, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+# every case exited 0, 1 or 3, or died on a traceback, before the checks
+NOT_A_NUMBER = [
+    ["flow", "--T", "nan"],                 # exit 0: steps=0 T_final=0
+    ["flow", "--fairness", "nan"],          # exit 3: nan passed fairness < 1
+    ["flow", "--metric", "conformal:c=nan"],  # a nan A passed A <= 0
+    ["flow", "--grid", "staggered:rmax=inf,num=256"],  # exit 3: not fair
+    ["zero-mass", "--amp", "nan"],
+    ["zero-mass", "--kink", "nan"],
+    ["corner", "--strength", "nan"],        # exit 1
+    ["corner", "--K", "nan"],
+    ["mass-constancy", "--tol", "nan"],
+    ["heat-demo", "--dx", "0"],             # ZeroDivisionError
+    ["heat-demo", "--dx", "inf"],
+    ["heat-demo", "--dx", "300"],           # 2 nodes
+    ["heat-demo", "--x-max", "0"],          # IndexError
+    ["heat-demo", "--times", "nan"],        # exit 0
+]
+
+
+@pytest.mark.parametrize("argv", NOT_A_NUMBER, ids=" ".join)
+def test_non_finite_or_degenerate_numbers_exit_config(argv, tmp_path, capsys):
+    assert cli.run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: ", cli.USAGE)), err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("radii", ["50,100,1e9", "50,nan,200", "-1,100,200"])
+def test_mass_radius_off_the_grid_exits_config(radii, tmp_path, capsys):
+    # before the check, 1e9 snapped to the last node, r = 300, and the
+    # ladder reported converged=True; nan snapped to the first node
+    assert cli.run(["mass", "--radii", radii, "--out", str(tmp_path)]) == 2
+    assert "off the grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_monitor_every_zero_exits_config(tmp_path):
     assert cli.run(["zero-mass", "--monitor-every", "0", "--T", "1e-3",
                     "--grid", "staggered:rmax=60,num=256",

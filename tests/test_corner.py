@@ -84,6 +84,27 @@ def test_condition_matches_jump_formula(base, valid_corner):
     assert (Hm - Hp) == pytest.approx(pred, rel=1e-4)
 
 
+@pytest.mark.parametrize("strength", [0.1, -0.1])
+def test_condition_matches_closed_form(base, strength):
+    # the mean curvature 2 (1 + 2 r u'/u) / (r u^2) of the sphere r = r0 in
+    # the conformally flat u^4 delta: outside, Schwarzschild u = 1 + 1/(2r);
+    # inside, U = u0 + q0 (F(r0) - F(r)) with U'(r0-) = -q0 / r0^2, q0 read
+    # back from the inner data
+    cm = corner.corner_example(base, 4.0, strength)
+    r0, ri = cm.r0, cm.inner.grid.r
+    F = 5 * ri ** 2 / r0 ** 3 - 5 * ri ** 3 / r0 ** 4 + 1.5 * ri ** 4 / r0 ** 5
+    U = cm.inner.A ** 0.25
+    q0 = (U[0] - U[-1]) / (F[-1] - F[0])
+
+    def H(u, du):
+        return 2 * (1 + 2 * r0 * du / u) / (r0 * u ** 2)
+
+    Hm, Hp, ok = corner.corner_condition(cm)
+    assert abs(Hm - H(U[-1], -q0 / r0 ** 2)) < 1e-9
+    assert abs(Hp - H(1 + 0.5 / r0, -0.5 / r0 ** 2)) < 1e-9
+    assert ok is (strength > 0)
+
+
 def test_negative_strength_violates(invalid_corner):
     Hm, Hp, ok = corner.corner_condition(invalid_corner)
     assert not ok and Hm < Hp

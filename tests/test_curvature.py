@@ -30,9 +30,8 @@ def test_schwarzschild_scalar_flat(grid):
 def test_mean_curvature_flat_exact(n):
     g = RadialGrid.uniform(0.5, 50.0, 256)
     flat = metrics.build_flat(n, g)
-    r0 = g.r[g.node_at(10.190982404692082) or 50]
-    H = curvature.mean_curvature_sphere(flat, r0)
-    assert H == pytest.approx((n - 1) / r0, rel=1e-12)
+    H = curvature.mean_curvature(n, g.r, curvature.jet(g, flat.A, flat.B))
+    assert H == pytest.approx((n - 1) / g.r, rel=1e-12)
 
 
 def test_scalar_curvature_matches_oracle(grid):
@@ -54,20 +53,11 @@ def test_ricci_norm_matches_oracle(grid):
 
 def test_mean_curvature_matches_oracle(grid):
     m = metrics.build_conformal(0.4, 3, grid)
-    H = curvature.mean_curvature_sphere(m, 5.0)
+    i = grid.node_at(5.0)
+    H = curvature.mean_curvature(3, grid.r[i], [
+        f[i] for f in curvature.jet(grid, m.A, m.B)])
     ref = oracle.mean_curvature_oracle(m, 5.0)
     assert abs(H - ref) / (1 + abs(ref)) < 1e-6
-
-
-def test_one_sided_deriv_detects_kink():
-    g = RadialGrid.uniform(0.5, 10.0, 512)
-    i0 = int(np.argmin(np.abs(g.r - 3.0)))
-    r0 = g.r[i0]
-    f = np.where(g.r <= r0, g.r, r0 + 2.0 * (g.r - r0))  # slope 1 -> 2
-    dm = curvature.one_sided_deriv(g, f, i0, "-")
-    dp = curvature.one_sided_deriv(g, f, i0, "+")
-    assert dm == pytest.approx(1.0, abs=1e-9)
-    assert dp == pytest.approx(2.0, abs=1e-9)
 
 
 def test_origin_fill_regular():

@@ -212,6 +212,16 @@ def test_unfair_background_aborts():
         flow.evolve(g, h, flow.FlowConfig(T_final=1e-3))
 
 
+@pytest.mark.parametrize("kw", [
+    {"T_final": np.inf}, {"T_final": np.nan}, {"T_final": 0.0},
+    {"fairness": np.nan}, {"fairness": np.inf}, {"fairness": 0.9}])
+def test_flow_config_refuses_what_no_flow_can_honour(kw):
+    # T_final = inf would step until the flow aborts, or forever on a flat
+    # background; so it is refused here and never run
+    with pytest.raises(ValueError, match="must be finite"):
+        flow.FlowConfig(**{"T_final": 1e-3, **kw})
+
+
 def test_nonuniform_grid_rejected():
     grid = RadialGrid.geometric(0.5, 40.0, 256, 1.01)
     g = metrics.build_flat(3, grid)

@@ -138,6 +138,14 @@ def test_deriv_nonuniform_grid():
     assert np.max(np.abs(d - 6.0 * g.r)) < 1e-8  # exact for cubics
 
 
+def test_snap_refuses_targets_beyond_an_end_cell():
+    g = RadialGrid.uniform(1.0, 10.0, 91)  # cells of 0.1
+    assert g.snap([0.92, 5.04, 10.08]) == [g.r[0], g.r[40], g.r[-1]]
+    for t in (0.85, 10.15, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="off the grid"):
+            g.snap([5.0, t])
+
+
 def test_node_at():
     g = RadialGrid.uniform(0.0, 10.0, 101)
     assert g.node_at(5.0) == 50

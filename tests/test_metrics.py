@@ -12,6 +12,15 @@ def grid():
     return RadialGrid.uniform(0.5, 100.0, 512)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metric_refuses_coefficients_not_finite(grid, bad):
+    A = np.ones_like(grid.r)
+    A[7] = bad
+    for fields in ((A, np.ones_like(A)), (np.ones_like(A), A)):
+        with pytest.raises(ValueError, match="finite"):
+            metrics.RadialMetric(grid, 3, *fields)
+
+
 def test_flat(grid):
     flat = metrics.build_flat(3, grid)
     assert np.all(flat.A == 1.0) and np.all(flat.B == 1.0)
