@@ -11,7 +11,7 @@ from afgeo import corner, metrics
 def main():
     grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
                                    outer_num=512)
-    base = metrics.build_schwarzschild_isotropic(1.0, grid)
+    base = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     for strength in (0.1, -0.1):
         cm = corner.corner_example(base, 4.0, strength)
         Hm, Hp, ok = corner.corner_condition(cm)

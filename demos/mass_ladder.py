@@ -13,7 +13,7 @@ from afgeo.grid import RadialGrid
 
 def main():
     grid = RadialGrid.staggered(300.0, 2048)
-    g = metrics.build_schwarzschild_isotropic(1.0, grid)
+    g = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     radii = grid.snap((50.0, 100.0, 200.0))
     rep = mass.adm_mass(g, radii)
     print("flux ladder for Schwarzschild m=1 (target 16 pi = %.6f):" % (16 * np.pi))

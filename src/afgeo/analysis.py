@@ -9,13 +9,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialGrid, smoothstep
+from .grid import smoothstep
 from .metrics import build_flat, build_distorted_flat, radial_kink_map, volume_element
 from .curvature import scalar_curvature
 from .mollifier import negative_parts
 from . import corner as corner_mod
 from . import flow as flow_mod
 from . import mass as mass_mod
+
+CUTOFF_LADDER = ((2.0, 8.0), (4.0, 16.0), (8.0, 32.0))  # (r1, r2) rungs
+VALUE_TOL = 1e-6       # slack of the cutoff's nodewise value constraints
+GRONWALL_TOL = 1e-9    # relative slack of both Gronwall comparisons
+RNEG_TOL = 1e-6        # absolute slack of the negative-part cap
+L1_MONO_TOL = 1e-9     # tail growth along the radius ladder still monotone
+FLUX_TOL = 1e-12       # slack of the boundary-flux comparisons
+W2_FLOOR_FRAC = 0.1    # the second-derivative norm counts from t >= this T
+ZERO_MASS_TOLS = {"mass_tol": 1e-3, "R_tol": 1e-4, "roundtrip_tol": 1e-2,
+                  "map_tol": 1e-1}
 
 
 @dataclass
@@ -84,38 +94,37 @@ def build_cutoff(r1, r2, metric):
     return CutoffFunction(r1, r2, f, C_meas)
 
 
-def cutoff_report(metric, ladder=((2.0, 8.0), (4.0, 16.0), (8.0, 32.0)),
-                  tol=1e-6):
+def cutoff_report(metric):
     """Nodewise value constraints plus ladder stability of C_meas."""
     r = metric.grid.r
     rows = []
     checks = []
     cs = []
     n = metric.n
-    for r1, r2 in ladder:
+    for r1, r2 in CUTOFF_LADDER:
         co = build_cutoff(r1, r2, metric)
         f = co.values
         inner = r < r1
         mid = (2.0 * r1 <= r) & (r <= r2)
         tail = r > 2.0 * r2
-        ok = (bool(np.all((f > 0) & (f <= 2.0 + tol)))
-              and bool(np.all(np.abs(f[inner] - 1.0 / r1 ** 2) <= tol))
-              and bool(np.all(f[mid] >= 1.0 - tol))
-              and bool(np.all(f[tail] <= r[tail] ** (-(n + 1.0)) + tol)))
+        ok = (bool(np.all((f > 0) & (f <= 2.0 + VALUE_TOL)))
+              and bool(np.all(np.abs(f[inner] - 1.0 / r1 ** 2) <= VALUE_TOL))
+              and bool(np.all(f[mid] >= 1.0 - VALUE_TOL))
+              and bool(np.all(f[tail] <= r[tail] ** -(n + 1.0) + VALUE_TOL)))
         checks.append(ok)
         cs.append(co.C_meas)
         rows.append({"r1": r1, "r2": r2, "C_meas": co.C_meas, "values_ok": ok})
     spread = max(cs) / max(min(cs), 1e-300)
     passed = all(checks) and min(cs) > 0 and spread < 2.0
     return MonitorReport("cutoff", passed,
-                         {"value_tol": tol, "C_spread_max": 2.0},
+                         {"value_tol": VALUE_TOL, "C_spread_max": 2.0},
                          {"C_meas_min": min(cs), "C_meas_max": max(cs),
                           "C_spread": spread}, rows)
 
 
 # -- discrete Gronwall ------------------------------------------------------
 
-def gronwall_check(times, F, A, B, tol=1e-9):
+def gronwall_check(times, F, A, B):
     """Discrete check of F' <= A F + B on [0,1] and of the integrated bound
     F(t) <= e^A F(0) + B e^A.  A hypothesis failure is reported as such
     rather than as a bound failure."""
@@ -128,11 +137,11 @@ def gronwall_check(times, F, A, B, tol=1e-9):
         dt = times[i + 1] - times[i]
         # one exact integrating-factor step of the comparison ODE
         bound = np.exp(A * dt) * F[i] + B * dt * np.exp(A * dt)
-        if F[i + 1] > bound + tol * (1.0 + abs(bound)):
+        if F[i + 1] > bound + GRONWALL_TOL * (1.0 + abs(bound)):
             hyp_ok = False
             break
     glob = np.exp(A) * F[0] + B * np.exp(A)
-    bound_ok = bool(np.all(F <= glob + tol * (1.0 + abs(glob))))
+    bound_ok = bool(np.all(F <= glob + GRONWALL_TOL * (1.0 + abs(glob))))
     if hyp_ok and bound_ok:
         mode = "none"
     elif not hyp_ok:
@@ -140,7 +149,8 @@ def gronwall_check(times, F, A, B, tol=1e-9):
     else:
         mode = "bound"
     rows = [{"t": t, "F": f} for t, f in zip(times, F)]
-    return MonitorReport("gronwall", hyp_ok and bound_ok, {"tol": tol},
+    return MonitorReport("gronwall", hyp_ok and bound_ok,
+                         {"tol": GRONWALL_TOL},
                          {"failure_mode": mode, "global_bound": glob,
                           "F_max": float(np.max(F))}, rows)
 
@@ -164,11 +174,12 @@ def negative_part(metric):
     return float(metric.grid.trapz(negative_parts(R, w)[:, 0]))
 
 
-def rneg_monitor(trajectory, K, tol=1e-6):
-    """negative_part(g(t)) <= e^K negative_part(g(0)) + tol at every snapshot."""
+def rneg_monitor(trajectory, K):
+    """negative_part(g(t)) <= e^K negative_part(g(0)) + RNEG_TOL at every
+    snapshot."""
     snaps = trajectory.snapshots
     p0 = negative_part(snaps[0].metric)
-    cap = np.exp(K) * p0 + tol
+    cap = np.exp(K) * p0 + RNEG_TOL
     rows = []
     worst = 0.0
     worst_late = 0.0
@@ -181,7 +192,7 @@ def rneg_monitor(trajectory, K, tol=1e-6):
     # the t=0 comparison is an equality up to e^K, so the margin is only
     # informative once the flow has acted
     margin = cap / worst_late if worst_late > 0 else np.inf
-    return MonitorReport("rneg", worst <= cap, {"abs_tol": tol},
+    return MonitorReport("rneg", worst <= cap, {"abs_tol": RNEG_TOL},
                          {"K": K, "neg_part_initial": p0,
                           "neg_part_max": worst, "margin": margin}, rows)
 
@@ -195,7 +206,7 @@ def _tail_integral(metric, r0):
     return float(np.trapezoid((w * np.abs(R))[mask], r[mask]))
 
 
-def l1_tail_monitor(trajectory, radii, tol=1e-9):
+def l1_tail_monitor(trajectory, radii):
     """Tails integral(|R|) over r > r0 for the radius ladder: decreasing in r
     at every snapshot, and bounded by a single curve eta~(r) = sup over t."""
     radii = sorted(radii)
@@ -204,7 +215,7 @@ def l1_tail_monitor(trajectory, radii, tol=1e-9):
     mono_ok = True
     for s in trajectory.snapshots:
         tails = [_tail_integral(s.metric, r0) for r0 in radii]
-        if np.any(np.diff(tails) > tol):
+        if np.any(np.diff(tails) > L1_MONO_TOL):
             mono_ok = False
         sup_curve = np.maximum(sup_curve, tails)
         row = {"t": s.t}
@@ -222,7 +233,7 @@ def l1_tail_monitor(trajectory, radii, tol=1e-9):
     meas = {f"eta_sup_r{r0:g}": v for r0, v in zip(radii, sup_curve)}
     meas["C_fit"] = C_fit
     return MonitorReport("l1_tail", mono_ok and np.all(np.isfinite(sup_curve)),
-                         {"mono_tol": tol}, meas, rows)
+                         {"mono_tol": L1_MONO_TOL}, meas, rows)
 
 
 def boundary_gradient_flux(metric, r0):
@@ -235,7 +246,7 @@ def boundary_gradient_flux(metric, r0):
     return float(dV * np.abs(dR[i]) / A)
 
 
-def boundary_gradient_monitor(trajectory, radii, tol=1e-12):
+def boundary_gradient_monitor(trajectory, radii):
     """Flux of |grad R| through spheres: decreasing across the radius ladder,
     uniformly for t in the second half of the run."""
     radii = sorted(radii)
@@ -250,13 +261,13 @@ def boundary_gradient_monitor(trajectory, radii, tol=1e-12):
         row.update({f"flux_r{r0:g}": v for r0, v in zip(radii, fluxes)})
         rows.append(row)
         if s.t >= T / 2.0:
-            if np.any(np.diff(fluxes) > tol):
+            if np.any(np.diff(fluxes) > FLUX_TOL):
                 dec_ok = False
             sup_outer = max(sup_outer, fluxes[-1])
             inf_inner = min(inf_inner, fluxes[0])
-    uniform_ok = sup_outer <= inf_inner + tol
+    uniform_ok = sup_outer <= inf_inner + FLUX_TOL
     return MonitorReport("boundary_gradient", dec_ok and uniform_ok,
-                         {"tol": tol},
+                         {"tol": FLUX_TOL},
                          {"sup_flux_outer": sup_outer,
                           "inf_flux_inner": inf_inner}, rows)
 
@@ -340,17 +351,13 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     return report, traj
 
 
-def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,
-                         mass_tol=1e-3, r_tol=1e-4, roundtrip_tol=1e-2,
-                         map_tol=1e-1, n=3):
+def zero_mass_experiment(config, grid, kink_radius=3.0, amp=0.05, n=3):
     """Flat metric in kinked coordinates: mass 0, flow flattens, and the
     extracted diffeomorphism recovers both the data and the coordinate map.
 
     The kink is resolved over 6 grid cells: sub-cell corner structure is
     unrepresentable and pointwise sampling of the bare Lipschitz map
     injects a phase-dependent curvature moment."""
-    if grid is None:
-        grid = RadialGrid.staggered(60.0, 2048)
     smooth_width = 6.0 * grid.dr_min
     g0 = build_distorted_flat(n, grid, kink_radius=kink_radius, amp=amp,
                               smooth_width=smooth_width)
@@ -372,12 +379,10 @@ def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,
     phi_err = float(np.max(np.abs(phi.at_time(0.0) - Phi)[s2]))
     rows = [{"t": s.t, "max_grad_eta": s.diagnostics["max_grad_eta"]}
             for s in traj.snapshots]
-    passed = (abs(rep0.mass) < mass_tol and supR < r_tol
-              and rt_err < roundtrip_tol and phi_err < map_tol)
-    report = MonitorReport("zero_mass", passed,
-                           {"mass_tol": mass_tol, "R_tol": r_tol,
-                            "roundtrip_tol": roundtrip_tol,
-                            "map_tol": map_tol},
+    tols = ZERO_MASS_TOLS
+    passed = (abs(rep0.mass) < tols["mass_tol"] and supR < tols["R_tol"]
+              and rt_err < tols["roundtrip_tol"] and phi_err < tols["map_tol"])
+    report = MonitorReport("zero_mass", passed, dict(tols),
                            {"mass": rep0.mass, "mass_err": rep0.mass_err,
                             "sup_R_final": supR,
                             "roundtrip_c0": rt_err,
@@ -385,9 +390,9 @@ def zero_mass_experiment(config, kink_radius=3.0, amp=0.05, grid=None,
     return report, traj
 
 
-def weighted_decay_monitor(trajectory, t_floor_frac=0.1):
+def weighted_decay_monitor(trajectory):
     """Uniform boundedness of the weighted sup-norms of eta along the run;
-    the second-derivative norm is only required once t >= t_floor * T."""
+    the second-derivative norm is only required once t >= W2_FLOOR_FRAC T."""
     T = trajectory.times()[-1]
     rows = []
     w0m = w1m = 0.0
@@ -398,7 +403,7 @@ def weighted_decay_monitor(trajectory, t_floor_frac=0.1):
                      "w2": d["wnorm2"]})
         w0m = max(w0m, d["wnorm0"])
         w1m = max(w1m, d["wnorm1"])
-        if s.t >= t_floor_frac * T:
+        if s.t >= W2_FLOOR_FRAC * T:
             w2m = max(w2m, d["wnorm2"])
     start = trajectory.snapshots[0].diagnostics
     base = max(start["wnorm0"], start["wnorm1"], 1.0)

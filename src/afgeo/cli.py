@@ -76,10 +76,7 @@ def parse_metric(spec, grid, dim=3):
     if name == "flat":
         return metrics.build_flat(dim, grid)
     if name == "schwarzschild":
-        if dim != 3:
-            raise ConfigError(f"metric {spec!r} exists for n = 3 only, "
-                              f"not --dim {dim}")
-        return metrics.build_schwarzschild_isotropic(kv["m"], grid)
+        return metrics.build_schwarzschild_isotropic(kv["m"], dim, grid)
     if name == "conformal":
         return metrics.build_conformal(kv["c"], dim, grid)
     if name == "distorted-flat":
@@ -240,15 +237,10 @@ def cmd_verify(args):
     from . import oracle
 
     grid = parse_grid(args.grid)
-    body, probes = [], []
-    for spec in ("flat", "schwarzschild", "conformal", "angular-bump",
-                 "distorted-flat:amp=0.03"):
-        name = spec.partition(":")[0]
-        if name == "schwarzschild" and args.dim != 3:
-            # isotropic Schwarzschild exists for n = 3 only
-            body.append(f"skipped_probe={name} (dim={args.dim})")
-        else:
-            probes.append((name, parse_metric(spec, grid, args.dim)))
+    body = []
+    probes = [(spec.partition(":")[0], parse_metric(spec, grid, args.dim))
+              for spec in ("flat", "schwarzschild", "conformal",
+                           "angular-bump", "distorted-flat:amp=0.03")]
     flat_bg = metrics.build_flat(args.dim, grid)
     radii = grid.snap((10.0, 20.0))
     worst = 0.0

@@ -152,6 +152,8 @@ class FlowTrajectory:
 
 
 def stable_dt(grid, A, B, n, cfl):
+    """The explicit step cfl dr_min^2 min(A, B) / (2n): dr_min^2 covers the
+    1/r^2 terms of the right-hand side where r >= dr_min / 2."""
     return cfl * grid.dr_min ** 2 * min(float(np.min(A)), float(np.min(B))) / (2 * n)
 
 
@@ -178,20 +180,17 @@ def _snapshot(t, bg, eta_A, eta_B, delta):
 
 
 def evolve(metric, h, config):
-    """Method-of-lines integration of the gauged flow up to T_final.
-
-    Requires a uniform grid (the CFL bound is a single number) with no node
-    at r = 0 (the right-hand side divides by r), and the background within
-    the configured fairness f of the initial metric; every step must keep
-    it within 2f - 1.
+    """Method-of-lines integration of the gauged flow up to T_final, on any
+    grid with 2 r[0] >= dr_min (where stable_dt holds; a staggered grid sits
+    at equality) and with the background within the configured fairness f
+    of the initial metric; every step must keep it within 2f - 1.
     """
     grid = metric.grid
-    if grid.spacing != "uniform":
-        raise ValueError("flow integration requires a uniform grid")
-    if grid.r[0] <= 0.0:
-        raise ValueError("flow grid has a node at r = 0, where the right-hand "
-                         "side divides by r; use a staggered grid "
-                         "(r_j = (j + 1/2) dr) to reach the origin")
+    if 2.0 * grid.r[0] < grid.dr_min * (1.0 - 1e-9):
+        raise ValueError(f"flow grid's first node r[0] = {grid.r[0]:g} lies "
+                         f"within half its smallest cell dr_min = "
+                         f"{grid.dr_min:g} of the origin; use a staggered "
+                         "grid (r_j = (j + 1/2) dr) to reach the origin")
     if not np.array_equal(grid.r, h.grid.r):
         raise ValueError("metric and background must share a grid")
     ok, rng = is_delta_fair(h, metric, config.fairness)

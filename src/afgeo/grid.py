@@ -70,7 +70,7 @@ class RadialGrid:
     A parity flag mirrors the nodes across r = 0 for fields even in r.
     """
 
-    def __init__(self, r, spacing="custom"):
+    def __init__(self, r):
         r = np.asarray(r, dtype=float)
         if r.ndim != 1 or len(r) < MIN_NODES:
             raise ValueError(f"grid needs >= {MIN_NODES} nodes")
@@ -81,18 +81,17 @@ class RadialGrid:
         if r[0] < 0:
             raise ValueError("negative radii not allowed")
         self.r = r
-        self.spacing = spacing
         self._stencils = {}
 
     @classmethod
     def uniform(cls, r_min, r_max, num):
-        return cls(np.linspace(r_min, r_max, num), spacing="uniform")
+        return cls(np.linspace(r_min, r_max, num))
 
     @classmethod
     def staggered(cls, r_max, num):
         """Uniform cell-centered grid r_j = (j + 1/2) h; no node at r = 0."""
         h = r_max / num
-        return cls((np.arange(num) + 0.5) * h, spacing="uniform")
+        return cls((np.arange(num) + 0.5) * h)
 
     @classmethod
     def geometric(cls, r_min, r_max, num, ratio):
@@ -102,7 +101,7 @@ class RadialGrid:
         steps = ratio ** np.arange(num - 1)
         cum = np.concatenate([[0.0], np.cumsum(steps)])
         r = r_min + (r_max - r_min) * cum / cum[-1]
-        return cls(r, spacing="geometric")
+        return cls(r)
 
     @property
     def num(self):
@@ -226,8 +225,8 @@ class Spline:
             out.append(f.T.reshape(shape))
         return out
 
-    def __call__(self, r, nu=0):
-        return self.jets(r, nu)[nu]
+    def __call__(self, r):
+        return self.jets(r)[0]
 
 
 def _bspline_basis(t, k, x, ell):

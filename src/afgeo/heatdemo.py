@@ -75,18 +75,17 @@ def dyadic_annuli(x_max):
     return out
 
 
-def decay_profile(profile, k, annuli=None):
-    """Per-annulus sup of x^2 |d^k f / dx^k| for k <= 2."""
+def decay_profile(profile, k):
+    """Per-annulus sup of x^2 |d^k f / dx^k| for k <= 2, on the dyadic
+    annuli."""
     if k > 2:
         raise ValueError("only derivatives up to order 2")
-    if annuli is None:
-        annuli = dyadic_annuli(profile.x_max)
     g = profile.f
     for _ in range(k):
         g = np.gradient(g, profile.dx)
     vals = []
     ax = np.abs(profile.x)
-    for lo, hi in annuli:
+    for lo, hi in dyadic_annuli(profile.x_max):
         sel = (ax >= lo) & (ax <= hi)
         vals.append((lo, float(np.max(profile.x[sel] ** 2 * np.abs(g[sel])))))
     return vals

@@ -55,15 +55,16 @@ def build_flat(n, grid):
     return RadialMetric(grid, n, one.copy(), one.copy(), delta=float(n - 2))
 
 
-def build_schwarzschild_isotropic(m, grid):
-    """Isotropic-coordinate Schwarzschild slice, n = 3 only: A = B = (1 + m/2r)^4."""
+def build_schwarzschild_isotropic(m, n, grid):
+    """Isotropic Schwarzschild (Tangherlini) slice: A = B = u^{4/(n-2)},
+    u = 1 + m/(2 r^{n-2})."""
     if grid.r[0] <= 0:
         raise ValueError("Schwarzschild in isotropic coordinates needs r > 0")
     if m < 0:
         raise ValueError("mass must be nonnegative")
-    u = 1.0 + m / (2.0 * grid.r)
-    A = u ** 4
-    return RadialMetric(grid, 3, A, A.copy(), delta=1.0)
+    u = 1.0 + m / (2.0 * grid.r ** (n - 2))
+    A = u ** (4.0 / (n - 2))
+    return RadialMetric(grid, n, A, A.copy(), delta=float(n - 2))
 
 
 def build_conformal(c, n, grid):
@@ -82,6 +83,8 @@ def build_conformal(c, n, grid):
 
 def build_angular_bump(c, n, grid, width=1.0):
     """Anisotropic smooth test metric: A = 1, B = 1 + c/(1 + (r/width)^2)^{n/2}."""
+    if not 0 < width < np.inf:
+        raise ValueError(f"width={width:g}: the width must be finite and > 0")
     B = 1.0 + c / (1.0 + (grid.r / width) ** 2) ** (n / 2.0)
     if np.any(B <= 0):
         raise ValueError("B must stay positive")
@@ -100,6 +103,8 @@ def _smooth_pos(u, w):
 def _kink_profile(r, k, amp, smooth_width):
     """p(r) = amp * max(0, 1 - (r/k)^2) and its derivative, optionally with
     the derivative kink at r = k resolved over the given radial width."""
+    if not 0 < k < np.inf:
+        raise ValueError(f"kink={k:g}: the kink radius must be finite and > 0")
     u = 1.0 - (r / k) ** 2
     du = -2.0 * r / k ** 2
     if smooth_width > 0.0:

@@ -13,7 +13,7 @@ import pytest
 import conftest
 from afgeo import analysis, cli, corner, flow, heatdemo
 from afgeo import mass, metrics
-from afgeo.grid import RadialGrid
+from afgeo.grid import RadialGrid, sphere_area
 
 TARGET = 16.0 * np.pi
 
@@ -32,7 +32,7 @@ def _report(num, label, ok, detail):
 def corner_base():
     grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
                                    outer_num=512)
-    return metrics.build_schwarzschild_isotropic(1.0, grid)
+    return metrics.build_schwarzschild_isotropic(1.0, 3, grid)
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +58,24 @@ def corner_run(valid_cm, flow_grid):
 
 # -- criteria ---------------------------------------------------------------
 
-def test_criterion_1_mass_computation():
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_criterion_1_mass_computation(n):
     t0 = time.perf_counter()
     grid = RadialGrid.staggered(300.0, 2048)
-    g = metrics.build_schwarzschild_isotropic(1.0, grid)
+    g = metrics.build_schwarzschild_isotropic(1.0, n, grid)
     rep = mass.adm_mass(g, grid.snap((50.0, 100.0, 200.0)))
     wall = time.perf_counter() - t0
-    rel = abs(rep.mass - TARGET) / TARGET
-    _report(1, "mass computation", rel < 1e-3 and wall < 5.0,
+    # m = 1 in the flux normalisation: 2 (n - 1) |S^(n-1)|, 16 pi at n = 3
+    target = 2 * (n - 1) * sphere_area(n)
+    rel = abs(rep.mass - target) / target
+    _report(1, f"mass computation, n = {n}", rel < 1e-3 and wall < 5.0,
             f"rel_err={rel:.2e} wall={wall:.1f}s")
 
 
 def test_criterion_2_mass_constancy():
     t0 = time.perf_counter()
     grid = RadialGrid.uniform(0.5, 300.0, 2048)
-    g = metrics.build_schwarzschild_isotropic(1.0, grid)
+    g = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     cfg = flow.FlowConfig(T_final=0.01, monitor_every=2)
     rep, _ = analysis.mass_constancy_experiment(
         g, g, cfg, radii=grid.snap((100.0, 150.0, 200.0)))
@@ -82,7 +85,7 @@ def test_criterion_2_mass_constancy():
     flux_err = []
     for num in (1024, 2048):
         gr = RadialGrid.uniform(0.5, 300.0, num)
-        gg = metrics.build_schwarzschild_isotropic(1.0, gr)
+        gg = metrics.build_schwarzschild_isotropic(1.0, 3, gr)
         r0 = gr.snap((50.0,))[0]
         exact = TARGET * (1.0 + 0.5 / r0) ** 3
         flux_err.append(abs(mass.adm_mass_flux(gg, r0) - exact) / exact)

@@ -46,7 +46,7 @@ def test_gronwall_trivial_and_equality_cases():
     t = np.linspace(0.0, 1.0, 64)
     ok = analysis.gronwall_check(t, np.exp(-t), 0.0, 0.0)
     assert ok.passed and ok.measured["failure_mode"] == "none"
-    edge = analysis.gronwall_check(t, np.exp(t), 1.0, 0.0, tol=1e-6)
+    edge = analysis.gronwall_check(t, np.exp(t), 1.0, 0.0)
     assert edge.passed
     bad = analysis.gronwall_check(t, np.exp(2.0 * t), 1.0, 0.0)
     assert not bad.passed
@@ -64,7 +64,7 @@ def test_negative_part_vanishes_for_nonnegative_curvature(wide_flat):
 def invalid_smoothed():
     grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
                                    outer_num=512)
-    base = metrics.build_schwarzschild_isotropic(1.0, grid)
+    base = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     cm = corner.corner_example(base, 4.0, -0.1)
     mc, _ = corner.mollify(cm, 1e-2)
     return mc.sample(cm.combined().grid)
@@ -131,7 +131,7 @@ def test_weighted_decay_monitor(conformal_traj):
 
 def test_mass_constancy_experiment():
     grid = RadialGrid.uniform(0.5, 120.0, 1024)
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     rep, traj = analysis.mass_constancy_experiment(
         sch, sch, flow.FlowConfig(T_final=2e-3, monitor_every=2))
     assert rep.passed
@@ -152,7 +152,7 @@ def test_mass_constancy_flat_is_zero():
 def test_mass_liminf_smoke():
     grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
                                    outer_num=512)
-    base = metrics.build_schwarzschild_isotropic(1.0, grid)
+    base = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     cm = corner.corner_example(base, 4.0, 0.1)
     cfg = flow.FlowConfig(T_final=2e-3, monitor_every=1)
     rep, traj = analysis.mass_liminf_experiment(
@@ -167,11 +167,13 @@ def test_mass_liminf_smoke():
 def test_zero_mass_smoke():
     cfg = flow.FlowConfig(T_final=2e-3, monitor_every=10, fairness=1.5)
     rep, traj = analysis.zero_mass_experiment(
-        cfg, grid=RadialGrid.staggered(60.0, 512), r_tol=1.0,
-        roundtrip_tol=1.0)
-    assert rep.passed
+        cfg, grid=RadialGrid.staggered(60.0, 512))
+    # at T = 2e-3 the flow has not yet flattened R below R_tol (criterion 6
+    # checks the verdict at T = 0.05), so the measured values are checked
     assert abs(rep.measured["mass"]) < 1e-3
+    assert rep.measured["sup_R_final"] < 1.0
     assert rep.measured["roundtrip_c0"] < 0.2
+    assert rep.measured["map_recovery_c0"] < 0.1
 
 
 def test_monitor_report_output(conformal_traj):

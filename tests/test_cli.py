@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from afgeo import cli, flow
-from afgeo.grid import RadialGrid
+from afgeo.grid import RadialGrid, sphere_area
 
 
 def test_parse_grid_and_metric():
@@ -50,11 +50,15 @@ def test_unknown_metric_exits_config(tmp_path):
     assert cli.run(["mass", "--metric", "nope", "--out", str(tmp_path)]) == 2
 
 
-def test_schwarzschild_at_other_dim_exits_config(tmp_path):
-    assert cli.run(["mass", "--dim", "5", "--out", str(tmp_path)]) == 2
-    grid = cli.parse_grid("uniform:rmin=0.5,rmax=40,num=256")
-    with pytest.raises(cli.ConfigError):
-        cli.parse_metric("schwarzschild:m=1", grid, dim=5)
+@pytest.mark.parametrize("dim", [4, 5])
+def test_schwarzschild_mass_at_other_dim(dim, tmp_path):
+    # m = 1 in the flux normalisation is 2 (n - 1) |S^(n-1)|
+    assert cli.run(["mass", "--dim", str(dim), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "mass.txt").read_text().splitlines()
+    assert "converged=True" in lines
+    m = float(next(l for l in lines if l.startswith("mass=")).split("=")[1])
+    target = 2 * (dim - 1) * sphere_area(dim)
+    assert abs(m - target) / target <= 1e-6
 
 
 def test_heat_demo_at_other_dim_exits_config(tmp_path):
@@ -68,11 +72,13 @@ def test_flow_grid_through_origin_exits_config(tmp_path):
                     "--T", "1e-3", "--out", str(tmp_path)]) == 2
 
 
-def test_verify_skips_schwarzschild_probe_at_other_dim(tmp_path):
+def test_verify_checks_schwarzschild_probe_at_other_dim(tmp_path):
     assert cli.run(["verify", "--dim", "4", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "verify.txt").read_text().splitlines()
-    assert "skipped_probe=schwarzschild (dim=4)" in lines
-    assert not any(l.startswith("schwarzschild_") for l in lines)
+    assert "passed=True" in lines
+    rows = [l for l in lines if l.startswith("schwarzschild_")]
+    assert len(rows) == 10  # 2 radii x (R, ric2, H, flux, W)
+    assert max(float(l.rsplit("rel=", 1)[1]) for l in rows) < 1e-5
 
 
 def test_flow_reports_count_steps_and_rhs_evals(tmp_path):
@@ -192,7 +198,7 @@ def test_mass_reports_carry_mass_err(tmp_path):
                     "--grid", "staggered:rmax=60,num=128",
                     "--out", str(tmp_path)]) in (0, 1)
     assert cli.run(["mass-liminf", "--eps", "1e-1", "--T", "1e-3",
-                    "--grid", "uniform:rmin=0.5,rmax=300,num=256",
+                    "--grid", "uniform:rmin=0.5,rmax=300,num=320",
                     "--out", str(tmp_path)]) in (0, 1)
     errs = [float(report("mass_constancy")[k])
             for k in ("mass_err_initial", "mass_err_final")]
@@ -297,6 +303,22 @@ def test_mass_radius_off_the_grid_exits_config(radii, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["mass", "--metric", "angular-bump:width=-1"], "width"),  # ran width=1
+    (["mass", "--metric", "angular-bump:width=0"], "width"),   # ran flat
+    (["mass", "--metric", "angular-bump:width=nan"], "width"),
+    (["mass", "--metric", "distorted-flat:kink=-3"], "kink"),  # ran kink=3
+    (["mass", "--metric", "distorted-flat:kink=inf"], "kink"),
+    (["zero-mass", "--kink", "-3"], "kink")],  # "map not monotone"
+    ids=["width-negative", "width-0", "width-nan", "kink-negative",
+         "kink-inf", "zero-mass-kink-negative"])
+def test_spec_value_that_would_mean_another_exits_config(argv, key, tmp_path,
+                                                         capsys):
+    assert cli.run(argv + ["--out", str(tmp_path)]) == 2
+    assert f"{key}=" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_monitor_every_zero_exits_config(tmp_path):
     assert cli.run(["zero-mass", "--monitor-every", "0", "--T", "1e-3",
                     "--grid", "staggered:rmax=60,num=256",
@@ -353,7 +375,7 @@ def test_subcommands_other_than_verify_never_load_scipy(tmp_path):
              "--grid", "uniform:rmin=0.5,rmax=120,num=256"],
             ["corner", "--eps", "1e-1"],
             ["mass-liminf", "--eps", "1e-1", "--T", "1e-3",
-             "--grid", "uniform:rmin=0.5,rmax=300,num=256"],
+             "--grid", "uniform:rmin=0.5,rmax=300,num=320"],
             ["heat-demo", "--times", "0.1"]]
     script = f"""
 import sys

@@ -32,7 +32,7 @@ def split_metric(metric, r0):
 @pytest.fixture(scope="module")
 def base():
     grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32, outer_num=512)
-    return metrics.build_schwarzschild_isotropic(1.0, grid)
+    return metrics.build_schwarzschild_isotropic(1.0, 3, grid)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,7 @@ def test_mollify_k_uniform_deep_ladder():
     grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 64,
                                    outer_num=1024)
     cm = corner.corner_example(
-        metrics.build_schwarzschild_isotropic(1.0, grid), 4.0, 0.1)
+        metrics.build_schwarzschild_isotropic(1.0, 3, grid), 4.0, 0.1)
     K_vals = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         _, rep = corner.mollify(cm, eps)
@@ -211,12 +211,13 @@ def test_deviation_matches_spline_difference(valid_corner):
     r0 = valid_corner.r0
     x = np.linspace(r0 - 1.5 * 0.2, r0, 301)
     assert np.count_nonzero((fits.dev.x > x[0]) & (fits.dev.x < r0)) >= 1
+    dev, inner, outer = (s.jets(x, 2) for s in (fits.dev, fits.inner,
+                                                fits.outer))
     for k in range(3):
-        ref = fits.inner(x, k) - fits.outer(x, k)
-        assert np.max(np.abs(fits.dev(x, k) - ref)) < 1e-13
+        assert np.max(np.abs(dev[k] - (inner[k] - outer[k]))) < 1e-13
     assert np.all(fits.dev(np.linspace(r0 + 1e-9, r0 + 0.3, 50)) == 0.0)
-    assert np.allclose(fits.jump, fits.outer(r0, 1) - fits.inner(r0, 1),
-                       rtol=0, atol=1e-13)
+    jump = fits.outer.jets(r0, 1)[1] - fits.inner.jets(r0, 1)[1]
+    assert np.allclose(fits.jump, jump, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("sig, h, blend_tol, inner_tol", [
@@ -264,8 +265,9 @@ def test_descending_deviation_matches_ppoly(valid_corner):
             assert (np.max(np.abs(jets[k] - want))
                     <= 1e-14 * np.max(np.abs(want)))
     # r0 belongs to the inner piece, where D' is minus the derivative jump
-    assert np.array_equal(dev(r0, 1), ref(r0, 1))
-    assert np.allclose(dev(r0, 1), -valid_corner.fits.jump, rtol=1e-12)
+    assert np.array_equal(dev.jets(r0, 1)[1], ref(r0, 1))
+    assert np.allclose(dev.jets(r0, 1)[1], -valid_corner.fits.jump,
+                       rtol=1e-12)
 
 
 def test_support_check_reads_the_corner_data(base):
@@ -335,7 +337,7 @@ import numpy as np
 from afgeo import corner, metrics
 layout = [np.empty(n) for n in range(1, 8 * int(sys.argv[1]), 8)]
 grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32, outer_num=512)
-cm = corner.corner_example(metrics.build_schwarzschild_isotropic(1.0, grid),
+cm = corner.corner_example(metrics.build_schwarzschild_isotropic(1.0, 3, grid),
                            4.0, -0.1)
 corner.mollify(cm, 0.1)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -18,7 +18,7 @@ def test_flat_curvature_zero(grid):
 
 
 def test_schwarzschild_scalar_flat(grid):
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     R = curvature.scalar_curvature(sch)
     sel = grid.r > 2.0  # away from the steep inner boundary layer
     assert np.max(np.abs(R[sel])) < 1e-6  # R identically 0 for this slice

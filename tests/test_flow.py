@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from afgeo import curvature, flow, mass, metrics, norms, oracle
+from afgeo import cli, corner, curvature, flow, mass, metrics, norms, oracle
 from afgeo.grid import RadialGrid
 
 
@@ -52,7 +52,7 @@ def lock_grid():
 
 
 def test_deturck_vector_matches_oracle(lock_grid):
-    g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
+    g = metrics.build_schwarzschild_isotropic(1.0, 3, lock_grid)
     h = metrics.build_flat(3, lock_grid)
     W = flow.deturck_vector(g, flow.Background(h))
     for target in (5.0, 20.0):
@@ -68,7 +68,7 @@ def test_deturck_vector_vanishes_on_background(lock_grid):
 
 
 def test_rhs_matches_closed_form_flat_background(lock_grid):
-    g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
+    g = metrics.build_schwarzschild_isotropic(1.0, 3, lock_grid)
     h = metrics.build_flat(3, lock_grid)
     rA, rB = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B)
     oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
@@ -79,7 +79,7 @@ def test_rhs_matches_closed_form_flat_background(lock_grid):
 
 def test_rhs_matches_closed_form_curved_background(lock_grid):
     # nonflat background exercises the Riemann and quadratic terms
-    g = metrics.build_schwarzschild_isotropic(1.0, lock_grid)
+    g = metrics.build_schwarzschild_isotropic(1.0, 3, lock_grid)
     h = metrics.build_conformal(0.4, 3, lock_grid)
     rA, rB = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B)
     oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
@@ -99,7 +99,11 @@ def test_zero_eta_reduces_to_background_ricci(lock_grid):
 
 
 _GRIDS = {"staggered": lambda: RadialGrid.staggered(20.0, 256),
-          "excised": lambda: RadialGrid.uniform(0.5, 20.0, 256)}
+          "excised": lambda: RadialGrid.uniform(0.5, 20.0, 256),
+          "geometric": lambda: RadialGrid.geometric(0.5, 40.0, 256, 1.01),
+          "corner": lambda: corner.make_corner_grid(0.5, 4.0, 40.0,
+                                                    fine_dr=1 / 16,
+                                                    outer_num=128)}
 _BACKGROUNDS = {"flat": metrics.build_flat,
                 "conformal": lambda n, grid: metrics.build_conformal(0.3, n,
                                                                      grid)}
@@ -136,7 +140,7 @@ def test_rhs_discretization_converges():
     errs = []
     for num in (512, 1024):
         grid = RadialGrid.uniform(0.5, 60.0, num)
-        g = metrics.build_schwarzschild_isotropic(1.0, grid)
+        g = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
         h = metrics.build_flat(3, grid)
         rA, _ = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B)
         # the flat background's stencil jets are exact to roundoff (5e-13)
@@ -149,9 +153,11 @@ def test_rhs_discretization_converges():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("grid", [RadialGrid.staggered(40.0, 256),
-                                  RadialGrid.uniform(0.5, 40.0, 256)],
-                         ids=["staggered", "excised-uniform"])
+@pytest.mark.parametrize("grid", [
+    RadialGrid.staggered(40.0, 256), RadialGrid.uniform(0.5, 40.0, 256),
+    RadialGrid.geometric(0.5, 40.0, 256, 1.01),
+    corner.make_corner_grid(0.5, 4.0, 40.0, fine_dr=1 / 16, outer_num=128)],
+    ids=["staggered", "excised-uniform", "geometric", "corner"])
 def test_flat_data_is_stationary(grid, n):
     fl = metrics.build_flat(n, grid)
     traj = flow.evolve(fl, metrics.build_flat(n, grid),
@@ -195,7 +201,7 @@ def test_scalar_positivity_is_preserved():
 
 def test_mass_nearly_constant_along_flow():
     grid = RadialGrid.uniform(0.5, 120.0, 1024)
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     traj = flow.evolve(sch, sch, flow.FlowConfig(T_final=2e-3, monitor_every=2))
     radii = [grid.r[np.argmin(np.abs(grid.r - t))] for t in (60, 80, 100)]
     masses = [mass.adm_mass(s.metric, radii).mass for s in traj.snapshots]
@@ -222,10 +228,21 @@ def test_flow_config_refuses_what_no_flow_can_honour(kw):
         flow.FlowConfig(**{"T_final": 1e-3, **kw})
 
 
-def test_nonuniform_grid_rejected():
-    grid = RadialGrid.geometric(0.5, 40.0, 256, 1.01)
-    g = metrics.build_flat(3, grid)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("grid, code", [
+    # first node 0.17 dr from the origin: flat space passed the old gate,
+    # then aborted with exit 3, "fairness lost at t=0.0016"
+    ("uniform:rmin=0.01,rmax=60,num=1024", 2),
+    ("geometric:rmin=0.5,rmax=40,num=256,ratio=1.01", 0)],
+    ids=["uniform-rmin-0.01", "geometric"])
+def test_flow_grid_needs_its_first_node_half_a_cell_out(grid, code, tmp_path):
+    assert cli.run(["flow", "--metric", "flat", "--grid", grid,
+                    "--out", str(tmp_path)]) == code
+
+
+def test_grid_closer_to_the_origin_than_half_a_cell_rejected():
+    # 2 r[0] / dr_min = 0.58; flat data on this grid aborted at t = 0.003
+    g = metrics.build_flat(3, RadialGrid.geometric(0.01, 40.0, 256, 1.01))
+    with pytest.raises(ValueError, match=r"r\[0\] = 0.01 .* dr_min = 0.0343"):
         flow.evolve(g, g, flow.FlowConfig(T_final=1e-3))
 
 

@@ -38,7 +38,7 @@ def test_flux_flat_zero(grid):
 
 
 def test_flux_schwarzschild_closed_form(grid):
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     for target in (50.0, 100.0):
         r = min(grid.r, key=lambda x: abs(x - target))
         exact = 16.0 * np.pi * (1 + 1 / (2 * r)) ** 3
@@ -53,7 +53,7 @@ def test_flux_matches_quadrature_oracle(grid):
 
 
 def test_adm_mass_extrapolation(grid):
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     radii = [min(grid.r, key=lambda x: abs(x - t)) for t in (50, 100, 200)]
     rep = mass.adm_mass(sch, radii)
     assert rep.converged
@@ -69,7 +69,7 @@ def test_adm_mass_flat_constant_ladder(grid):
 
 
 def test_mass_report_lines(grid):
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     radii = [min(grid.r, key=lambda x: abs(x - t)) for t in (50, 100, 200)]
     rep = mass.adm_mass(sch, radii)
     text = "\n".join(rep.lines())
@@ -86,7 +86,7 @@ def test_distorted_flat_zero_mass():
 
 def test_mass_parts_residual_shrinks():
     g = RadialGrid.geometric(0.5, 3000.0, 1024, ratio=1.004)
-    sch = metrics.build_schwarzschild_isotropic(1.0, g)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, g)
     radii = [min(g.r, key=lambda x: abs(x - t)) for t in (50, 100, 200)]
     m0 = 16.0 * np.pi
     res = [abs(mass_parts_residual(sch, r, mass=m0,
@@ -107,7 +107,7 @@ def test_mass_parts_residual_flat_zero(grid):
 
 def test_mass_err_covers_true_error():
     g = RadialGrid.staggered(300.0, 2048)
-    sch = metrics.build_schwarzschild_isotropic(1.0, g)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, g)
     rep = mass.adm_mass(sch, g.snap((50.0, 100.0, 200.0)))
     assert rep.converged
     assert abs(rep.mass - 16 * np.pi) < rep.mass_err < 1e-3 * 16 * np.pi
@@ -117,7 +117,7 @@ def test_mass_err_covers_true_error():
 def test_short_ladder_not_converged(grid):
     # rungs close in: the leave-one-out extrapolations disagree by more than
     # the tolerance, although the mass itself is good to 1e-4
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     with pytest.warns(UserWarning, match="did not converge"):
         rep = mass.adm_mass(sch, grid.snap((8.0, 12.0, 16.0)))
     assert not rep.converged
@@ -142,7 +142,7 @@ def test_mass_unchanged_by_compact_diffeomorphism(grid, amp, center, width):
     # |phi' - 1| < 0.3; the mass is read far outside its support
     u = np.clip((grid.r - center) / width, -1.0, 1.0)
     phi = grid.r + 0.5 * amp * width * (1.0 - u ** 2) ** 4
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     moved = flow.pullback(sch, phi)
     assert np.max(np.abs(moved.A - sch.A)) > 1e-3 * abs(amp)
     radii = grid.snap((50.0, 100.0, 200.0))
@@ -155,7 +155,7 @@ def test_ladder_takes_one_derivative(monkeypatch):
     # B' is taken once per ladder, and each rung's flux is bitwise the
     # closed form with B' taken for that rung alone
     grid = RadialGrid.uniform(0.5, 300.0, 768)
-    g = metrics.build_schwarzschild_isotropic(1.0, grid)
+    g = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     radii = grid.snap((100.0, 150.0, 200.0))
     ref = []
     for r in radii:

@@ -27,14 +27,26 @@ def test_flat(grid):
 
 
 def test_schwarzschild_values(grid):
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     i = grid.node_at(100.0)
     assert sch.A[i] == pytest.approx((1 + 1 / 200) ** 4, rel=1e-14)
     assert sch.n == 3 and sch.delta == 1.0
     with pytest.raises(ValueError):
-        metrics.build_schwarzschild_isotropic(-1.0, grid)
+        metrics.build_schwarzschild_isotropic(-1.0, 3, grid)
     with pytest.raises(ValueError):
-        metrics.build_schwarzschild_isotropic(1.0, RadialGrid.uniform(0.0, 10.0, 64))
+        metrics.build_schwarzschild_isotropic(
+            1.0, 3, RadialGrid.uniform(0.0, 10.0, 64))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_schwarzschild_in_higher_dimensions(grid, n):
+    # Tangherlini in isotropic coordinates: u^(4/(n-2)), u = 1 + m/(2 r^(n-2))
+    sch = metrics.build_schwarzschild_isotropic(2.0, n, grid)
+    r = grid.r[50]
+    assert sch.A[50] == pytest.approx((1 + 1 / r ** (n - 2)) ** (4 / (n - 2)),
+                                      rel=1e-14)
+    assert np.array_equal(sch.A, sch.B)
+    assert sch.n == n and sch.delta == n - 2
 
 
 def test_conformal_positive_and_decay(grid):

@@ -30,7 +30,7 @@ def test_schwarzschild_minus_flat_stable_under_refinement():
     vals = []
     for num, ratio in ((1024, 1.008), (2048, 1.004)):
         g = RadialGrid.geometric(0.5, 300.0, num, ratio)
-        sch = metrics.build_schwarzschild_isotropic(1.0, g)
+        sch = metrics.build_schwarzschild_isotropic(1.0, 3, g)
         vals.append(norms.eta_sup_norms(sch, metrics.build_flat(3, g), 1.0))
     assert np.all(np.isfinite(vals[0]))
     assert np.all(np.abs(vals[1] - vals[0]) < 0.02 * vals[0])
@@ -58,7 +58,7 @@ def test_fairness_decisions(grid):
 
 
 def test_eta_sup_norms_decay_pattern(grid):
-    sch = metrics.build_schwarzschild_isotropic(1.0, grid)
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     flat = metrics.build_flat(3, grid)
     w = norms.eta_sup_norms(sch, flat, 1.0)
     assert np.all(np.isfinite(w)) and np.all(w > 0)
