@@ -83,8 +83,7 @@ def build_cutoff(r1, r2, metric):
     bump = _cubic_step(r / r1 - 1.0) + 1.0 / r1 ** 2
     top = 1.0 + 1.0 / r1 ** 2
     n = metric.n
-    with np.errstate(divide="ignore"):
-        target = np.where(r > 1.0, r ** (-(n + 1.0)) / top, 1.0)
+    target = np.where(r > 1.0, r ** (-(n + 1.0)) / top, 1.0)
     chi = smoothstep(r / r2 - 1.0)
     taper = np.exp(chi * np.log(target))
     f = bump * taper

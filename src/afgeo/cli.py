@@ -48,12 +48,15 @@ def _parse_spec(spec, table, kind):
     name, _, body = spec.partition(":")
     if name not in table:
         raise ConfigError(f"unknown {kind} {name!r}")
-    kv = dict(table[name])
+    kv, given = dict(table[name]), set()
     for item in body.split(",") if body else ():
         k, _, v = item.partition("=")
         if (k := k.strip()) not in kv:
             raise ConfigError(f"{kind} {name!r} has no key {k!r} "
                               f"(its keys: {', '.join(kv) or 'none'})")
+        if k in given:
+            raise ConfigError(f"{kind} spec {spec!r} gives {k}= twice")
+        given.add(k)
         kv[k] = float(v)
     if missing := [k for k, v in kv.items() if v is None]:
         raise ConfigError(f"{kind} spec {spec!r} missing {missing[0]!r}")
@@ -218,6 +221,8 @@ def cmd_heat_demo(args):
     if times[0] != 0.0:
         times.insert(0, 0.0)
     p = heatdemo.initial_profile(x_max=args.x_max, dx=args.dx)
+    if not heatdemo.dyadic_annuli(args.x_max):
+        raise ConfigError(f"--x-max {args.x_max:g} must be >= 80 to hold an annulus")
     profiles = [p]
     for t0, t1 in zip(times, times[1:]):
         p = heatdemo.heat_evolve(p, t1 - t0)

@@ -178,8 +178,6 @@ def corner_example(base, r0, strength):
     # I(r) = int_r^r0 S(t/r0)/t^2 dt, antiderivative of the quintic in closed form
     F = 5.0 * ri ** 2 / r0 ** 3 - 5.0 * ri ** 3 / r0 ** 4 + 1.5 * ri ** 4 / r0 ** 5
     U = u0 + q0 * (F[-1] - F)
-    if np.any(U <= 0):
-        raise ValueError("inner conformal factor not positive")
     Ain = U ** 4
 
     inner = RadialMetric(RadialGrid(ri), 3, Ain, Ain.copy(), base.delta)

@@ -57,8 +57,7 @@ def mean_curvature(n, r, jet):
 
 def _on_grid(metric, fn):
     """fn(n, r, jet) of the metric at its grid nodes."""
-    j = jet(metric.grid, metric.A, metric.B)
-    return metric.grid.on_nodes(lambda r: fn(metric.n, r, j))
+    return fn(metric.n, metric.grid.r, jet(metric.grid, metric.A, metric.B))
 
 
 def scalar_curvature(metric):
@@ -73,9 +72,3 @@ def ricci_norm_sq(metric):
         return rad ** 2 + (n - 1) * tan ** 2
     return _on_grid(metric, norm_sq)
 
-
-def sectional_bound(metric):
-    """sup over the grid of the two radial sectional curvatures of the metric."""
-    def k_max(n, r, j):
-        return np.max(np.abs(sectional(r, j)), axis=0)
-    return float(np.max(_on_grid(metric, k_max)))

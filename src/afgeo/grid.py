@@ -63,7 +63,8 @@ def rho_weight(r):
 
 
 class RadialGrid:
-    """Strictly increasing radial nodes plus cached finite-difference operators.
+    """Strictly increasing radial nodes, all > 0 (a staggered grid reaches
+    the origin), plus cached finite-difference operators.
 
     Interior derivatives use 5-point (4th order on uniform spacing) stencils;
     near the ends the stencil window is clipped, giving one-sided formulas.
@@ -78,8 +79,9 @@ class RadialGrid:
             raise ValueError("grid radii must be finite")
         if np.any(np.diff(r) <= 0):
             raise ValueError("grid radii must be strictly increasing")
-        if r[0] < 0:
-            raise ValueError("negative radii not allowed")
+        if not r[0] > 0:
+            raise ValueError(f"grid's first node r[0] = {r[0]:g} is not > 0; "
+                             "a staggered grid reaches the origin")
         self.r = r
         self._stencils = {}
 
@@ -118,24 +120,11 @@ class RadialGrid:
     def rho(self):
         return rho_weight(self.r)
 
-    def includes_origin(self):
-        return self.r[0] == 0.0
-
-    def on_nodes(self, fn):
-        """fn(r) at the nodes.  At an exact r = 0 node, where fn meets 0/0
-        forms, the value is extrapolated quadratically from the next three."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = fn(self.r)
-        if self.includes_origin():
-            values[0] = fornberg_weights(0.0, self.r[1:4], 0)[0] @ values[1:4]
-        return values
-
     def _build_stencils(self, order, parity):
         width = 5
         # parity: two ghosts mirrored across r = 0 (even extension), nearest
-        # last, skipping an exact r=0 node
-        k0 = 1 if self.includes_origin() else 0
-        ghost = np.array([k0 + 1, k0] if parity else [], dtype=int)
+        # last
+        ghost = np.array([1, 0] if parity else [], dtype=int)
         rg = np.concatenate([-self.r[ghost], self.r])
         gmap = np.concatenate([ghost, np.arange(self.num)])
         offset = len(ghost)

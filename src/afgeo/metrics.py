@@ -58,8 +58,6 @@ def build_flat(n, grid):
 def build_schwarzschild_isotropic(m, n, grid):
     """Isotropic Schwarzschild (Tangherlini) slice: A = B = u^{4/(n-2)},
     u = 1 + m/(2 r^{n-2})."""
-    if grid.r[0] <= 0:
-        raise ValueError("Schwarzschild in isotropic coordinates needs r > 0")
     if m < 0:
         raise ValueError("mass must be nonnegative")
     u = 1.0 + m / (2.0 * grid.r ** (n - 2))
@@ -86,8 +84,6 @@ def build_angular_bump(c, n, grid, width=1.0):
     if not 0 < width < np.inf:
         raise ValueError(f"width={width:g}: the width must be finite and > 0")
     B = 1.0 + c / (1.0 + (grid.r / width) ** 2) ** (n / 2.0)
-    if np.any(B <= 0):
-        raise ValueError("B must stay positive")
     return RadialMetric(grid, n, np.ones_like(B), B, delta=float(n))
 
 

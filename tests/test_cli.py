@@ -61,10 +61,35 @@ def test_schwarzschild_mass_at_other_dim(dim, tmp_path):
     assert abs(m - target) / target <= 1e-6
 
 
+def test_heat_demo_x_max_without_an_annulus_exits_config(tmp_path, capsys):
+    # below x_max = 80 no annulus [X, 2X], X >= 10, fits in x_max / 4: the
+    # run died on "min() arg is an empty sequence"
+    assert cli.run(["heat-demo", "--x-max", "79.9", "--times", "0.1",
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--x-max 79.9" in err and "80" in err
+    assert not list(tmp_path.iterdir())
+    assert cli.run(["heat-demo", "--x-max", "80", "--times", "0.1",
+                    "--out", str(tmp_path)]) == 0
+
+
 def test_heat_demo_at_other_dim_exits_config(tmp_path):
     assert cli.run(["heat-demo", "--dim", "5", "--times", "0.5",
                     "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "heat_demo.txt").exists()
+
+
+@pytest.mark.parametrize("grid", ["uniform:rmin=0,rmax=300,num=2048",
+                                  "geometric:rmin=0,rmax=300,num=2048"])
+def test_grid_with_a_node_at_the_origin_exits_config(grid, tmp_path, capsys):
+    # mass on such a grid ran on a 0/0 fill at r = 0; a staggered grid
+    # reaches the origin
+    assert cli.run(["mass", "--grid", grid, "--metric", "conformal:c=0.5",
+                    "--out", str(tmp_path)]) == 2
+    assert "staggered" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="staggered"):
+        RadialGrid(np.linspace(0.0, 1.0, 64))
 
 
 def test_flow_grid_through_origin_exits_config(tmp_path):
@@ -309,9 +334,14 @@ def test_mass_radius_off_the_grid_exits_config(radii, tmp_path, capsys):
     (["mass", "--metric", "angular-bump:width=nan"], "width"),
     (["mass", "--metric", "distorted-flat:kink=-3"], "kink"),  # ran kink=3
     (["mass", "--metric", "distorted-flat:kink=inf"], "kink"),
-    (["zero-mass", "--kink", "-3"], "kink")],  # "map not monotone"
+    (["zero-mass", "--kink", "-3"], "kink"),  # "map not monotone"
+    # the last of a repeated key won: r_max = 200, m = 3
+    (["mass", "--grid", "uniform:rmin=0.5,rmax=300,rmax=200,num=2048"],
+     "rmax"),
+    (["mass", "--metric", "schwarzschild:m=1,m=3"], "m")],
     ids=["width-negative", "width-0", "width-nan", "kink-negative",
-         "kink-inf", "zero-mass-kink-negative"])
+         "kink-inf", "zero-mass-kink-negative", "grid-key-twice",
+         "metric-key-twice"])
 def test_spec_value_that_would_mean_another_exits_config(argv, key, tmp_path,
                                                          capsys):
     assert cli.run(argv + ["--out", str(tmp_path)]) == 2

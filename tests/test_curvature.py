@@ -14,7 +14,8 @@ def test_flat_curvature_zero(grid):
     flat = metrics.build_flat(3, grid)
     assert np.max(np.abs(curvature.scalar_curvature(flat))) < 1e-12
     assert np.max(np.abs(curvature.ricci_norm_sq(flat))) < 1e-12
-    assert curvature.sectional_bound(flat) < 1e-12
+    k = curvature.sectional(grid.r, curvature.jet(grid, flat.A, flat.B))
+    assert np.max(np.abs(k)) < 1e-12
 
 
 def test_schwarzschild_scalar_flat(grid):
@@ -23,7 +24,8 @@ def test_schwarzschild_scalar_flat(grid):
     sel = grid.r > 2.0  # away from the steep inner boundary layer
     assert np.max(np.abs(R[sel])) < 1e-6  # R identically 0 for this slice
     # but the metric is curved
-    assert curvature.sectional_bound(sch) > 0.01
+    k = curvature.sectional(grid.r, curvature.jet(grid, sch.A, sch.B))
+    assert np.max(np.abs(k)) > 0.01
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -58,12 +60,3 @@ def test_mean_curvature_matches_oracle(grid):
         f[i] for f in curvature.jet(grid, m.A, m.B)])
     ref = oracle.mean_curvature_oracle(m, 5.0)
     assert abs(H - ref) / (1 + abs(ref)) < 1e-6
-
-
-def test_origin_fill_regular():
-    g = RadialGrid.uniform(0.0, 20.0, 512)
-    m = metrics.build_conformal(0.5, 3, g)
-    R = curvature.scalar_curvature(m)
-    assert np.isfinite(R[0])
-    # smooth metric: R continuous at the center
-    assert abs(R[0] - R[1]) < 0.05 * (1 + abs(R[1]))

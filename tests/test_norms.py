@@ -49,12 +49,10 @@ def test_norm_axioms_random_fields(grid):
 def test_fairness_decisions(grid):
     h = metrics.build_flat(3, grid)
     two = metrics.RadialMetric(grid, 3, 2.0 * h.A, 2.0 * h.B, 1.0)
-    assert norms.is_delta_fair(h, h, 1.0)[0]
-    ok, rng_ = norms.is_delta_fair(h, two, 1.5)
+    assert norms.fairness_ratios(h, h.A, h.B, 1.0)[0]
+    ok, rng_ = norms.fairness_ratios(h, two.A, two.B, 1.5)
     assert not ok and rng_[1] == pytest.approx(2.0)
-    assert norms.is_delta_fair(h, two, 2.0)[0]
-    with pytest.raises(ValueError):
-        norms.is_delta_fair(h, h, 0.5)
+    assert norms.fairness_ratios(h, two.A, two.B, 2.0)[0]
 
 
 def test_eta_sup_norms_decay_pattern(grid):
