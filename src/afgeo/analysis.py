@@ -24,6 +24,8 @@ RNEG_TOL = 1e-6        # absolute slack of the negative-part cap
 L1_MONO_TOL = 1e-9     # tail growth along the radius ladder still monotone
 FLUX_TOL = 1e-12       # slack of the boundary-flux comparisons
 W2_FLOOR_FRAC = 0.1    # the second-derivative norm counts from t >= this T
+MASS_DRIFT_TOL = 1e-2  # relative mass drift and liminf slack, both experiments
+R_FLOOR_TOL = 1e-4     # R(g(T)) >= -R_FLOOR_TOL after the liminf flow
 ZERO_MASS_TOLS = {"mass_tol": 1e-3, "R_tol": 1e-4, "roundtrip_tol": 1e-2,
                   "map_tol": 1e-1}
 
@@ -273,8 +275,7 @@ def boundary_gradient_monitor(trajectory, radii):
 
 # -- experiments ------------------------------------------------------------
 
-def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0),
-                              rel_tol=1e-2):
+def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0)):
     """Evolve and track the extrapolated mass of every snapshot."""
     traj = flow_mod.evolve(metric, h, config)
     targets = metric.grid.snap(radii)
@@ -285,8 +286,8 @@ def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0),
     m0 = rows[0]["mass"]
     scale = max(abs(m0), 1.0)
     drift = max(abs(row["mass"] - m0) for row in rows) / scale
-    report = MonitorReport("mass_constancy", drift < rel_tol,
-                           {"rel_tol": rel_tol},
+    report = MonitorReport("mass_constancy", drift < MASS_DRIFT_TOL,
+                           {"rel_tol": MASS_DRIFT_TOL},
                            {"mass_initial": m0,
                             "mass_err_initial": rows[0]["mass_err"],
                             "mass_final": rows[-1]["mass"],
@@ -296,8 +297,7 @@ def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0),
 
 
 def mass_liminf_experiment(cm, eps_ladder, config, grid,
-                           radii=(60.0, 80.0, 100.0), rel_tol=1e-2,
-                           r_floor_tol=1e-4, K_target=10.0):
+                           radii=(60.0, 80.0, 100.0)):
     """Smooth the corner at each epsilon, evolve, and compare masses.
 
     Checks: smoothing is mass-neutral across the ladder before the flow, all
@@ -315,7 +315,7 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     all_masses = []
     collar_nodes = []
     for eps in sorted(eps_ladder, reverse=True):
-        mc, cert = corner_mod.mollify(cm, eps, K_target=K_target)
+        mc, cert = corner_mod.mollify(cm, eps)
         if not cert.satisfied:
             raise flow_mod.FlowAbort(f"smoothing certificate failed at eps={eps}")
         sm = mc.sample(grid)
@@ -336,11 +336,12 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     scale = max(abs(base_mass), 1.0)
     neutral = max(abs(m - base_mass) for m in pre_masses) / scale
     near = max(abs(m - base_mass) for m in all_masses) / scale
-    liminf_ok = limit_mass <= min(all_masses) + rel_tol * scale
-    passed = (neutral < rel_tol and near < rel_tol and liminf_ok
-              and final_R_min >= -r_floor_tol)
+    tol = MASS_DRIFT_TOL
+    passed = (neutral < tol and near < tol
+              and limit_mass <= min(all_masses) + tol * scale
+              and final_R_min >= -R_FLOOR_TOL)
     report = MonitorReport("mass_liminf", passed,
-                           {"rel_tol": rel_tol, "R_floor": r_floor_tol},
+                           {"rel_tol": tol, "R_floor": R_FLOOR_TOL},
                            {"mass_base": base_mass,
                             "mass_neutrality_rel": neutral,
                             "mass_spread_rel": near,

@@ -26,6 +26,8 @@ EXIT_MONITOR = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+VERIFY_TOL = 1e-5  # the worst relative error verify accepts against the oracle
+
 
 class ConfigError(ValueError):
     pass
@@ -57,7 +59,7 @@ def _parse_spec(spec, table, kind):
         if k in given:
             raise ConfigError(f"{kind} spec {spec!r} gives {k}= twice")
         given.add(k)
-        kv[k] = float(v)
+        kv[k] = _number(v, f"{kind} spec {spec!r}: {k}=")
     if missing := [k for k, v in kv.items() if v is None]:
         raise ConfigError(f"{kind} spec {spec!r} missing {missing[0]!r}")
     return name, kv
@@ -88,10 +90,20 @@ def parse_metric(spec, grid, dim=3):
     return metrics.build_angular_bump(kv["c"], dim, grid, width=kv["width"])
 
 
-def _float_list(text):
-    if not (values := [float(x) for x in text.split(",") if x]):
-        raise ConfigError(f"expected a list of numbers, got {text!r}")
-    return values
+def _number(text, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{what} is not a number: {text!r}") from None
+
+
+def _float_list(args, key):
+    """The comma-separated numbers of option `key`; no item may be empty."""
+    text, flag = getattr(args, key), f"--{key}"
+    if not text:
+        raise ConfigError(f"{flag}: expected a list of numbers, got ''")
+    return [_number(x, f"{flag} {text!r}: item {i}")
+            for i, x in enumerate(text.split(","), 1)]
 
 
 def _outdir(args):
@@ -100,18 +112,19 @@ def _outdir(args):
     return out
 
 
-def _write_report(args, name, keys, body_lines):
-    """Write `name`.txt: the options `keys`, then the body; return its dir."""
+def _write_report(args, body_lines):
+    """Write the subcommand's report: every option but --out, then the body;
+    return its directory."""
     out = _outdir(args)
-    lines = [f"config.{k}={getattr(args, k.replace('-', '_'))}" for k in keys]
-    (out / f"{name}.txt").write_text("".join(f"{line}\n"
-                                             for line in lines + body_lines))
+    lines = [f"config.{f[2:]}={getattr(args, f[2:].replace('-', '_'))}"
+             for f in [*SUBCOMMANDS[args.command][1], "--dim"]]
+    (out / f"{args.command.replace('-', '_')}.txt").write_text(
+        "".join(f"{line}\n" for line in lines + body_lines))
     return out
 
 
 def _flow_config(args):
-    return flow.FlowConfig(T_final=args.T, cfl=args.cfl,
-                           monitor_every=args.monitor_every,
+    return flow.FlowConfig(T_final=args.T, monitor_every=args.monitor_every,
                            fairness=args.fairness)
 
 
@@ -120,9 +133,8 @@ def _flow_config(args):
 def cmd_mass(args):
     grid = parse_grid(args.grid)
     g = parse_metric(args.metric, grid, args.dim)
-    rep = mass.adm_mass(g, grid.snap(_float_list(args.radii)))
-    _write_report(args, "mass", ["metric", "grid", "radii", "dim"],
-                  rep.lines())
+    rep = mass.adm_mass(g, grid.snap(_float_list(args, "radii")))
+    _write_report(args, rep.lines())
     return EXIT_OK if rep.converged else EXIT_MONITOR
 
 
@@ -136,8 +148,7 @@ def cmd_flow(args):
             f"T_final={last.t:.12g}",
             f"max_eta={float(np.max(np.abs(last.eta_A))):.12g}",
             f"max_grad_eta={last.diagnostics['max_grad_eta']:.12g}"]
-    out = _write_report(args, "flow", ["metric", "background", "grid", "T",
-                                       "cfl", "monitor-every"], body)
+    out = _write_report(args, body)
     with open(out / "trajectory.csv", "w") as fh:
         traj.dump(fh)
     return EXIT_OK
@@ -157,23 +168,23 @@ def _corner(args):
 def cmd_corner(args):
     cm = _corner(args)
     Hm, Hp, ok = corner.corner_condition(cm)
-    body = [f"H_minus={Hm:.12g}", f"H_plus={Hp:.12g}", f"condition_ok={ok}"]
+    body = [f"tol_K={corner.K_TARGET:g}", f"H_minus={Hm:.12g}",
+            f"H_plus={Hp:.12g}", f"condition_ok={ok}"]
     all_ok = True
-    for eps in _float_list(args.eps):
-        _, cert = corner.mollify(cm, eps, K_target=args.K)
+    for eps in _float_list(args, "eps"):
+        _, cert = corner.mollify(cm, eps)
         body.append(f"eps={eps:g} " + " ".join(cert.lines()))
         all_ok = all_ok and cert.satisfied
-    _write_report(args, "corner", ["base", "r0", "strength", "eps", "K"],
-                  body)
+    _write_report(args, body)
     return EXIT_OK if all_ok else EXIT_MONITOR
 
 
-def _finish_monitor(args, name, report, keys, traj=None):
+def _finish_monitor(args, report, traj=None):
     body = report.lines()
     if traj is not None:
         body += [f"steps={traj.steps}", f"rhs_evals={traj.rhs_evals}"]
-    out = _write_report(args, name, keys, body)
-    with open(out / f"{name}.csv", "w") as fh:
+    out = _write_report(args, body)
+    with open(out / f"{report.monitor}.csv", "w") as fh:
         report.write_csv(fh)
     return EXIT_OK if report.passed else EXIT_MONITOR
 
@@ -183,20 +194,15 @@ def cmd_mass_constancy(args):
     g = parse_metric(args.metric, grid, args.dim)
     h = parse_metric(args.background, grid, args.dim) if args.background else g
     rep, traj = analysis.mass_constancy_experiment(
-        g, h, _flow_config(args), radii=tuple(_float_list(args.radii)),
-        rel_tol=args.tol)
-    return _finish_monitor(args, "mass_constancy", rep,
-                           ["metric", "grid", "T", "radii", "tol"], traj)
+        g, h, _flow_config(args), radii=tuple(_float_list(args, "radii")))
+    return _finish_monitor(args, rep, traj)
 
 
 def cmd_mass_liminf(args):
     rep, _ = analysis.mass_liminf_experiment(
-        _corner(args), _float_list(args.eps), _flow_config(args),
-        radii=tuple(_float_list(args.radii)), rel_tol=args.tol,
-        r_floor_tol=args.r_floor, grid=parse_grid(args.grid),
-        K_target=args.K)
-    return _finish_monitor(args, "mass_liminf", rep,
-                           ["base", "r0", "strength", "eps", "grid", "T"])
+        _corner(args), _float_list(args, "eps"), _flow_config(args),
+        radii=tuple(_float_list(args, "radii")), grid=parse_grid(args.grid))
+    return _finish_monitor(args, rep)
 
 
 def cmd_zero_mass(args):
@@ -207,8 +213,7 @@ def cmd_zero_mass(args):
     rep, traj = analysis.zero_mass_experiment(
         _flow_config(args), kink_radius=args.kink, amp=args.amp,
         grid=parse_grid(args.grid), n=args.dim)
-    return _finish_monitor(args, "zero_mass", rep,
-                           ["kink", "amp", "grid", "T", "dim"], traj)
+    return _finish_monitor(args, rep, traj)
 
 
 def cmd_heat_demo(args):
@@ -217,7 +222,7 @@ def cmd_heat_demo(args):
     if args.dim != 3:
         raise ConfigError(f"heat-demo is one-dimensional; --dim {args.dim} "
                           "has no meaning there")
-    times = _float_list(args.times)
+    times = _float_list(args, "times")
     if times[0] != 0.0:
         times.insert(0, 0.0)
     p = heatdemo.initial_profile(x_max=args.x_max, dx=args.dx)
@@ -231,9 +236,8 @@ def cmd_heat_demo(args):
         rows = heatdemo.decay_table(profiles, fh)
     k0 = [r["sup_k0"] for r in rows]
     ok = min(k0) >= 0.05 and max(k0) <= 1.1
-    _write_report(args, "heat_demo", ["times", "x-max", "dx"],
-                  [f"sup_k0_min={min(k0):.6g}", f"sup_k0_max={max(k0):.6g}",
-                   f"floor_ok={ok}"])
+    _write_report(args, [f"sup_k0_min={min(k0):.6g}",
+                         f"sup_k0_max={max(k0):.6g}", f"floor_ok={ok}"])
     return EXIT_OK if ok else EXIT_MONITOR
 
 
@@ -271,22 +275,21 @@ def cmd_verify(args):
                 worst = max(worst, rel)
                 body.append(f"{name}_r{r0:g}_{label}: value={got:.10g} "
                             f"oracle={ref:.10g} rel={rel:.3e}")
-    ok = worst < args.tol
+    ok = worst < VERIFY_TOL
     body += [f"worst_rel={worst:.3e}", f"passed={ok}"]
-    _write_report(args, "verify", ["grid", "tol"], body)
+    _write_report(args, [f"tol_rel={VERIFY_TOL:g}", *body])
     return EXIT_OK if ok else EXIT_MONITOR
 
 
 # -- argument plumbing ------------------------------------------------------
 
 # an option's type is that of its default
-_FLOW_OPTS = {"--T": 0.01, "--cfl": 0.2, "--monitor-every": 10,
-              "--fairness": 1.1}
+_FLOW_OPTS = {"--T": 0.01, "--monitor-every": 10, "--fairness": 1.1}
 _CORNER_OPTS = {"--base": "schwarzschild:m=1", "--r0": 4.0, "--strength": 0.1,
                 "--rmin": 0.5, "--rmax": 300.0, "--fine-density": 32.0,
-                "--outer-num": 512, "--eps": "1e-1,1e-2,1e-3", "--K": 10.0}
+                "--outer-num": 512, "--eps": "1e-1,1e-2,1e-3"}
 
-# every subcommand: its handler and its options besides --out, --config, --dim
+# every subcommand: its handler and its options besides --out and --dim
 SUBCOMMANDS = {
     "mass": (cmd_mass, {"--metric": "schwarzschild:m=1",
                         "--grid": "staggered:rmax=300,num=2048",
@@ -298,12 +301,12 @@ SUBCOMMANDS = {
     "mass-constancy": (cmd_mass_constancy, {
         **_FLOW_OPTS, "--metric": "schwarzschild:m=1", "--background": "",
         "--grid": "uniform:rmin=0.5,rmax=300,num=2048",
-        "--radii": "60,80,100", "--tol": 1e-2}),
+        "--radii": "60,80,100"}),
     # at T = 0.01 the flow has not yet lifted R above the floor
     "mass-liminf": (cmd_mass_liminf, {
         **_FLOW_OPTS, "--T": 0.2, **_CORNER_OPTS,
         "--grid": "uniform:rmin=0.5,rmax=300,num=1024",
-        "--radii": "60,80,100", "--tol": 1e-2, "--r-floor": 1e-4}),
+        "--radii": "60,80,100"}),
     # fairness None: derived from --amp.  At T = 0.01 the flow has not yet
     # brought sup|R| below R_tol
     "zero-mass": (cmd_zero_mass, {
@@ -311,13 +314,12 @@ SUBCOMMANDS = {
         "--amp": 0.05, "--grid": "staggered:rmax=60,num=512"}),
     "heat-demo": (cmd_heat_demo, {"--times": "0.25,0.5,1.0", "--x-max": 200.0,
                                   "--dx": 0.05}),
-    "verify": (cmd_verify, {"--grid": "uniform:rmin=0.5,rmax=40,num=1024",
-                            "--tol": 1e-5}),
+    "verify": (cmd_verify, {"--grid": "uniform:rmin=0.5,rmax=40,num=1024"}),
 }
 
 
 # the options of every subcommand besides its own; --dim is 3, 4 or 5
-COMMON_OPTS = {"--out": "", "--config": "", "--dim": 3}
+COMMON_OPTS = {"--out": "", "--dim": 3}
 USAGE = ("usage: afgeo {%s} [--flag VALUE | --flag=VALUE]..."
          % ",".join(SUBCOMMANDS))
 
@@ -342,27 +344,9 @@ def _typed(flag, default, text):
     return value
 
 
-def _config_flags(path, opts):
-    """The `key = value` lines of a --config file as {flag: value}."""
-    if not Path(path).is_file():
-        raise ConfigError(f"config file {path!r} does not exist")
-    flags = {}
-    for line in Path(path).read_text().splitlines():
-        if not (line := line.strip()) or line.startswith("#"):
-            continue
-        k, eq, v = (s.strip() for s in line.partition("="))
-        if not eq:
-            raise ConfigError(f"bad config line {line!r}")
-        flag = "--" + k.replace("_", "-")
-        if flag not in opts or flag == "--config":
-            raise ConfigError(f"unknown config key {k!r}")
-        flags[flag] = v
-    return flags
-
-
 def _parse(argv):
-    """The handler's arguments: each option's default, overridden by the
-    --config file's lines, in turn by the flags; None after --help."""
+    """The handler's arguments: each option's default, overridden by its
+    flag; None after --help."""
     name, *rest = argv or [""]
     if name in ("-h", "--help"):
         print(USAGE)
@@ -386,8 +370,6 @@ def _parse(argv):
         if not eq and (value := next(tokens, None)) is None:
             raise UsageError(f"argument {flag}: expected one argument")
         flags[flag] = value
-    if "--config" in flags:
-        flags = {**_config_flags(flags["--config"], opts), **flags}
     return SimpleNamespace(command=name, func=SUBCOMMANDS[name][0], **{
         flag[2:].replace("-", "_"):
         _typed(flag, d, flags[flag]) if flag in flags else d

@@ -21,6 +21,7 @@ from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar, collar,
                         far_table, in_collar, negative_parts)
 
 CONT_TOL = 1e-12
+K_TARGET = 10.0  # the certificate's bound inf R > -K_TARGET
 
 
 class CornerFits(NamedTuple):
@@ -292,7 +293,7 @@ class MollifiedCorner:
                             self.cm.delta)
 
 
-def _certificate(mc, K_target, epsilon):
+def _certificate(mc, epsilon):
     """Measure the four smoothing properties.
 
     Outside the collar |r - r0| < sigma the metric is untouched: R comes from
@@ -330,18 +331,18 @@ def _certificate(mc, K_target, epsilon):
     support_ok = bool(max(ti.moved[ki], to.moved[ko]) < 1e-14
                       and not in_collar((far - r0) / sig).any())
 
-    satisfied = (neg_part < epsilon and K_measured > -K_target
+    satisfied = (neg_part < epsilon and K_measured > -K_TARGET
                  and sandwich_lo >= 1 - epsilon and sandwich_hi <= 1 + epsilon
                  and support_ok)
     return SmoothingReport(epsilon, mc.sigma, K_measured, neg_part, neg_measure,
                            sandwich_lo, sandwich_hi, support_ok, bool(satisfied))
 
 
-def mollify(cm, epsilon, K_target=10.0):
+def mollify(cm, epsilon):
     """Smooth a corner metric in a collar around r0; certify the result.
 
     The collar half-width starts at epsilon^2 and halves until the certificate
-    (neg_part < epsilon, inf R > -K_target, sandwich, support) passes; if no
+    (neg_part < epsilon, inf R > -K_TARGET, sandwich, support) passes; if no
     width works the last report is returned with satisfied=False.  Returns
     the MollifiedCorner (`sample` puts it on a grid) and the report.  An
     epsilon whose first collar leaves the corner's domain is refused."""
@@ -362,7 +363,7 @@ def mollify(cm, epsilon, K_target=10.0):
     floor = max(1e-9, sigma / 2 ** 10)
     while True:
         mc = MollifiedCorner(cm, sigma)
-        rep = _certificate(mc, K_target, epsilon)
+        rep = _certificate(mc, epsilon)
         if rep.satisfied or sigma * 0.5 < floor:
             break
         sigma *= 0.5

@@ -99,10 +99,12 @@ def eta_rhs(bg, eta_A, eta_B):
 
 # -- time stepping ----------------------------------------------------------
 
+CFL = 0.2  # the Courant number of stable_dt
+
+
 @dataclass
 class FlowConfig:
     T_final: float
-    cfl: float = 0.2
     monitor_every: int = 10     # snapshot cadence, in accepted steps
     fairness: float = 1.1       # background must stay this fair to g(t)
 
@@ -113,8 +115,6 @@ class FlowConfig:
         if not 1 <= self.fairness < np.inf:
             raise ValueError(f"fairness must be finite and >= 1, got "
                              f"{self.fairness:g}")
-        if not 0 < self.cfl <= 0.5:
-            raise ValueError("cfl must lie in (0, 0.5]")
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be at least 1")
 
@@ -151,10 +151,10 @@ class FlowTrajectory:
                      % tuple(np.column_stack(cols).ravel().tolist()))
 
 
-def stable_dt(grid, A, B, n, cfl):
-    """The explicit step cfl dr_min^2 min(A, B) / (2n): dr_min^2 covers the
+def stable_dt(grid, A, B, n):
+    """The explicit step CFL dr_min^2 min(A, B) / (2n): dr_min^2 covers the
     1/r^2 terms of the right-hand side where r >= dr_min / 2."""
-    return cfl * grid.dr_min ** 2 * min(float(np.min(A)), float(np.min(B))) / (2 * n)
+    return CFL * grid.dr_min ** 2 * min(float(np.min(A)), float(np.min(B))) / (2 * n)
 
 
 HEUN_STAGES = 2  # eta_rhs evaluations per h_flow_step
@@ -205,7 +205,7 @@ def evolve(metric, h, config):
     dts = []
     step = 0
     while t < config.T_final - 1e-15:
-        dt = min(stable_dt(grid, h.A + eta_A, h.B + eta_B, h.n, config.cfl),
+        dt = min(stable_dt(grid, h.A + eta_A, h.B + eta_B, h.n),
                  config.T_final - t)
         eta_A, eta_B = h_flow_step(bg, eta_A, eta_B, dt)
         if np.any(~np.isfinite(eta_A)) or np.any(~np.isfinite(eta_B)):

@@ -157,11 +157,15 @@ def test_mass_liminf_smoke():
     cfg = flow.FlowConfig(T_final=2e-3, monitor_every=1)
     rep, traj = analysis.mass_liminf_experiment(
         cm, (1e-1, 1e-2), cfg,
-        grid=RadialGrid.uniform(0.5, 300.0, 1024), r_floor_tol=10.0)
-    assert rep.measured["mass_neutrality_rel"] < 1e-2
-    assert rep.measured["mass_spread_rel"] < 1e-2
+        grid=RadialGrid.uniform(0.5, 300.0, 1024))
+    # at T = 2e-3 the flow has not yet lifted R above the floor (the
+    # mass-liminf defaults run to T = 0.2), so the measured values are checked
+    assert rep.measured["mass_neutrality_rel"] < 1e-7
+    assert rep.measured["mass_spread_rel"] < 1e-7
+    assert rep.measured["final_R_min"] == pytest.approx(-0.0142, rel=1e-2)
     ref = 16 * np.pi
-    assert abs(rep.measured["mass_base"] - ref) / ref < 1e-2
+    assert abs(rep.measured["mass_base"] - ref) / ref < 1e-6
+    assert abs(rep.measured["mass_limit"] - ref) / ref < 1e-6
 
 
 def test_zero_mass_smoke():

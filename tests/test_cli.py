@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afgeo import cli, flow
+from afgeo import analysis, cli, corner, flow
 from afgeo.grid import RadialGrid, sphere_area
 
 
@@ -138,28 +138,6 @@ def test_corner_valid_passes(tmp_path):
     assert "condition_ok=True" in (tmp_path / "corner.txt").read_text()
 
 
-def test_config_file_flags_win(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("radii = 30,40,50\nmetric = flat\n")
-    out = tmp_path / "rep"
-    code = cli.run(["mass", "--config", str(cfg),
-                    "--metric", "schwarzschild:m=1",
-                    "--grid", "staggered:rmax=120,num=1024",
-                    "--out", str(out)])
-    assert code == 0
-    text = (out / "mass.txt").read_text()
-    # flag value wins over the file, file fills the rest
-    assert "config.metric=schwarzschild:m=1" in text
-    assert "config.radii=30,40,50" in text
-
-
-def test_config_file_unknown_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("warp = 9\n")
-    assert cli.run(["mass", "--config", str(cfg),
-                    "--out", str(tmp_path)]) == 2
-
-
 def test_heat_demo_subcommand(tmp_path):
     code = cli.run(["heat-demo", "--times", "0.5", "--out", str(tmp_path)])
     assert code == 0
@@ -186,10 +164,10 @@ def test_mass_constancy_subcommand(tmp_path):
     assert (tmp_path / "mass_constancy.csv").exists()
 
 
-def test_mass_liminf_reads_K(tmp_path, capsys):
-    # K = 1e-6 is below the collar's inf R (about -0.022), so the first
-    # certificate fails
-    assert cli.run(["mass-liminf", "--K", "1e-6", "--out", str(tmp_path)]) == 3
+def test_mass_liminf_failed_certificate_aborts(tmp_path, capsys):
+    # the reversed jump violates H(-) >= H(+): no collar is certified
+    assert cli.run(["mass-liminf", "--strength", "-0.1",
+                    "--out", str(tmp_path)]) == 3
     assert "smoothing certificate failed at eps=0.1" in capsys.readouterr().err
 
 
@@ -301,8 +279,8 @@ NOT_A_NUMBER = [
     ["zero-mass", "--amp", "nan"],
     ["zero-mass", "--kink", "nan"],
     ["corner", "--strength", "nan"],        # exit 1
-    ["corner", "--K", "nan"],
-    ["mass-constancy", "--tol", "nan"],
+    ["corner", "--r0", "nan"],
+    ["mass-constancy", "--T", "nan"],
     ["heat-demo", "--dx", "0"],             # ZeroDivisionError
     ["heat-demo", "--dx", "inf"],
     ["heat-demo", "--dx", "300"],           # 2 nodes
@@ -338,10 +316,13 @@ def test_mass_radius_off_the_grid_exits_config(radii, tmp_path, capsys):
     # the last of a repeated key won: r_max = 200, m = 3
     (["mass", "--grid", "uniform:rmin=0.5,rmax=300,rmax=200,num=2048"],
      "rmax"),
-    (["mass", "--metric", "schwarzschild:m=1,m=3"], "m")],
+    (["mass", "--metric", "schwarzschild:m=1,m=3"], "m"),
+    # "could not convert string to float", naming neither key nor spec
+    (["mass", "--metric", "schwarzschild:m"], "m"),
+    (["mass", "--grid", "uniform:rmax=,num=2048"], "rmax")],
     ids=["width-negative", "width-0", "width-nan", "kink-negative",
          "kink-inf", "zero-mass-kink-negative", "grid-key-twice",
-         "metric-key-twice"])
+         "metric-key-twice", "metric-value-missing", "grid-value-empty"])
 def test_spec_value_that_would_mean_another_exits_config(argv, key, tmp_path,
                                                          capsys):
     assert cli.run(argv + ["--out", str(tmp_path)]) == 2
@@ -349,18 +330,22 @@ def test_spec_value_that_would_mean_another_exits_config(argv, key, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["mass", "--radii", "50,abc,200"],  # "could not convert string to float"
+    ["mass", "--radii", "50,,100,200"],  # ran three radii, exit 0
+    ["corner", "--eps", "0.1,"],         # ran eps = 0.1 alone, exit 0
+    ["heat-demo", "--times", ",0.5"]], ids=" ".join)
+def test_list_item_that_is_not_a_number_exits_config(argv, tmp_path, capsys):
+    assert cli.run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {argv[1]} ") and "item" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_monitor_every_zero_exits_config(tmp_path):
     assert cli.run(["zero-mass", "--monitor-every", "0", "--T", "1e-3",
                     "--grid", "staggered:rmax=60,num=256",
                     "--out", str(tmp_path)]) == 2
-
-
-def test_config_file_values_checked_like_flags(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("dim = 7\n")
-    assert cli.run(["zero-mass", "--config", str(cfg),
-                    "--out", str(tmp_path)]) == 2
-    assert not (tmp_path / "zero_mass.txt").exists()
 
 
 def test_unknown_flag_exits_config(tmp_path, capsys):
@@ -385,6 +370,65 @@ def test_zero_mass_defaults_pass(tmp_path):
     assert cli.run(["zero-mass", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "zero_mass.txt").read_text()
     assert "config.T=0.05" in text and "passed=True" in text
+    # the fairness derived from --amp 0.05: 1.05 / (1 - 2 amp)^2
+    assert "config.fairness=1.2962962962962963" in text.splitlines()
+
+
+# cheap flags for each subcommand; every other option runs at its default
+ECHO_RUNS = {
+    "mass": ["--radii", "40,80,160", "--dim", "4"],
+    "flow": ["--T", "1e-3", "--grid", "staggered:rmax=40,num=128",
+             "--background", "conformal:c=0.2"],
+    "corner": ["--eps", "1e-1", "--outer-num", "256"],
+    "mass-constancy": ["--T", "1e-3", "--radii", "30,40,50", "--grid",
+                       "uniform:rmin=0.5,rmax=120,num=256"],
+    "mass-liminf": ["--eps", "1e-1", "--T", "1e-3",
+                    "--grid", "uniform:rmin=0.5,rmax=300,num=320"],
+    "zero-mass": ["--T", "1e-3", "--grid", "staggered:rmax=60,num=128",
+                  "--fairness", "1.5", "--monitor-every", "3"],
+    "heat-demo": ["--times", "0.1", "--dx", "0.1"],
+    "verify": ["--grid", "uniform:rmin=0.5,rmax=40,num=256"]}
+
+
+@pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+def test_report_echoes_every_option(name, tmp_path):
+    # each option of the subcommand's row and --dim, in table order, each
+    # with the value the run used; --out is not echoed
+    argv = ECHO_RUNS[name]
+    assert cli.run([name, *argv, "--out", str(tmp_path)]) in (0, 1)
+    text = (tmp_path / f"{name.replace('-', '_')}.txt").read_text()
+    echoed = [l for l in text.splitlines() if l.startswith("config.")]
+    given = dict(zip(argv[::2], argv[1::2]))
+    want = []
+    for flag, default in {**cli.SUBCOMMANDS[name][1], "--dim": 3}.items():
+        kind = float if default is None else type(default)
+        value = kind(given[flag]) if flag in given else default
+        want.append(f"config.{flag[2:]}={value}")
+    assert echoed == want
+    assert text.startswith("".join(f"{line}\n" for line in want))
+
+
+@pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+def test_retired_flags_exit_config(name, capsys):
+    # the gate bounds and the Heun CFL are constants; no file holds flags
+    retired = ("--cfl", "--K", "--tol", "--r-floor", "--config")
+    assert cli.run([name, "--help"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")]
+    assert listed and not set(listed) & set(retired)
+    for flag in retired:
+        assert cli.run([name, flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, want", [
+    (flow.CFL, 0.2), (corner.K_TARGET, 10.0),
+    (analysis.MASS_DRIFT_TOL, 1e-2), (analysis.R_FLOOR_TOL, 1e-4),
+    (cli.VERIFY_TOL, 1e-5)],
+    ids=["CFL", "K_TARGET", "MASS_DRIFT_TOL", "R_FLOOR_TOL", "VERIFY_TOL"])
+def test_gate_bounds_are_fixed(value, want):
+    # loosening a gate, or the step, takes an edit here
+    assert value == want
 
 
 def _fresh_interpreter(script):
@@ -455,11 +499,8 @@ def test_zero_mass_default_fairness_clears_fine_grid(tmp_path, monkeypatch):
             "--out", str(tmp_path)]
     with pytest.raises(_PastFirstCheck):
         cli.run(argv)
-    # an explicit --fairness, or a --config line, still wins
+    # an explicit --fairness still wins
     assert cli.run(argv + ["--fairness", "1.2"]) == 3
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("fairness = 1.2\n")
-    assert cli.run(argv + ["--config", str(cfg)]) == 3
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
@@ -510,17 +551,15 @@ def test_one_subparser_parses_like_all(name, tmp_path, monkeypatch, capsys):
     func, opts = cli.SUBCOMMANDS[name]
     seen = _record_handler(monkeypatch, name)
     assert cli.run([name]) == 0
-    defaults = {"out": "", "config": "", "dim": 3,
+    defaults = {"out": "", "dim": 3,
                 **{f[2:].replace("-", "_"): d for f, d in opts.items()}}
     assert seen[0] == {"command": name, "func": cli.SUBCOMMANDS[name][0],
                        **defaults}
-    # the subcommand's first own option, at its default, and --dim from a file
+    # the subcommand's first own option, at its default, and --dim
     flag, default = next(iter(opts.items()))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dim = 4\n{flag[2:]} = {default}\n")
-    assert cli.run([name, "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert seen[1] == {**seen[0], "dim": 4, "config": str(cfg),
-                       "out": str(tmp_path)}
+    assert cli.run([name, flag, str(default), "--dim", "4",
+                    "--out", str(tmp_path)]) == 0
+    assert seen[1] == {**seen[0], "dim": 4, "out": str(tmp_path)}
     # help lists every flag with its default
     capsys.readouterr()
     assert cli.run([name, "--help"]) == 0
@@ -547,38 +586,28 @@ def test_no_subcommand_word_exits_config(argv, capsys):
     assert err[1].startswith("afgeo: error: ")
 
 
-# argv ("CFG" names the config file), the config file's text, the exit code
-# and the handler's arguments (a dict), the error (a str) or help (None)
+# argv, the exit code and the handler's arguments (a dict), the error (a
+# str) or help (None)
 FLAG_GRAMMAR = [
-    (["corner", "--strength", "-0.1"], "", 0, {"strength": -0.1}),
-    (["corner", "--eps=1e-1"], "", 0, {"eps": "1e-1", "strength": 0.1}),
-    (["corner", "--r0", "3", "--r0=5"], "", 0, {"r0": 5.0}),
-    (["corner", "--config", "CFG", "--strength", "0.3"],
-     "strength = 0.2\nouter_num = 64\n", 0,
-     {"strength": 0.3, "outer_num": 64}),
-    (["corner", "--str", "0.1"], "", 2, "unrecognized arguments: --str"),
-    (["flow", "--T"], "", 2, "argument --T: expected one argument"),
-    (["flow", "--monitor-every", "2.5"], "", 2,
+    (["corner", "--strength", "-0.1"], 0, {"strength": -0.1}),
+    (["corner", "--eps=1e-1"], 0, {"eps": "1e-1", "strength": 0.1}),
+    (["corner", "--r0", "3", "--r0=5"], 0, {"r0": 5.0}),
+    (["corner", "--str", "0.1"], 2, "unrecognized arguments: --str"),
+    (["flow", "--T"], 2, "argument --T: expected one argument"),
+    (["flow", "--monitor-every", "2.5"], 2,
      "argument --monitor-every: invalid int value: '2.5'"),
-    (["flow", "--dim=7"], "", 2,
+    (["flow", "--T", "fast"], 2, "argument --T: invalid float value: 'fast'"),
+    (["flow", "--dim=7"], 2,
      "argument --dim: invalid choice: 7 (choose from 3, 4, 5)"),
-    (["flow", "--config", "CFG"], "cfl = fast\n", 2,
-     "argument --cfl: invalid float value: 'fast'"),
-    (["flow", "--config", "CFG"], "config = other.cfg\n", 2, None),
-    (["corner", "-h"], "", 0, None),
+    (["corner", "-h"], 0, None),
 ]
 
 
-@pytest.mark.parametrize("argv, cfg_text, code, expect", FLAG_GRAMMAR,
-                         ids=[" ".join(c[0]).replace(
-                             "CFG", c[1].split("=")[0].strip() + ".cfg")
-                             for c in FLAG_GRAMMAR])
-def test_flag_grammar(argv, cfg_text, code, expect, tmp_path, monkeypatch,
-                      capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(cfg_text)
+@pytest.mark.parametrize("argv, code, expect", FLAG_GRAMMAR,
+                         ids=[" ".join(c[0]) for c in FLAG_GRAMMAR])
+def test_flag_grammar(argv, code, expect, monkeypatch, capsys):
     seen = _record_handler(monkeypatch, argv[0])
-    assert cli.run([str(cfg) if a == "CFG" else a for a in argv]) == code
+    assert cli.run(argv) == code
     out, err = capsys.readouterr()
     if isinstance(expect, dict):
         assert seen and {k: seen[0][k] for k in expect} == expect
@@ -586,8 +615,6 @@ def test_flag_grammar(argv, cfg_text, code, expect, tmp_path, monkeypatch,
     assert not seen
     if isinstance(expect, str):
         assert err.splitlines() == [cli.USAGE, f"afgeo: error: {expect}"]
-    elif code == 2:
-        assert err == "config error: unknown config key 'config'\n"
     else:
         assert out.startswith(f"usage: afgeo {argv[0]} ")
         assert "--strength" in out

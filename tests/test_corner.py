@@ -277,7 +277,7 @@ def test_support_check_reads_the_corner_data(base):
     cm.fits  # fitted to the data before the bump
     cm.outer.A = cm.outer.A.copy()
     cm.outer.A[cm.outer.grid.node_at(5.0)] += 1e-12
-    rep = corner._certificate(corner.MollifiedCorner(cm, 1e-2), 10.0, 1e-2)
+    rep = corner._certificate(corner.MollifiedCorner(cm, 1e-2), 1e-2)
     assert not rep.support_ok and not rep.satisfied
 
 
@@ -290,7 +290,7 @@ def test_support_check_refuses_a_far_node_the_collar_reaches():
     cm = split_metric(
         metrics.build_conformal(0.4, 3, RadialGrid(r)), 4.0)
     for sig, ok in ((0.3, False), (0.29, True), (0.31, True)):
-        rep = corner._certificate(corner.MollifiedCorner(cm, sig), 10.0, 0.5)
+        rep = corner._certificate(corner.MollifiedCorner(cm, sig), 0.5)
         assert rep.support_ok is ok, sig
 
 
@@ -552,7 +552,7 @@ def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
     assert sorted(sizes) == sorted(pieces * 2)
 
 
-def _composite_certificate(mc, K_target, epsilon):
+def _composite_certificate(mc, epsilon):
     """The certificate as it was measured before the sigma-free tables: one
     trapezoid over the far nodes and the collar, and the support check by
     evaluating the mollified metric at every far node."""
@@ -586,7 +586,7 @@ def _composite_certificate(mc, K_target, epsilon):
                 for f, v in zip("AB", (A, B)))
     support_ok = bool(moved < 1e-14)
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
-    satisfied = (neg_part < epsilon and K_measured > -K_target
+    satisfied = (neg_part < epsilon and K_measured > -corner.K_TARGET
                  and lo >= 1 - epsilon and hi <= 1 + epsilon and support_ok)
     return corner.SmoothingReport(epsilon, sig, K_measured, neg_part,
                                   neg_measure, lo, hi, support_ok,
@@ -611,9 +611,9 @@ def test_certificate_matches_composite_grid(monkeypatch, base, eps, kind):
     attempts = []
     certificate = corner._certificate
 
-    def recorded(mc, K_target, epsilon):
-        rep = certificate(mc, K_target, epsilon)
-        attempts.append((_composite_certificate(mc, K_target, epsilon), rep))
+    def recorded(mc, epsilon):
+        rep = certificate(mc, epsilon)
+        attempts.append((_composite_certificate(mc, epsilon), rep))
         return rep
 
     monkeypatch.setattr(corner, "_certificate", recorded)
@@ -645,7 +645,7 @@ def test_support_check_reads_the_far_node_next_to_the_collar(base, side):
         piece = getattr(cm, side)
         piece.A = piece.A.copy()
         piece.A[piece.grid.node_at(r)] += 1e-12
-        rep = corner._certificate(corner.MollifiedCorner(cm, sig), 10.0, 0.5)
+        rep = corner._certificate(corner.MollifiedCorner(cm, sig), 0.5)
         assert rep.support_ok is not fails, r
 
 

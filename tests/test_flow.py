@@ -181,7 +181,7 @@ def test_step_halving_second_order():
             eA, eB = flow.h_flow_step(bg, eA, eB, dt)
         return eA
 
-    dt = 0.5 * flow.stable_dt(grid, g0.A, g0.B, 3, 0.2)
+    dt = 0.5 * flow.stable_dt(grid, g0.A, g0.B, 3)
     ref = integrate(dt / 4, 16)
     err1 = np.max(np.abs(integrate(dt, 4) - ref))
     err2 = np.max(np.abs(integrate(dt / 2, 8) - ref))
@@ -256,7 +256,7 @@ def test_step_holds_the_frozen_boundary_nodes(grid, frozen):
     bg = flow.Background(h)
     assert bg.frozen == frozen
     eA, eB = g0.A - h.A, g0.B - h.B
-    dt = flow.stable_dt(grid, g0.A, g0.B, 3, 0.2)
+    dt = flow.stable_dt(grid, g0.A, g0.B, 3)
     nA, nB = flow.h_flow_step(bg, eA, eB, dt)
     held = (nA == eA) & (nB == eB)
     assert np.flatnonzero(held).tolist() == sorted(i % grid.num
@@ -479,5 +479,5 @@ def test_fairness_checked_at_every_step():
     with pytest.raises(flow.FlowAbort, match="fairness lost") as e:
         flow.evolve(g0, g0, cfg)
     t = float(str(e.value).split("t=")[1].split(":")[0])
-    dt = flow.stable_dt(grid, g0.A, g0.B, 3, cfg.cfl)
+    dt = flow.stable_dt(grid, g0.A, g0.B, 3)
     assert t == pytest.approx(dt, rel=1e-5)
