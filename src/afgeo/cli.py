@@ -266,7 +266,7 @@ def cmd_verify(args):
         for r0, ref_row in zip(radii, refs):
             i = grid.node_at(r0)
             got_row = (R[i], Rn[i], curvature.mean_curvature(
-                g.n, r0, [f[i] for f in jet]), mass.adm_mass_flux(g, r0), W[i])
+                g.n, r0, jet[:, i]), mass.adm_mass_flux(g, r0), W[i])
             for label, got, ref in zip(("R", "ric2", "H", "flux", "W"),
                                        got_row, ref_row):
                 # near-zero quantities are held to a 1e-2 scale floor so that

@@ -143,8 +143,9 @@ def corner_condition(cm):
     """One-sided mean curvatures at r0, from the fits' Taylor forms, and the
     comparison H(-) >= H(+) (outward normal on both sides), to within 1e-8."""
     # a Taylor form holds f^(k) / k!, so the 2-jet is t[:3] times (1, 1, 2)
-    H_minus, H_plus = (float(mean_curvature(cm.n, cm.r0, (
-        t[:3] * [[1.0], [1.0], [2.0]]).T.ravel())) for t in cm.fits.taylor[:2])
+    H_minus, H_plus = (
+        float(mean_curvature(cm.n, cm.r0, t[:3] * [[1.0], [1.0], [2.0]]))
+        for t in cm.fits.taylor[:2])
     return H_minus, H_plus, bool(H_minus >= H_plus - 1e-8)
 
 
@@ -222,20 +223,19 @@ class MollifiedCorner:
         self.r0 = cm.r0
 
     def _raw(self, x, order=0):
-        """One-sided jets of the unmollified (A, B): order+1 arrays of shape
-        (len(x), 2), r0 on the inner side."""
+        """One-sided jets of the unmollified (A, B), shape (order + 1,
+        len(x), 2), r0 on the inner side."""
         x = np.asarray(x, dtype=float)
         f = self.cm.fits
         lo = x <= self.r0
-        out = [np.empty(x.shape + (2,)) for _ in range(order + 1)]
+        out = np.empty((order + 1,) + x.shape + (2,))
         for side, fit in ((lo, f.inner), (~lo, f.outer)):
-            for o, j in zip(out, fit.jets(x[side], order)):
-                o[side] = j
+            out[:, side] = fit.jets(x[side], order)
         return out
 
     def eval(self, r, order=0):
-        """Mollified A and B with their radial derivatives up to order <= 2:
-        {"A": [A, A', ...], "B": [B, B', ...]} at radii r.
+        """Mollified A and B with their radial derivatives up to order <= 2
+        at radii r: the jet of `curvature`, shape (order + 1, len(r), 2).
 
         The collar adds chi * (D * bump - D) to the one-sided fits, D the
         deviation polynomial.  Its derivatives are convolutions of D's
@@ -258,17 +258,17 @@ class MollifiedCorner:
             if order == 2:
                 diff[2] += fits.jump * (dens / self.sigma)[:, None]
             for k in range(order + 1):
-                jets[k][at] += sum(comb(k, j) * chi[j] / self.sigma ** j
+                jets[k, at] += sum(comb(k, j) * chi[j] / self.sigma ** j
                                    * diff[k - j] for j in range(k + 1))
-        return {f: [jet[:, i] for jet in jets] for i, f in enumerate("AB")}
+        return jets
 
     def collar_jets(self):
-        """Raw (A, B) and the mollified 2-jets at r0 + sigma COLLAR_S.  When
-        D's piece at r0 holds every node, down to r0 - 3 sigma / 2, and the
-        fits' pieces there hold r0 -/+ sigma, each is one polynomial about
-        r0: a jet is a few (N x 6)(6 x 2) products of the tables of
-        `certificate_collar` with its coefficients.  Otherwise eval, node
-        by node."""
+        """Raw (A, B), shape (N, 2), and the mollified 2-jet, shape (3, N,
+        2), at the N radii r0 + sigma COLLAR_S.  When D's piece at r0 holds
+        every node, down to r0 - 3 sigma / 2, and the fits' pieces there hold
+        r0 -/+ sigma, each is one polynomial about r0: a jet is a few
+        (N x 6)(6 x 2) products of the tables of `certificate_collar` with
+        its coefficients.  Otherwise eval, node by node."""
         f, r0, sig = self.cm.fits, self.r0, self.sigma
         if 1.5 * sig > r0 - f.dev.x[2] or sig > f.outer.x[1] - r0:
             rc = r0 + sig * COLLAR_S
@@ -284,13 +284,12 @@ class MollifiedCorner:
             jet /= sig ** k
             conv = H[k] @ np.vstack([d, f.jump * sig ** (k - 1)])
             jet[at] += np.divide(conv, sig ** k, out=conv)
-        return raw, {k: [jet[:, i] for jet in jets] for i, k in enumerate("AB")}
+        return raw, jets
 
     def sample(self, grid):
         """Mollified metric sampled on a grid (need not contain r0)."""
-        jet = self.eval(grid.r)
-        return RadialMetric(grid, self.cm.n, jet["A"][0], jet["B"][0],
-                            self.cm.delta)
+        A, B = self.eval(grid.r)[0].T
+        return RadialMetric(grid, self.cm.n, A, B, self.cm.delta)
 
 
 def _certificate(mc, epsilon):
@@ -304,20 +303,18 @@ def _certificate(mc, epsilon):
     cm, sig, r0 = mc.cm, mc.sigma, mc.r0
     rc = r0 + sig * COLLAR_S
     raw, jet = mc.collar_jets()
-    Ac, Bc = jet["A"][0], jet["B"][0]
-    ratios = np.stack([Ac, Bc], -1) / raw
+    ratios = jet[0] / raw
     sandwich_lo, sandwich_hi = float(np.min(ratios)), float(np.max(ratios))
     del raw, ratios  # a lower peak: glibc keeps the heap between attempts
-    Rc = scalar(cm.n, rc, [*jet["A"], *jet["B"]])
+    Rc = scalar(cm.n, rc, jet)
 
     # the far nodes: r <= r0 - sigma inside, r >= r0 + sigma outside; their
     # nearest, [k - 1:k], is empty when k = 0
     (ti, ki), (to, ko) = ((t, np.searchsorted(t.key, s * r0 - sig, "right"))
                           for t, s in zip(cm.far, (1, -1)))
     x = np.concatenate([ti.r[ki - 1:ki], rc, to.r[ko - 1:ko]])
-    y = np.concatenate([ti.y[ki - 1:ki],
-                        negative_parts(Rc, volume_element(cm.n, rc, Ac, Bc)),
-                        to.y[ko - 1:ko]])
+    y = np.concatenate([ti.y[ki - 1:ki], negative_parts(
+        Rc, volume_element(cm.n, rc, *jet[0].T)), to.y[ko - 1:ko]])
     seg = np.add(y[1:], y[:-1])  # np.trapezoid's terms, in place
     seg *= np.diff(x)[:, None]
     seg /= 2.0

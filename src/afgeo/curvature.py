@@ -2,23 +2,25 @@
 
 Every curvature is read from one 2-jet of (A, B), through the two sectional
 curvatures k_rad and k_tan; the general Cartesian finite-difference formulas
-in oracle.py lock them in.
+in oracle.py lock them in.  A 2-jet is one array, shape (3, N, 2) or (3, 2)
+at one node: the derivative order first and the field (A, B) last.
 """
 
 import numpy as np
 
 
 def jet(grid, A, B):
-    """The 2-jet (A, A', A'', B, B', B'') from the parity stencils."""
+    """The 2-jet of (A, B) from the parity stencils, stored field-major so
+    that each jet[k, :, i], and each field of a sum of jets, is contiguous."""
     d = grid.deriv
-    return (A, d(A, 1, parity=True), d(A, 2, parity=True),
-            B, d(B, 1, parity=True), d(B, 2, parity=True))
+    return np.array([[f, d(f, 1, parity=True), d(f, 2, parity=True)]
+                     for f in (A, B)]).transpose(1, 2, 0)
 
 
 def _phi_jets(r, jet):
     """phi = r sqrt(B) and its first two derivatives with respect to proper
     radius, f1 and f2, from a 2-jet."""
-    A, dA, _, B, dB, ddB = jet
+    (A, B), (dA, dB), (_, ddB) = jet.swapaxes(1, -1)
     sB = np.sqrt(B)
     phi = r * sB
     dphi = sB + r * dB / (2.0 * sB)

@@ -34,10 +34,9 @@ class Background:
         self.h, self.n, self.r = h, h.n, h.grid.r
         self.frozen = ([0, 1, -2, -1] if h.grid.r[0] >= h.grid.dr_min
                        else [-2, -1])
-        self.jet = Ah, dAh, ddAh, Bh, dBh, ddBh = jet(h.grid, h.A, h.B)
-        self.lA, self.lB = lA, lB = dAh / Ah, dBh / Bh
-        self.lA2, self.lB2 = lA ** 2, lB ** 2
-        self.ddA, self.ddB = ddAh / Ah, ddBh / Bh
+        self.jet = j = jet(h.grid, h.A, h.B)
+        (lA, lB), (self.ddA, self.ddB) = (j[1:] / j[0]).swapaxes(1, -1)
+        self.lA, self.lB, self.lA2, self.lB2 = lA, lB, lA ** 2, lB ** 2
         self.lBA, half_m = lB - lA, 0.5 * (h.n - 1)
         self.half_mQ = half_m * (lB + 2.0 / self.r)
         self.half_mdQ = half_m * (self.ddB - self.lB2 - 2.0 / self.r ** 2)
@@ -52,12 +51,12 @@ def _deturck(gj, bg):
     terms are differenced before any division, so W = dW/dr = 0 exactly at
     g = h.  dW/dr is their exact derivative; no sampled W is differentiated.
     """
-    A, dA, ddA, B, dB, ddB = gj
+    (A, B), (dA, dB), (ddA, ddB) = gj.swapaxes(1, -1)
     m, A2 = bg.n - 1, 2.0 * A
     lA, lB = dA / A, dB / B
     dlA, dlB = lA - bg.lA, lB - bg.lB
     D = dlA - m * dlB
-    E = (bg.jet[3] * A - bg.jet[0] * B) / (bg.jet[0] * A * B)
+    E = (bg.h.B * A - bg.h.A * B) / (bg.h.A * A * B)
     W = D / A2 + bg.half_mQ * E
     dD = ((ddA / A - bg.ddA) - (lA ** 2 - bg.lA2)
           - m * ((ddB / B - bg.ddB) - (lB ** 2 - bg.lB2)))
@@ -69,7 +68,7 @@ def _deturck(gj, bg):
 def _rhs_pointwise(gj, bg):
     """(dt A, dt B) of dt g = -2 Ric(g) + Lie_W g in the warped-product
     reduction, from the 2-jet of g and the background."""
-    A, dA, _, B, dB, _ = gj
+    (A, B), (dA, dB), _ = gj.swapaxes(1, -1)
     W, dW = _deturck(gj, bg)
     ric_rad, ric_tan = ricci(bg.n, bg.r, gj)
     dt_A = -2.0 * A * ric_rad + W * dA + 2.0 * A * dW
@@ -91,8 +90,8 @@ def eta_rhs(bg, eta_A, eta_B):
     The jets of g = h + eta are those of h plus those of eta, each from the
     parity stencils.
     """
-    gj = tuple(a + b for a, b in zip(bg.jet, jet(bg.h.grid, eta_A, eta_B)))
-    if np.any(gj[0] <= 0) or np.any(gj[3] <= 0):
+    gj = bg.jet + jet(bg.h.grid, eta_A, eta_B)
+    if np.any(gj[0] <= 0):
         raise FlowAbort("metric positivity lost")
     return _rhs_pointwise(gj, bg)
 

@@ -193,11 +193,11 @@ class Spline:
             self.c.reshape(k1, pieces, -1).transpose(2, 0, 1))
 
     def jets(self, r, order=0):
-        """[f, f', ..., f^(order)] at radii r, each of shape r.shape + the
-        field shape, from one interval search and one coefficient gather.
+        """f, f', ..., f^(order) at radii r, one array of shape (order + 1,)
+        + r.shape + the field shape, from one search and one gather.
 
-        Horner runs field-major: the p-th derivative of sum_q a[k-q] dx^q
-        gives term q the factor q!/(q-p)!.
+        Horner runs field-major, and the array is stored so: the p-th
+        derivative of sum_q a[k-q] dx^q gives term q the factor q!/(q-p)!.
         """
         r = np.asarray(r, dtype=float)
         flat = r.reshape(-1)
@@ -206,13 +206,13 @@ class Spline:
         i = np.searchsorted(self._keys, self._sign * flat, side="right")
         a = np.take(self._cf, i, axis=2).transpose(1, 0, 2)
         dx = flat - self.x[i]
-        out = []
+        out = np.empty((order + 1,) + a.shape[1:])
         for p in range(order + 1):
             f = a[0] * math.perm(k, p)
             for q in range(k - 1, p - 1, -1):
                 f = f * dx + (a[k - q] * math.perm(q, p) if p else a[k - q])
-            out.append(f.T.reshape(shape))
-        return out
+            out[p] = f
+        return out.transpose(0, 2, 1).reshape((order + 1,) + shape)
 
     def __call__(self, r):
         return self.jets(r)[0]

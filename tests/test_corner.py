@@ -235,11 +235,35 @@ def test_eval_derivatives_match_differences(valid_corner, sig, h, blend_tol,
         r = valid_corner.r0 + sig * np.array(zone)
         jet = mc.eval(r, 2)
         lo, mid, hi = (mc.eval(r + s * h) for s in (-1, 0, 1))
-        for f in "AB":
-            d1 = (hi[f][0] - lo[f][0]) / (2 * h)
-            d2 = (hi[f][0] - 2 * mid[f][0] + lo[f][0]) / h ** 2
-            assert np.max(np.abs(d1 - jet[f][1])) < tol1
-            assert np.max(np.abs(d2 - jet[f][2])) < tol2
+        for f in range(2):
+            d1 = (hi[0, :, f] - lo[0, :, f]) / (2 * h)
+            d2 = (hi[0, :, f] - 2 * mid[0, :, f] + lo[0, :, f]) / h ** 2
+            assert np.max(np.abs(d1 - jet[1, :, f])) < tol1
+            assert np.max(np.abs(d2 - jet[2, :, f])) < tol2
+
+
+def test_every_jet_producer_builds_one_layout(valid_corner):
+    # the parity stencils, a spline fit, the mollified corner and the
+    # certificate's collar tables all give the 2-jet of (A, B) as one float
+    # array, derivative order first and field last; curvature reads each
+    # as it comes, and the single-node slice jet[:, i] alike
+    cm = valid_corner
+    g = cm.combined()
+    mc = corner.MollifiedCorner(cm, 1e-2)
+    r = cm.r0 + np.linspace(-0.02, 0.02, 41)  # across the collar
+    rc = cm.r0 + mc.sigma * mollifier.COLLAR_S
+    raw, collar = mc.collar_jets()
+    assert isinstance(raw, np.ndarray) and raw.dtype == float
+    assert raw.shape == (len(rc), 2)
+    for x, jet in [(g.grid.r, curvature.jet(g.grid, g.A, g.B)),
+                   (r, cm.fits.inner.jets(r, 2)), (r, mc.eval(r, 2)),
+                   (rc, collar)]:
+        assert isinstance(jet, np.ndarray) and jet.dtype == float
+        assert jet.shape == (3, len(x), 2)
+        R = curvature.scalar(cm.n, x, jet)
+        assert R.shape == x.shape and np.all(np.isfinite(R))
+        i = len(x) // 3
+        assert curvature.scalar(cm.n, x[i], jet[:, i]) == R[i]
 
 
 def test_mollify_k_free_of_blend_roundoff(valid_corner):
@@ -504,10 +528,10 @@ def test_collar_tables_match_direct_eval(base, sig, strength):
     raw, fast = mc.collar_jets()
     direct = mc.eval(rc, 2)
     tol = 10 * np.finfo(float).eps * cm.r0 / sig
-    for f in "AB":
+    for f in range(2):
         for k in range(3):
-            err = np.max(np.abs(fast[f][k] - direct[f][k]))
-            assert err <= tol * np.max(np.abs(direct[f][k])), (f, k, err)
+            err = np.max(np.abs(fast[k, :, f] - direct[k, :, f]))
+            assert err <= tol * np.max(np.abs(direct[k, :, f])), (f, k, err)
     # the unmollified fits carry no sigma^-k factor
     assert np.max(np.abs(raw - mc._raw(rc)[0])) <= 5e-15 * np.max(raw)
 
@@ -566,8 +590,8 @@ def _composite_certificate(mc, epsilon):
     keep_o = ro >= mc.r0 + sig
     rc = mc.r0 + sig * mollifier.COLLAR_S
     raw, jet = mc.collar_jets()
-    Rc = curvature.scalar(n, rc, [*jet["A"], *jet["B"]])
-    Ac, Bc = jet["A"][0], jet["B"][0]
+    Rc = curvature.scalar(n, rc, jet)
+    Ac, Bc = jet[0].T
     r = np.concatenate([ri[keep_i], rc, ro[keep_o]])
     R = np.concatenate([Ri[keep_i], Rc, Ro[keep_o]])
     A = np.concatenate([cm.inner.A[keep_i], Ac, cm.outer.A[keep_o]])
@@ -582,8 +606,8 @@ def _composite_certificate(mc, epsilon):
     ni = np.count_nonzero(keep_i)
     far = np.r_[:ni, ni + len(rc):len(r)]
     jet_far = mc.eval(r[far])
-    moved = max(np.max(np.abs(jet_far[f][0] - v[far]))
-                for f, v in zip("AB", (A, B)))
+    moved = max(np.max(np.abs(jet_far[0, :, f] - v[far]))
+                for f, v in enumerate((A, B)))
     support_ok = bool(moved < 1e-14)
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
     satisfied = (neg_part < epsilon and K_measured > -corner.K_TARGET

@@ -126,14 +126,14 @@ def test_closed_form_matches_tensor_kernel(n, grid_kind, background):
 
 
 def _schwarzschild_jets(m, r):
-    """Exact (A, A', A'', B, B', B'') of isotropic Schwarzschild, A = B = u^4."""
+    """Exact 2-jet of isotropic Schwarzschild, A = B = u^4, shape (3, N, 2)."""
     u = 1.0 + m / (2.0 * r)
     du = -m / (2.0 * r ** 2)
     ddu = m / r ** 3
     A = u ** 4
     dA = 4.0 * u ** 3 * du
     ddA = 12.0 * u ** 2 * du ** 2 + 4.0 * u ** 3 * ddu
-    return A, dA, ddA, A, dA, ddA
+    return np.stack([[A, dA, ddA]] * 2, axis=-1)
 
 
 def test_rhs_discretization_converges():
