@@ -57,6 +57,14 @@ def mean_curvature(n, r, jet):
     return (n - 1) * f1 / phi
 
 
+def mass_function(n, r, jet):
+    """Misner-Sharp mass m = phi^(n-2) (1 - f1^2)/2 of the sphere of radius r,
+    from a 2-jet: exactly m on every sphere of Schwarzschild of mass m, and
+    unchanged by a radial change of coordinates."""
+    phi, f1, _ = _phi_jets(r, jet)
+    return phi ** (n - 2) * (1.0 - f1 ** 2) / 2.0
+
+
 def _on_grid(metric, fn):
     """fn(n, r, jet) of the metric at its grid nodes."""
     return fn(metric.n, metric.grid.r, jet(metric.grid, metric.A, metric.B))

@@ -167,23 +167,6 @@ def flux_quadrature(metric, r, npoints=12000):
     return vals @ w * np.power(r, n - 1)
 
 
-def mass_correction_density(metric, r, direction=None):
-    """Integrand (per metric volume) of the two correction terms in the
-    integrated scalar-curvature identity: g^{ij}Gamma_i d_j log|g| / 2 minus
-    the triple-Christoffel contraction."""
-    cm = CartesianMetric(metric)
-    x = _points(metric.n, r, direction)
-    ginv = np.linalg.inv(cm.g(x))
-    dg = cm.dg(x)
-    low = _lower(dg)
-    Gam = np.einsum("...pq,...jpq->...j", ginv, low)
-    dlog = np.einsum("...pq,...jpq->...j", ginv, dg)
-    X = np.einsum("...ij,...i,...j->...", ginv, Gam, dlog)
-    Y = np.einsum("...ij,...kl,...pq,...ikp,...jql->...",
-                  ginv, ginv, ginv, low, low)
-    return 0.5 * X - Y
-
-
 # -- the full tensor flow equation at the axis point x = r e1 -----------------
 # Radial tensors there are combinations of delta_ab, the axis projector and 1/r
 # factors; no warped-product reduction is used, unlike flow.py.

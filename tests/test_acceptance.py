@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conftest
-from afgeo import analysis, cli, corner, flow, heatdemo
+from afgeo import analysis, cli, corner, curvature, flow, heatdemo
 from afgeo import mass, metrics
 from afgeo.grid import RadialGrid, sphere_area
 
@@ -80,22 +80,21 @@ def test_criterion_2_mass_constancy(n):
     rep, _ = analysis.mass_constancy_experiment(
         g, g, cfg, radii=grid.snap((100.0, 150.0, 200.0)))
     errs = [abs(row["mass"] - target) / target for row in rep.series]
-    # grid-dependent component: flux vs the closed-form finite-radius value
-    # target u^((6 - n)/(n - 2)), u = 1 + 1/(2 r^(n - 2)); the residual
-    # against the target itself sits at the N-independent tail-model floor
-    flux_err = []
+    # grid-dependent component: m(r0) against m = 1, which it equals on
+    # every sphere of Schwarzschild, so only the stencil error is left
+    m_err = []
     for num in (1024, 2048):
         gr = RadialGrid.uniform(0.5, 300.0, num)
         gg = metrics.build_schwarzschild_isotropic(1.0, n, gr)
-        r0 = gr.snap((50.0,))[0]
-        exact = target * (1.0 + 0.5 / r0 ** (n - 2)) ** ((6 - n) / (n - 2))
-        flux_err.append(abs(mass.adm_mass_flux(gg, r0) - exact) / exact)
+        i = gr.node_at(gr.snap((50.0,))[0])
+        jet = curvature.jet(gr, gg.A, gg.B)[:, i]
+        m_err.append(abs(curvature.mass_function(n, gr.r[i], jet) - 1.0))
     wall = time.perf_counter() - t0
-    halves = flux_err[0] >= 2.0 * flux_err[1]
+    halves = m_err[0] >= 2.0 * m_err[1]
     ok = max(errs) < 1e-2 and halves and wall < 120.0
     _report(2, f"mass constancy, n = {n}", ok,
             f"max_rel_err={max(errs):.2e} "
-            f"refine_ratio={flux_err[0] / flux_err[1]:.1f} wall={wall:.0f}s")
+            f"refine_ratio={m_err[0] / m_err[1]:.1f} wall={wall:.0f}s")
 
 
 def test_criterion_3_negative_part_bound(corner_run):

@@ -102,7 +102,7 @@ def test_verify_checks_schwarzschild_probe_at_other_dim(tmp_path):
     lines = (tmp_path / "verify.txt").read_text().splitlines()
     assert "passed=True" in lines
     rows = [l for l in lines if l.startswith("schwarzschild_")]
-    assert len(rows) == 10  # 2 radii x (R, ric2, H, flux, W)
+    assert len(rows) == 8  # 2 radii x (R, ric2, H, W)
     assert max(float(l.rsplit("rel=", 1)[1]) for l in rows) < 1e-5
 
 
@@ -113,6 +113,19 @@ def test_flow_reports_count_steps_and_rhs_evals(tmp_path):
     assert code == 0
     lines = (tmp_path / "zero_mass.txt").read_text().splitlines()
     assert "steps=14" in lines and "rhs_evals=28" in lines
+
+
+def test_flow_max_eta_covers_both_components(tmp_path):
+    # at the defaults max|eta_B| exceeds max|eta_A|, so the report must
+    # read both components
+    assert cli.run(["flow", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "flow.txt").read_text().splitlines()
+    g = cli.parse_metric("conformal:c=0.2",
+                         cli.parse_grid("staggered:rmax=60,num=1024"))
+    last = flow.evolve(g, g, flow.FlowConfig(T_final=0.01)).snapshots[-1]
+    sup_A, sup_B = (float(np.max(np.abs(e))) for e in (last.eta_A, last.eta_B))
+    assert sup_B > sup_A
+    assert f"max_eta={sup_B:.12g}" in lines
 
 
 def test_unfair_background_exits_numeric(tmp_path):
@@ -472,8 +485,8 @@ for argv in {runs!r}:
 
 
 def test_verify_loads_no_scipy(tmp_path):
-    # the oracle's quintic spline is grid.interp_spline; the lat-long rule
-    # of flux_quadrature still loads numpy.polynomial, so only scipy is read
+    # the oracle's quintic spline is grid.interp_spline, so verify reads no
+    # scipy
     script = f"""
 import sys
 import afgeo.cli as cli

@@ -3,27 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afgeo.grid import RadialGrid, sphere_area
-from afgeo import flow, mass, metrics, oracle
-from afgeo.curvature import scalar_curvature
-from afgeo.mass import adm_mass_flux
+from afgeo import curvature, flow, mass, metrics, oracle
 
 
-def mass_parts_residual(metric, r, mass, direction=None):
-    """Residual of the integrated scalar-curvature identity at inner radius r.
-
-    Evaluates int_{M \\ B_r} R dV + flux(r) + the two correction volume
-    integrals (from the oracle), minus the given mass.  Shrinks like
-    r^(-lambda) for metrics with integrable R.
-    """
-    grid = metric.grid
-    i0 = grid.node_at(r)
-    if i0 is None:
-        raise ValueError(f"r={r} is not a grid node")
-    dens = metric.volume_density()
-    int_R = np.trapezoid((scalar_curvature(metric) * dens)[i0:], grid.r[i0:])
-    corr = oracle.mass_correction_density(metric, grid.r[i0:], direction)
-    int_corr = np.trapezoid(corr * dens[i0:], grid.r[i0:])
-    return float(int_R + adm_mass_flux(metric, r) + int_corr - mass)
+def _mass_function(g):
+    """m(r) of the metric g at its grid nodes."""
+    return curvature.mass_function(
+        g.n, g.grid.r, curvature.jet(g.grid, g.A, g.B))
 
 
 @pytest.fixture(scope="module")
@@ -31,25 +17,67 @@ def grid():
     return RadialGrid.uniform(0.5, 300.0, 2048)
 
 
-def test_flux_flat_zero(grid):
-    flat = metrics.build_flat(3, grid)
-    r = grid.r[grid.num // 2]
-    assert abs(mass.adm_mass_flux(flat, r)) < 1e-9
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mass_function_schwarzschild_converges_fourth_order(n):
+    # m is exactly 1 on every sphere; the stencil error falls ~16x per
+    # halving of dr
+    errs = []
+    for num in (1024, 2048):
+        g = RadialGrid.staggered(60.0, num)
+        m = _mass_function(metrics.build_schwarzschild_isotropic(1.0, n, g))
+        errs.append(np.max(np.abs(m[g.r >= 1.0] - 1.0)))
+    assert errs[1] < 1e-4
+    assert errs[0] > 12.0 * errs[1]
 
 
-def test_flux_schwarzschild_closed_form(grid):
-    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
-    for target in (50.0, 100.0):
-        r = min(grid.r, key=lambda x: abs(x - target))
-        exact = 16.0 * np.pi * (1 + 1 / (2 * r)) ** 3
-        assert mass.adm_mass_flux(sch, r) == pytest.approx(exact, rel=1e-7)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mass_function_distorted_flat_vanishes_across_the_kink(n):
+    # flat space in kinked coordinates: m is invariant under the radial
+    # change of coordinates, so max|m| -> 0 as the fixed-width kink resolves
+    errs = [np.max(np.abs(_mass_function(metrics.build_distorted_flat(
+        n, RadialGrid.staggered(60.0, num), smooth_width=0.5))))
+        for num in (1024, 2048, 4096)]
+    assert errs[2] < 1e-4
+    assert errs[0] > 4.0 * errs[1] > 16.0 * errs[2]
 
 
-def test_flux_matches_quadrature_oracle(grid):
-    m = metrics.build_conformal(0.4, 3, grid)
-    r = min(grid.r, key=lambda x: abs(x - 50))
-    ref = oracle.flux_quadrature(m, r)
-    assert mass.adm_mass_flux(m, r) == pytest.approx(ref, rel=1e-6)
+_PROFILES = {"conformal": lambda n, g: metrics.build_conformal(0.5, n, g),
+             "angular-bump": lambda n, g: metrics.build_angular_bump(0.2, n, g)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_mass_function_integrates_scalar_curvature(name, n):
+    # m(r2) - m(r1) = int phi^(n-1) phi_r R / (2(n-1)) dr exactly; the
+    # trapezoid gap closes at second order
+    gaps = []
+    for num in (1024, 2048, 4096):
+        grid = RadialGrid.staggered(60.0, num)
+        g = _PROFILES[name](n, grid)
+        r, jet = grid.r, curvature.jet(grid, g.A, g.B)
+        B, dB = jet[0, :, 1], jet[1, :, 1]
+        phi, dphi = r * np.sqrt(B), np.sqrt(B) + r * dB / (2.0 * np.sqrt(B))
+        dens = phi ** (n - 1) * dphi * curvature.scalar(n, r, jet)
+        i1, i2 = (grid.node_at(x) for x in grid.snap((1.0, 20.0)))
+        m = curvature.mass_function(n, r, jet)
+        dm = m[i2] - m[i1]
+        integral = np.trapezoid(dens[i1:i2 + 1], r[i1:i2 + 1]) / (2 * (n - 1))
+        gaps.append(abs(dm - integral) / abs(dm))
+    assert gaps[2] < 2e-4
+    assert gaps[0] > 10.0 * gaps[2]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mass_matches_oracle_flux_ladder(n):
+    # the independent Cartesian flux quadrature, extrapolated by the same
+    # fit, agrees within the two ladders' error bars
+    grid = RadialGrid.staggered(300.0, 2048)
+    g = metrics.build_conformal(0.5, n, grid)
+    radii = grid.snap((50.0, 100.0, 200.0))
+    ref, ref_err = mass.fit_power_tail(
+        radii, oracle.flux_quadrature(g, np.array(radii)), n)
+    rep = mass.adm_mass(g, radii)
+    assert abs(rep.mass - ref) <= rep.mass_err + ref_err
 
 
 def test_adm_mass_extrapolation(grid):
@@ -84,27 +112,6 @@ def test_distorted_flat_zero_mass():
     assert abs(rep.mass) < 1e-3
 
 
-def test_mass_parts_residual_shrinks():
-    g = RadialGrid.geometric(0.5, 3000.0, 1024, ratio=1.004)
-    sch = metrics.build_schwarzschild_isotropic(1.0, 3, g)
-    radii = [min(g.r, key=lambda x: abs(x - t)) for t in (50, 100, 200)]
-    m0 = 16.0 * np.pi
-    res = [abs(mass_parts_residual(sch, r, mass=m0,
-                                   direction=oracle.unit_direction(3, 7)))
-           for r in radii]
-    assert res[2] < res[0]  # monotone shrink across the ladder
-    # fitted decay exponent at least 2 delta + 2 - n - 0.3 = 0.7
-    lam = np.polyfit(np.log(radii), np.log(res), 1)[0]
-    assert -lam > 0.7
-
-
-def test_mass_parts_residual_flat_zero(grid):
-    flat = metrics.build_flat(3, grid)
-    r = min(grid.r, key=lambda x: abs(x - 50))
-    # limited by finite-difference noise in the oracle correction integrand
-    assert abs(mass_parts_residual(flat, r, mass=0.0)) < 1e-5
-
-
 def test_mass_err_covers_true_error():
     g = RadialGrid.staggered(300.0, 2048)
     sch = metrics.build_schwarzschild_isotropic(1.0, 3, g)
@@ -115,11 +122,11 @@ def test_mass_err_covers_true_error():
 
 
 def test_short_ladder_not_converged(grid):
-    # rungs close in: the leave-one-out extrapolations disagree by more than
-    # the tolerance, although the mass itself is good to 1e-4
-    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
-    with pytest.warns(UserWarning, match="did not converge"):
-        rep = mass.adm_mass(sch, grid.snap((8.0, 12.0, 16.0)))
+    # rungs close in, where m(r) of the conformal metric still changes: the
+    # leave-one-out extrapolations disagree by more than the tolerance
+    g = metrics.build_conformal(0.5, 3, grid)
+    with pytest.warns(UserWarning, match="mass ladder did not converge"):
+        rep = mass.adm_mass(g, grid.snap((8.0, 12.0, 16.0)))
     assert not rep.converged
     assert rep.mass_err > 1e-3 * abs(rep.mass)
 
@@ -151,21 +158,17 @@ def test_mass_unchanged_by_compact_diffeomorphism(grid, amp, center, width):
     assert m1.converged
 
 
-def test_ladder_takes_one_derivative(monkeypatch):
-    # B' is taken once per ladder, and each rung's flux is bitwise the
-    # closed form with B' taken for that rung alone
+def test_ladder_takes_one_jet(monkeypatch):
+    # the 2-jet is taken once per ladder, and each rung's value is bitwise
+    # mass_function of that jet at the rung, in the units of the mass
     grid = RadialGrid.uniform(0.5, 300.0, 768)
     g = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
     radii = grid.snap((100.0, 150.0, 200.0))
-    ref = []
-    for r in radii:
-        i = grid.node_at(r)
-        dB = grid.deriv(g.B, 1, parity=True)[i]
-        val = (g.A[i] - g.B[i]) / r - dB
-        ref.append(float(sphere_area(3) * r ** 2 * 2 * val))
+    full = curvature.jet(grid, g.A, g.B)
+    ref = [4 * sphere_area(3) * curvature.mass_function(3, r, full[:, i])
+           for r, i in zip(radii, map(grid.node_at, radii))]
     calls = []
-    deriv = RadialGrid.deriv
-    monkeypatch.setattr(RadialGrid, "deriv", lambda self, *a, **k:
-                        calls.append(a) or deriv(self, *a, **k))
-    assert list(mass.adm_mass(g, radii).flux) == ref
+    monkeypatch.setattr(mass, "jet", lambda *a: calls.append(a)
+                        or curvature.jet(*a))
+    assert list(mass.adm_mass(g, radii).rung_mass) == ref
     assert len(calls) == 1
