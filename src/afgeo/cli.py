@@ -383,7 +383,8 @@ def run(argv=None):
         print(f"{USAGE}\nafgeo: error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except flow.FlowAbort as e:
-        print(f"numerical abort: {e}", file=sys.stderr)
+        print(f"numerical abort: {e}", *filter(None, [e.where()]),
+              file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -7,7 +7,8 @@ radial derivative are both exact functions of those jets.  The full Cartesian
 tensor equation in oracle.py locks the kernel in the tests.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,27 @@ from .norms import fairness_ratios, eta_sup_norms
 
 
 class FlowAbort(RuntimeError):
-    """Numerical abort: NaN, positivity loss or fairness violation."""
+    """Numerical abort: NaN, positivity loss or fairness violation.
+
+    An abort of `evolve` says where: the time t and number of the step whose
+    result failed (step 0 is the initial data), the first bad node, and for
+    a fairness loss the range (lo, hi) of the ratios g/h with the field,
+    "A" or "B", and node of the extreme one.  What does not apply is None.
+    """
+
+    def __init__(self, message, t=None, step=None, node=None, field=None,
+                 ratios=None):
+        super().__init__(message)
+        self.t, self.step, self.node = t, step, node
+        self.field, self.ratios = field, ratios
+
+    def where(self):
+        """The attributes that are set, as `key=value` words."""
+        lo, hi = self.ratios or (None, None)
+        items = {"t": self.t, "step": self.step, "node": self.node,
+                 "field": self.field, "ratio_lo": lo, "ratio_hi": hi}
+        return " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in items.items() if v is not None)
 
 
 # -- closed-form right-hand side ---------------------------------------------
@@ -32,8 +53,8 @@ class Background:
 
     def __init__(self, h):
         self.h, self.n, self.r = h, h.n, h.grid.r
-        self.frozen = ([0, 1, -2, -1] if h.grid.r[0] >= h.grid.dr_min
-                       else [-2, -1])
+        self.frozen = np.array([0, 1, -2, -1] if h.grid.r[0] >= h.grid.dr_min
+                               else [-2, -1])
         self.jet = j = jet(h.grid, h.A, h.B)
         (lA, lB), (self.ddA, self.ddB) = (j[1:] / j[0]).swapaxes(1, -1)
         self.lA, self.lB, self.lA2, self.lB2 = lA, lB, lA ** 2, lB ** 2
@@ -42,22 +63,29 @@ class Background:
         self.half_mdQ = half_m * (self.ddB - self.lB2 - 2.0 / self.r ** 2)
 
 
-def _deturck(gj, bg):
-    """W = g^pq (Gamma^r_pq - Gamma~^r_pq) and dW/dr, in closed form from the
-    2-jet gj of g and the background bg.
+def _deturck_w(bg, A, B, dA, dB):
+    """W = g^pq (Gamma^r_pq - Gamma~^r_pq) in closed form from the 1-jet
+    (A, B, A', B') of g and the background bg, with the pieces of it that
+    dW/dr reads.
 
     W = D/(2A) + (m/2) Q E with D = A'/A - A~'/A~ - m (B'/B - B~'/B~),
     Q = B~'/B~ + 2/r and E = B~/(A~ B) - 1/A = (B~ A - A~ B)/(A~ A B): like
-    terms are differenced before any division, so W = dW/dr = 0 exactly at
-    g = h.  dW/dr is their exact derivative; no sampled W is differentiated.
+    terms are differenced before any division, so W = 0 exactly at g = h.
     """
-    (A, B), (dA, dB), (ddA, ddB) = gj.swapaxes(1, -1)
     m, A2 = bg.n - 1, 2.0 * A
     lA, lB = dA / A, dB / B
     dlA, dlB = lA - bg.lA, lB - bg.lB
     D = dlA - m * dlB
     E = (bg.h.B * A - bg.h.A * B) / (bg.h.A * A * B)
-    W = D / A2 + bg.half_mQ * E
+    return D / A2 + bg.half_mQ * E, (A2, lA, lB, dlA, dlB, D, E)
+
+
+def _deturck(bg, A, B, dA, dB, ddA, ddB):
+    """W and dW/dr from the 2-jet of g: dW/dr is the exact derivative of
+    `_deturck_w`'s closed form, zero exactly at g = h too; no sampled W is
+    differentiated."""
+    W, (A2, lA, lB, dlA, dlB, D, E) = _deturck_w(bg, A, B, dA, dB)
+    m = bg.n - 1
     dD = ((ddA / A - bg.ddA) - (lA ** 2 - bg.lA2)
           - m * ((ddB / B - bg.ddB) - (lB ** 2 - bg.lB2)))
     dE = E * (bg.lBA - lB) + (dlA - dlB) / A
@@ -68,8 +96,8 @@ def _deturck(gj, bg):
 def _rhs_pointwise(gj, bg):
     """(dt A, dt B) of dt g = -2 Ric(g) + Lie_W g in the warped-product
     reduction, from the 2-jet of g and the background."""
-    (A, B), (dA, dB), _ = gj.swapaxes(1, -1)
-    W, dW = _deturck(gj, bg)
+    (A, B), (dA, dB), (ddA, ddB) = gj.swapaxes(1, -1)
+    W, dW = _deturck(bg, A, B, dA, dB, ddA, ddB)
     ric_rad, ric_tan = ricci(bg.n, bg.r, gj)
     dt_A = -2.0 * A * ric_rad + W * dA + 2.0 * A * dW
     dt_B = -2.0 * B * ric_tan + W * (dB + 2.0 * B / bg.r)
@@ -80,7 +108,9 @@ def deturck_vector(g, bg):
     """Radial contravariant component of W^k = g^{pq}(Gamma^k_pq - Gamma~^k_pq)."""
     if g.grid is not bg.h.grid and not np.array_equal(g.grid.r, bg.r):
         raise ValueError("metrics must share a grid")
-    return _deturck(jet(g.grid, g.A, g.B), bg)[0]
+    d = g.grid.deriv
+    return _deturck_w(bg, g.A, g.B, d(g.A, 1, parity=True),
+                      d(g.B, 1, parity=True))[0]
 
 
 def eta_rhs(bg, eta_A, eta_B):
@@ -91,8 +121,10 @@ def eta_rhs(bg, eta_A, eta_B):
     parity stencils.
     """
     gj = bg.jet + jet(bg.h.grid, eta_A, eta_B)
-    if np.any(gj[0] <= 0):
-        raise FlowAbort("metric positivity lost")
+    bad = gj[0] <= 0
+    if bad.any():
+        raise FlowAbort("metric positivity lost",
+                        node=int(np.argmax(bad.any(axis=1))))
     return _rhs_pointwise(gj, bg)
 
 
@@ -120,12 +152,22 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
+    """One snapshot of a run.  The DeTurck vector W and the decay norms of
+    eta against the run's background bg are computed when first read."""
     t: float
     metric: RadialMetric
     eta_A: np.ndarray
     eta_B: np.ndarray
-    W: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    bg: Background
+
+    @cached_property
+    def W(self):
+        return deturck_vector(self.metric, self.bg)
+
+    @cached_property
+    def diagnostics(self):
+        w0, w1, w2 = eta_sup_norms(self.metric, self.bg.h, self.metric.delta)
+        return {"max_grad_eta": w1, "wnorm0": w0, "wnorm1": w1, "wnorm2": w2}
 
 
 @dataclass
@@ -169,13 +211,15 @@ def h_flow_step(bg, eta_A, eta_B, dt):
     return eta_A + 0.5 * dt * (kA1 + kA2), eta_B + 0.5 * dt * (kB1 + kB2)
 
 
-def _snapshot(t, bg, eta_A, eta_B, delta):
-    h = bg.h
-    g = RadialMetric(h.grid, h.n, h.A + eta_A, h.B + eta_B, delta)
-    W = deturck_vector(g, bg)
-    w0, w1, w2 = eta_sup_norms(g, h, delta)
-    diag = {"max_grad_eta": w1, "wnorm0": w0, "wnorm1": w1, "wnorm2": w2}
-    return FlowState(t, g, eta_A.copy(), eta_B.copy(), W, diag)
+def _fairness_abort(message, h, A, B, ratios, t, step):
+    """The FlowAbort of a fairness loss; the extreme ratio g/h is the one at
+    the end of `ratios` farther from 1."""
+    lo, hi = ratios
+    pick = np.argmin if lo * hi < 1.0 else np.argmax
+    field, node = divmod(int(pick(np.concatenate([A / h.A, B / h.B]))),
+                         len(A))
+    return FlowAbort(message, t=t, step=step, node=node, field="AB"[field],
+                     ratios=ratios)
 
 
 def evolve(metric, h, config):
@@ -194,30 +238,46 @@ def evolve(metric, h, config):
         raise ValueError("metric and background must share a grid")
     ok, rng = fairness_ratios(h, metric.A, metric.B, config.fairness)
     if not ok:
-        raise FlowAbort(f"background not {config.fairness}-fair: ratios {rng}")
+        raise _fairness_abort(f"background not {config.fairness}-fair: "
+                              f"ratios {rng}", h, metric.A, metric.B, rng,
+                              0.0, 0)
 
     bg = Background(h)
     eta_A = metric.A - h.A
     eta_B = metric.B - h.B
+    # g = h + eta, formed once per step: the step size, the fairness check
+    # and the snapshot read it
+    gA, gB = h.A + eta_A, h.B + eta_B
     t = 0.0
-    snapshots = [_snapshot(t, bg, eta_A, eta_B, metric.delta)]
+
+    def snapshot():
+        g = RadialMetric(h.grid, h.n, gA, gB, metric.delta)
+        return FlowState(t, g, eta_A, eta_B, bg)
+
+    snapshots = [snapshot()]
     dts = []
     step = 0
     while t < config.T_final - 1e-15:
-        dt = min(stable_dt(grid, h.A + eta_A, h.B + eta_B, h.n),
-                 config.T_final - t)
-        eta_A, eta_B = h_flow_step(bg, eta_A, eta_B, dt)
-        if np.any(~np.isfinite(eta_A)) or np.any(~np.isfinite(eta_B)):
-            raise FlowAbort(f"NaN detected at t={t:.6g}")
+        dt = min(stable_dt(grid, gA, gB, h.n), config.T_final - t)
+        try:
+            eta_A, eta_B = h_flow_step(bg, eta_A, eta_B, dt)
+        except FlowAbort as e:
+            e.t, e.step = t + dt, step + 1
+            raise
+        finite = np.isfinite(eta_A) & np.isfinite(eta_B)
+        if not finite.all():
+            raise FlowAbort(f"NaN detected at t={t:.6g}", t=t + dt,
+                            step=step + 1, node=int(np.argmin(finite)))
         t += dt
         step += 1
         dts.append(dt)
-        ok, rng = fairness_ratios(h, h.A + eta_A, h.B + eta_B,
-                                  2 * config.fairness - 1)
+        gA, gB = h.A + eta_A, h.B + eta_B
+        ok, rng = fairness_ratios(h, gA, gB, 2 * config.fairness - 1)
         if not ok:
-            raise FlowAbort(f"fairness lost at t={t:.6g}: ratios {rng}")
+            raise _fairness_abort(f"fairness lost at t={t:.6g}: ratios {rng}",
+                                  h, gA, gB, rng, t, step)
         if step % config.monitor_every == 0 or t >= config.T_final - 1e-15:
-            snapshots.append(_snapshot(t, bg, eta_A, eta_B, metric.delta))
+            snapshots.append(snapshot())
     return FlowTrajectory(snapshots, dts, config, steps=step,
                           rhs_evals=HEUN_STAGES * step)
 

@@ -7,6 +7,7 @@ the limit of m(r)).  To convert to the standard normalized mass divide by
 2 (n-1) omega_{n-1}; for n = 3 that is 16 pi.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +22,9 @@ MASS_REL_TOL = 1e-3  # converged: mass_err below this times max(1, |mass|)
 def _at_zero(x, f):
     """Value at x = 0 of the polynomial through the points (x, f)."""
     # Lagrange weights at 0: the product over j != i of x_j / (x_j - x_i)
-    w = [np.prod([x[j] / (x[j] - x[i]) for j in range(len(x)) if j != i])
-         for i in range(len(x))]
+    x = x.tolist()
+    w = [math.prod(xj / (xj - xi) for j, xj in enumerate(x) if j != i)
+         for i, xi in enumerate(x)]
     return float(np.dot(w, f))
 
 

@@ -128,12 +128,19 @@ def test_flow_max_eta_covers_both_components(tmp_path):
     assert f"max_eta={sup_B:.12g}" in lines
 
 
-def test_unfair_background_exits_numeric(tmp_path):
+def test_unfair_background_exits_numeric(tmp_path, capsys):
     code = cli.run(["flow", "--metric", "conformal:c=0.5",
                     "--background", "flat",
                     "--grid", "staggered:rmax=40,num=256",
                     "--T", "1e-3", "--out", str(tmp_path)])
     assert code == 3
+    # the abort line names where: the initial data, the node and field of
+    # the extreme ratio g/h (A = B on a conformal metric: A is named) and
+    # the ratio range
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: background not 1.1-fair")
+    assert err.rstrip().endswith(" t=0 step=0 node=0 field=A "
+                                 "ratio_lo=1.05103 ratio_hi=5.04203")
 
 
 def test_corner_invalid_strength_fails_certificate(tmp_path):

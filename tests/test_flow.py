@@ -254,7 +254,7 @@ def test_step_holds_the_frozen_boundary_nodes(grid, frozen):
     g0 = metrics.build_conformal(0.2, 3, grid)
     h = metrics.build_conformal(0.19, 3, grid)
     bg = flow.Background(h)
-    assert bg.frozen == frozen
+    assert bg.frozen.tolist() == frozen
     eA, eB = g0.A - h.A, g0.B - h.B
     dt = flow.stable_dt(grid, g0.A, g0.B, 3)
     nA, nB = flow.h_flow_step(bg, eA, eB, dt)
@@ -450,7 +450,8 @@ def test_deturck_vector_is_exactly_zero_at_the_background(n):
     A = 1.0 + 0.0625 * np.exp(-(grid.r / 1.5234375) ** 2)
     B = 1.0 + 0.0625 / (1.0 + (grid.r / 2.59375) ** 2)
     bg = flow.Background(metrics.RadialMetric(grid, n, A, B))
-    W, dW = flow._deturck(bg.jet, bg)
+    (A, B), (dA, dB), (ddA, ddB) = bg.jet.swapaxes(1, -1)
+    W, dW = flow._deturck(bg, A, B, dA, dB, ddA, ddB)
     assert not np.any(W) and not np.any(dW)
 
 
@@ -481,3 +482,129 @@ def test_fairness_checked_at_every_step():
     t = float(str(e.value).split("t=")[1].split(":")[0])
     dt = flow.stable_dt(grid, g0.A, g0.B, 3)
     assert t == pytest.approx(dt, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("case", ["zero-mass", "conformal"])
+def test_snapshot_monitors_equal_a_fresh_evaluation(n, case):
+    # W and the decay norms are computed when first read, from the
+    # snapshot's metric: bitwise what deturck_vector and eta_sup_norms give
+    grid = RadialGrid.staggered(40.0, 256)
+    if case == "zero-mass":
+        g0 = metrics.build_distorted_flat(n, grid, amp=0.01,
+                                          smooth_width=6 * grid.dr_min)
+        h = metrics.build_flat(n, grid)
+    else:
+        g0 = h = metrics.build_conformal(0.2, n, grid)
+    traj = flow.evolve(g0, h, flow.FlowConfig(T_final=2e-3, monitor_every=2))
+    assert len(traj.snapshots) > 2
+    for s in traj.snapshots:
+        W = flow.deturck_vector(s.metric, flow.Background(h))
+        w0, w1, w2 = norms.eta_sup_norms(s.metric, h, g0.delta)
+        assert s.W.tobytes() == W.tobytes()
+        assert s.diagnostics == {"max_grad_eta": w1, "wnorm0": w0,
+                                 "wnorm1": w1, "wnorm2": w2}
+
+
+@pytest.mark.parametrize("argv, code, each", [
+    (["mass-constancy", "--grid", "uniform:rmin=0.5,rmax=120,num=256",
+      "--T", "5e-2", "--monitor-every", "1"], 0, 0),
+    # at T = 0.02, R has not yet cleared its floor: exit 1
+    (["mass-liminf", "--grid", "uniform:rmin=0.5,rmax=120,num=512",
+      "--T", "2e-2", "--eps", "1e-1,5e-2"], 1, 0),
+    (["zero-mass", "--grid", "staggered:rmax=60,num=256", "--T", "2.5e-2",
+      "--monitor-every", "2", "--amp", "0.01"], 0, 1)],
+    ids=["mass-constancy", "mass-liminf", "zero-mass"])
+def test_snapshot_monitors_run_only_where_a_report_reads_them(
+        argv, code, each, monkeypatch, tmp_path):
+    # the mass experiments read each snapshot's metric and time only;
+    # zero-mass reads every W and max_grad_eta, each computed once
+    calls = {"deturck_vector": 0, "eta_sup_norms": 0}
+    trajectories = []
+
+    def counted(name):
+        fn = getattr(flow, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def evolve(*args):
+        trajectories.append(run_evolve(*args))
+        return trajectories[-1]
+
+    run_evolve = flow.evolve
+    for name in calls:
+        monkeypatch.setattr(flow, name, counted(name))
+    monkeypatch.setattr(flow, "evolve", evolve)
+    assert cli.run(argv + ["--out", str(tmp_path)]) == code
+    snaps = sum(len(t.snapshots) for t in trajectories)
+    assert snaps > 2
+    assert calls == {"deturck_vector": each * snaps,
+                     "eta_sup_norms": each * snaps}
+
+
+def test_positivity_abort_names_its_step_and_node(monkeypatch):
+    grid = RadialGrid.staggered(20.0, 128)
+    h = metrics.build_conformal(0.2, 3, grid)
+    bg = flow.Background(h)
+    z = np.zeros(grid.num)
+    eta_B = z.copy()
+    eta_B[[7, 9]] = -2.0 * h.B[[7, 9]]
+    with pytest.raises(flow.FlowAbort, match="positivity") as e:
+        flow.eta_rhs(bg, z, eta_B)
+    assert (e.value.node, e.value.t, e.value.step) == (7, None, None)
+    # evolve adds the step that failed and the time it was to reach
+    rhs, seen = flow.eta_rhs, []
+
+    def fail_on_third(bg, eA, eB):
+        seen.append(0)
+        if len(seen) == 3:
+            raise flow.FlowAbort("metric positivity lost", node=7)
+        return rhs(bg, eA, eB)
+
+    monkeypatch.setattr(flow, "eta_rhs", fail_on_third)
+    with pytest.raises(flow.FlowAbort) as e:
+        flow.evolve(h, h, flow.FlowConfig(T_final=1e-2))
+    dt = flow.stable_dt(grid, h.A, h.B, 3)
+    assert (e.value.step, e.value.node) == (2, 7)
+    assert e.value.t > dt
+
+
+def test_nan_abort_names_its_step_and_first_bad_node(monkeypatch):
+    grid = RadialGrid.staggered(20.0, 128)
+    h = metrics.build_conformal(0.2, 3, grid)
+    step = flow.h_flow_step
+
+    def nan_at_node_5(bg, eA, eB, dt):
+        eA, eB = step(bg, eA, eB, dt)
+        eB[5] = eA[11] = np.nan
+        return eA, eB
+
+    monkeypatch.setattr(flow, "h_flow_step", nan_at_node_5)
+    with pytest.raises(flow.FlowAbort, match="NaN") as e:
+        flow.evolve(h, h, flow.FlowConfig(T_final=1e-2))
+    dt = flow.stable_dt(grid, h.A, h.B, 3)
+    assert (e.value.step, e.value.node) == (1, 5)
+    assert e.value.t == dt
+    assert f"t={dt:.6g} step=1 node=5" == e.value.where()
+    # the message keeps the time the failed step started from
+    assert str(e.value) == "NaN detected at t=0"
+
+
+def test_fairness_abort_names_the_extreme_ratio():
+    grid = RadialGrid.staggered(40.0, 256)
+    g0 = metrics.build_conformal(0.2, 3, grid)
+    cfg = flow.FlowConfig(T_final=1e-2, monitor_every=1000,
+                          fairness=1.0 + 1e-9)
+    with pytest.raises(flow.FlowAbort, match="fairness lost") as e:
+        flow.evolve(g0, g0, cfg)
+    a = e.value
+    assert a.step == 1 and a.t == flow.stable_dt(grid, g0.A, g0.B, 3)
+    # the ratio named is the end of the range farther from 1
+    lo, hi = a.ratios
+    g1 = flow.evolve(g0, g0, flow.FlowConfig(T_final=a.t)).snapshots[-1]
+    ratio = (getattr(g1.metric, a.field)[a.node]
+             / getattr(g0, a.field)[a.node])
+    assert ratio == (lo if lo * hi < 1.0 else hi)
