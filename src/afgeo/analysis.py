@@ -45,8 +45,6 @@ class MonitorReport:
         return out
 
     def write_csv(self, fh):
-        if not self.series:
-            return
         cols = list(self.series[0].keys())
         fh.write(",".join(cols) + "\n")
         for row in self.series:
@@ -303,6 +301,8 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     Checks: smoothing is mass-neutral across the ladder before the flow, all
     evolved masses stay near the base mass, the smallest-epsilon final mass
     does not exceed the ladder minimum, and R(g(T)) clears the floor.
+    A refused smoothing certificate ends the ladder: the report fails,
+    naming that epsilon and its certificate, and no trajectory is returned.
     collar_nodes counts the grid nodes inside each certified collar
     |r - r0| < sigma: where it is 0 the grid samples the unsmoothed corner."""
     if not eps_ladder:
@@ -314,10 +314,13 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     pre_masses = []
     all_masses = []
     collar_nodes = []
+    tols = {"rel_tol": MASS_DRIFT_TOL, "R_floor": R_FLOOR_TOL}
     for eps in sorted(eps_ladder, reverse=True):
         mc, cert = corner_mod.mollify(cm, eps)
         if not cert.satisfied:
-            raise flow_mod.FlowAbort(f"smoothing certificate failed at eps={eps}")
+            # the refused certificate's line, as `corner` prints it
+            refused = {"eps": f"{eps:g} " + " ".join(cert.lines())}
+            return MonitorReport("mass_liminf", False, tols, refused), None
         sm = mc.sample(grid)
         collar = int(np.count_nonzero(np.abs(grid.r - cm.r0) < cert.sigma))
         collar_nodes.append(collar)
@@ -340,8 +343,7 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     passed = (neutral < tol and near < tol
               and limit_mass <= min(all_masses) + tol * scale
               and final_R_min >= -R_FLOOR_TOL)
-    report = MonitorReport("mass_liminf", passed,
-                           {"rel_tol": tol, "R_floor": R_FLOOR_TOL},
+    report = MonitorReport("mass_liminf", passed, tols,
                            {"mass_base": base_mass,
                             "mass_neutrality_rel": neutral,
                             "mass_spread_rel": near,

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, corner, curvature, flow, mass, metrics
-from .grid import RadialGrid
+from .grid import RadialGrid, sphere_area
 
 # the ~22 000 objects the imports leave live as long as the process: keep
 # them out of every later collection
@@ -167,9 +167,11 @@ def _corner(args):
 
 def cmd_corner(args):
     cm = _corner(args)
-    Hm, Hp, ok = corner.corner_condition(cm)
+    Hm, Hp, ok, dm = corner.corner_condition(cm)
     body = [f"tol_K={corner.K_TARGET:g}", f"H_minus={Hm:.12g}",
-            f"H_plus={Hp:.12g}", f"condition_ok={ok}"]
+            f"H_plus={Hp:.12g}", f"condition_ok={ok}",
+            # in the units of `mass`'s mass=
+            f"mass_jump={2 * (cm.n - 1) * sphere_area(cm.n) * dm:.12g}"]
     all_ok = True
     for eps in _float_list(args, "eps"):
         _, cert = corner.mollify(cm, eps)
@@ -184,8 +186,9 @@ def _finish_monitor(args, report, traj=None):
     if traj is not None:
         body += [f"steps={traj.steps}", f"rhs_evals={traj.rhs_evals}"]
     out = _write_report(args, body)
-    with open(out / f"{report.monitor}.csv", "w") as fh:
-        report.write_csv(fh)
+    if report.series:  # a refused mass-liminf certificate has no rows
+        with open(out / f"{report.monitor}.csv", "w") as fh:
+            report.write_csv(fh)
     return EXIT_OK if report.passed else EXIT_MONITOR
 
 

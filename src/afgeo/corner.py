@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import RadialGrid, Spline, fornberg_weights, interp_spline
 from .metrics import RadialMetric, volume_element
-from .curvature import mean_curvature, scalar
+from .curvature import mass_function, mean_curvature, scalar
 from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar, collar,
                         far_table, in_collar, negative_parts)
 
@@ -140,13 +140,16 @@ def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
 
 
 def corner_condition(cm):
-    """One-sided mean curvatures at r0, from the fits' Taylor forms, and the
-    comparison H(-) >= H(+) (outward normal on both sides), to within 1e-8."""
+    """One-sided mean curvatures at r0, from the fits' Taylor forms, the
+    comparison H(-) >= H(+) (outward normal on both sides), to within 1e-8,
+    and the jump of the Misner-Sharp mass across r0, outer minus inner:
+    phi^n (H(-)^2 - H(+)^2) / (2 (n-1)^2), of the sign of H(-) - H(+)."""
     # a Taylor form holds f^(k) / k!, so the 2-jet is t[:3] times (1, 1, 2)
-    H_minus, H_plus = (
-        float(mean_curvature(cm.n, cm.r0, t[:3] * [[1.0], [1.0], [2.0]]))
-        for t in cm.fits.taylor[:2])
-    return H_minus, H_plus, bool(H_minus >= H_plus - 1e-8)
+    jets = [t[:3] * [[1.0], [1.0], [2.0]] for t in cm.fits.taylor[:2]]
+    H_minus, H_plus = (float(mean_curvature(cm.n, cm.r0, j)) for j in jets)
+    m_minus, m_plus = (float(mass_function(cm.n, cm.r0, j)) for j in jets)
+    return (H_minus, H_plus, bool(H_minus >= H_plus - 1e-8),
+            m_plus - m_minus)
 
 
 def corner_example(base, r0, strength):

@@ -22,22 +22,28 @@ class FlowAbort(RuntimeError):
     """Numerical abort: NaN, positivity loss or fairness violation.
 
     An abort of `evolve` says where: the time t and number of the step whose
-    result failed (step 0 is the initial data), the first bad node, and for
+    result failed (step 0 is the initial data), the first bad node, for
     a fairness loss the range (lo, hi) of the ratios g/h with the field,
-    "A" or "B", and node of the extreme one.  What does not apply is None.
+    "A" or "B", and node of the extreme one, and the least A and B over the
+    nodes of the failed state (g_A, g_B), NaNs passed over.  What does not
+    apply is None.
     """
 
     def __init__(self, message, t=None, step=None, node=None, field=None,
-                 ratios=None):
+                 ratios=None, state=None):
         super().__init__(message)
         self.t, self.step, self.node = t, step, node
         self.field, self.ratios = field, ratios
+        # fmin skips NaNs, and gives NaN without a warning where all are
+        self.min_A, self.min_B = (None, None) if state is None else (
+            float(np.fmin.reduce(f)) for f in state)
 
     def where(self):
         """The attributes that are set, as `key=value` words."""
         lo, hi = self.ratios or (None, None)
         items = {"t": self.t, "step": self.step, "node": self.node,
-                 "field": self.field, "ratio_lo": lo, "ratio_hi": hi}
+                 "field": self.field, "ratio_lo": lo, "ratio_hi": hi,
+                 "min_A": self.min_A, "min_B": self.min_B}
         return " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                         for k, v in items.items() if v is not None)
 
@@ -124,7 +130,7 @@ def eta_rhs(bg, eta_A, eta_B):
     bad = gj[0] <= 0
     if bad.any():
         raise FlowAbort("metric positivity lost",
-                        node=int(np.argmax(bad.any(axis=1))))
+                        node=int(np.argmax(bad.any(axis=1))), state=gj[0].T)
     return _rhs_pointwise(gj, bg)
 
 
@@ -219,7 +225,7 @@ def _fairness_abort(message, h, A, B, ratios, t, step):
     field, node = divmod(int(pick(np.concatenate([A / h.A, B / h.B]))),
                          len(A))
     return FlowAbort(message, t=t, step=step, node=node, field="AB"[field],
-                     ratios=ratios)
+                     ratios=ratios, state=(A, B))
 
 
 def evolve(metric, h, config):
@@ -267,7 +273,8 @@ def evolve(metric, h, config):
         finite = np.isfinite(eta_A) & np.isfinite(eta_B)
         if not finite.all():
             raise FlowAbort(f"NaN detected at t={t:.6g}", t=t + dt,
-                            step=step + 1, node=int(np.argmin(finite)))
+                            step=step + 1, node=int(np.argmin(finite)),
+                            state=(h.A + eta_A, h.B + eta_B))
         t += dt
         step += 1
         dts.append(dt)

@@ -1,6 +1,7 @@
 """Radial grids, finite-difference derivatives and the weight function rho."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class RadialGrid:
             raise ValueError(f"grid's first node r[0] = {r[0]:g} is not > 0; "
                              "a staggered grid reaches the origin")
         self.r = r
-        self._stencils = {}
+        self._stencils = {}  # parity -> (idx, w)
 
     @classmethod
     def uniform(cls, r_min, r_max, num):
@@ -113,14 +114,14 @@ class RadialGrid:
     def r_max(self):
         return float(self.r[-1])
 
-    @property
+    @cached_property
     def dr_min(self):
         return float(np.min(np.diff(self.r)))
 
     def rho(self):
         return rho_weight(self.r)
 
-    def _build_stencils(self, order, parity):
+    def _build_stencils(self, parity):
         width = 5
         # parity: two ghosts mirrored across r = 0 (even extension), nearest
         # last
@@ -132,18 +133,25 @@ class RadialGrid:
         # window start of every row, clipped to one-sided near the ends
         lo = np.clip(np.arange(self.num) + offset - width // 2, 0, ng - width)
         win = lo[:, None] + np.arange(width)
-        return gmap[win], fornberg_weights(self.r, rg[win], order)
+        # one Fornberg pass: row k of order 2 is that of its own pass
+        w = fornberg_weights(self.r, rg[win], 2)
+        return gmap[win], np.ascontiguousarray(w.transpose(1, 0, 2))
+
+    def stencils(self, parity):
+        """(idx, w) of the 5-point stencils: f[idx] gathers every node's
+        window of f, and w[k], of shape (N, 5), weighs it into the k-th
+        derivative, k = 0, 1, 2.  parity=True treats f as even in r."""
+        if parity not in self._stencils:
+            self._stencils[parity] = self._build_stencils(parity)
+        return self._stencils[parity]
 
     def deriv(self, f, order=1, parity=False):
         """Radial derivative of sampled values f. parity=True treats f as even in r."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"deriv takes order 0, 1 or 2, not {order}")
+        idx, w = self.stencils(parity)
         f = np.asarray(f, dtype=float)
-        key = (order, bool(parity))
-        if key not in self._stencils:  # one Fornberg pass: orders <= 2
-            idx, w = self._build_stencils(max(order, 2), parity)
-            for o in range(min(order, 1), w.shape[1]):
-                self._stencils[o, key[1]] = idx, w[:, o].copy()
-        idx, w = self._stencils[key]
-        return np.einsum("ij,ij->i", w, f[idx])
+        return np.einsum("ij,ij->i", w[order], f[idx])
 
     def trapz(self, f):
         return np.trapezoid(f, self.r)
@@ -196,22 +204,23 @@ class Spline:
         """f, f', ..., f^(order) at radii r, one array of shape (order + 1,)
         + r.shape + the field shape, from one search and one gather.
 
-        Horner runs field-major, and the array is stored so: the p-th
+        Horner runs field-major, in place in the returned array: the p-th
         derivative of sum_q a[k-q] dx^q gives term q the factor q!/(q-p)!.
         """
         r = np.asarray(r, dtype=float)
         flat = r.reshape(-1)
         k = len(self.c) - 1
         shape = r.shape + self.c.shape[2:]
-        i = np.searchsorted(self._keys, self._sign * flat, side="right")
+        keys = flat if self._sign > 0 else self._sign * flat
+        i = np.searchsorted(self._keys, keys, side="right")
         a = np.take(self._cf, i, axis=2).transpose(1, 0, 2)
         dx = flat - self.x[i]
         out = np.empty((order + 1,) + a.shape[1:])
-        for p in range(order + 1):
-            f = a[0] * math.perm(k, p)
+        for p, f in enumerate(out):
+            f[...] = a[0] * math.perm(k, p) if p else a[0]
             for q in range(k - 1, p - 1, -1):
-                f = f * dx + (a[k - q] * math.perm(q, p) if p else a[k - q])
-            out[p] = f
+                f *= dx
+                f += a[k - q] * math.perm(q, p) if p else a[k - q]
         return out.transpose(0, 2, 1).reshape((order + 1,) + shape)
 
     def __call__(self, r):

@@ -2,14 +2,7 @@
 
 import numpy as np
 
-
-def _sup_terms(grid, f, k, delta):
-    """sup rho^(delta+j) |d^j f| for j = 0..k."""
-    rho = grid.rho()
-    derivs = [f] + [grid.deriv(f, order=j, parity=True)
-                    for j in range(1, k + 1)]
-    return np.array([np.max(rho ** (delta + j) * np.abs(df))
-                     for j, df in enumerate(derivs)])
+from .curvature import jet
 
 
 def fairness_ratios(h, A, B, fairness):
@@ -27,5 +20,7 @@ def eta_sup_norms(g, h, delta):
     """Monitored decay quantities of eta = g - h: the sup terms
     sup rho^(delta+j) |d^j eta|, j = 0, 1, 2, of the C^2_delta norm,
     componentwise over (A - A_h, B - B_h)."""
-    return np.max([_sup_terms(g.grid, f, 2, delta)
-                   for f in (g.A - h.A, g.B - h.B)], axis=0)
+    ej = jet(g.grid, g.A - h.A, g.B - h.B)
+    rho = g.grid.rho()[:, None]
+    return np.array([np.max(rho ** (delta + j) * np.abs(ej[j]))
+                     for j in range(3)])

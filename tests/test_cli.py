@@ -135,12 +135,14 @@ def test_unfair_background_exits_numeric(tmp_path, capsys):
                     "--T", "1e-3", "--out", str(tmp_path)])
     assert code == 3
     # the abort line names where: the initial data, the node and field of
-    # the extreme ratio g/h (A = B on a conformal metric: A is named) and
-    # the ratio range
+    # the extreme ratio g/h (A = B on a conformal metric: A is named), the
+    # ratio range, and the least A and B of the initial data (flat h = 1:
+    # the least ratio)
     err = capsys.readouterr().err
     assert err.startswith("numerical abort: background not 1.1-fair")
     assert err.rstrip().endswith(" t=0 step=0 node=0 field=A "
-                                 "ratio_lo=1.05103 ratio_hi=5.04203")
+                                 "ratio_lo=1.05103 ratio_hi=5.04203 "
+                                 "min_A=1.05103 min_B=1.05103")
 
 
 def test_corner_invalid_strength_fails_certificate(tmp_path):
@@ -185,10 +187,22 @@ def test_mass_constancy_subcommand(tmp_path):
 
 
 def test_mass_liminf_failed_certificate_aborts(tmp_path, capsys):
-    # the reversed jump violates H(-) >= H(+): no collar is certified
+    # the reversed jump violates H(-) >= H(+): no collar is certified, a
+    # monitor failure, as for `corner`; the report names the refused
+    # epsilon with the certificate line `corner` prints for it
     assert cli.run(["mass-liminf", "--strength", "-0.1",
-                    "--out", str(tmp_path)]) == 3
-    assert "smoothing certificate failed at eps=0.1" in capsys.readouterr().err
+                    "--out", str(tmp_path / "liminf")]) == 1
+    assert cli.run(["corner", "--strength", "-0.1", "--eps", "1e-1",
+                    "--out", str(tmp_path / "corner")]) == 1
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "liminf" / "mass_liminf.txt").read_text()
+    assert "passed=False" in text.splitlines()
+    assert not (tmp_path / "liminf" / "mass_liminf.csv").exists()  # no rows
+    refused = [x for x in text.splitlines() if x.startswith("eps=")]
+    cert = [x for x in (tmp_path / "corner" / "corner.txt").read_text()
+            .splitlines() if x.startswith("eps=")]
+    assert refused == cert and cert[0].startswith("eps=0.1 epsilon=0.1 ")
+    assert cert[0].endswith(" satisfied=False")
 
 
 def test_mass_liminf_defaults_pass(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PPoly
 
-from afgeo import corner, curvature, mass, metrics, mollifier
+from afgeo import cli, corner, curvature, mass, metrics, mollifier
 from afgeo.grid import RadialGrid, Spline
 
 
@@ -71,13 +71,13 @@ def test_corner_grid_refuses_a_bad_spacing_or_cell_count(kw):
 
 def test_smooth_split_trivial_condition(base):
     cm = split_metric(base, 4.0)
-    Hm, Hp, ok = corner.corner_condition(cm)
+    Hm, Hp, ok, _ = corner.corner_condition(cm)
     assert ok
     assert abs(Hm - Hp) < 1e-5
 
 
 def test_condition_matches_jump_formula(base, valid_corner):
-    Hm, Hp, ok = corner.corner_condition(valid_corner)
+    Hm, Hp, ok, _ = corner.corner_condition(valid_corner)
     assert ok
     i0 = base.grid.node_at(4.0)
     pred = (base.n - 1) * 0.1 / (2.0 * np.sqrt(base.A[i0]) * base.B[i0])
@@ -99,15 +99,42 @@ def test_condition_matches_closed_form(base, strength):
     def H(u, du):
         return 2 * (1 + 2 * r0 * du / u) / (r0 * u ** 2)
 
-    Hm, Hp, ok = corner.corner_condition(cm)
+    Hm, Hp, ok, _ = corner.corner_condition(cm)
     assert abs(Hm - H(U[-1], -q0 / r0 ** 2)) < 1e-9
     assert abs(Hp - H(1 + 0.5 / r0, -0.5 / r0 ** 2)) < 1e-9
     assert ok is (strength > 0)
 
 
 def test_negative_strength_violates(invalid_corner):
-    Hm, Hp, ok = corner.corner_condition(invalid_corner)
+    Hm, Hp, ok, _ = corner.corner_condition(invalid_corner)
     assert not ok and Hm < Hp
+
+
+@pytest.mark.parametrize("strength", [0.1, -0.1])
+def test_mass_jump_matches_mean_curvature_closed_form(base, strength):
+    # m = phi^(n-2) (1 - f1^2) / 2 and H = (n-1) f1 / phi on each side of
+    # r0, with phi = r0 sqrt(B) continuous: m(+) - m(-) is
+    # phi^n (H(-)^2 - H(+)^2) / (2 (n-1)^2)
+    cm = corner.corner_example(base, 4.0, strength)
+    Hm, Hp, ok, dm = corner.corner_condition(cm)
+    n, phi = cm.n, cm.r0 * np.sqrt(cm.outer.B[0])
+    closed = phi ** n * (Hm ** 2 - Hp ** 2) / (2 * (n - 1) ** 2)
+    assert dm == pytest.approx(closed, rel=1e-12)
+    # H(-) >= H(+) is a mass that does not drop outward across the corner
+    assert (dm >= 0) is ok
+    assert abs(dm) > 0.4
+
+
+def test_corner_report_prints_the_mass_jump_in_mass_units(valid_corner,
+                                                          tmp_path):
+    # the CLI's default corner is the valid_corner fixture
+    assert cli.run(["corner", "--eps", "1e-1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "corner.txt").read_text().splitlines()
+    jump = float(next(v for k, _, v in (x.partition("=") for x in lines)
+                      if k == "mass_jump"))
+    dm = corner.corner_condition(valid_corner)[3]
+    # the unnormalized convention of `mass`'s mass=: 16 pi m in n = 3
+    assert jump == pytest.approx(16 * np.pi * dm, rel=1e-11)
 
 
 def test_inner_piece_nonnegative_scalar(valid_corner):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from afgeo.corner import make_corner_grid
 from afgeo.grid import RadialGrid
 from afgeo import curvature, metrics, oracle
 
@@ -60,3 +61,25 @@ def test_mean_curvature_matches_oracle(grid):
                                  curvature.jet(grid, m.A, m.B)[:, i])
     ref = oracle.mean_curvature_oracle(m, 5.0)
     assert abs(H - ref) / (1 + abs(ref)) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["staggered", "uniform", "geometric",
+                                  "corner"])
+def test_jet_equals_deriv_bit_for_bit(kind):
+    # one gather and one einsum over the stencil table: the sums of deriv
+    # in the same order
+    g = {"staggered": lambda: RadialGrid.staggered(60.0, 256),
+         "uniform": lambda: RadialGrid.uniform(0.5, 300.0, 768),
+         "geometric": lambda: RadialGrid.geometric(0.5, 300.0, 1024, 1.008),
+         "corner": lambda: make_corner_grid(0.5, 4.0, 300.0,
+                                            outer_num=512)}[kind]()
+    rng = np.random.default_rng(len(kind))
+    A = 1.0 + 0.3 * np.sin(g.r) + 0.01 * rng.normal(size=g.num)
+    B = 1.0 + 1.0 / g.r + 0.01 * rng.normal(size=g.num)
+    j = curvature.jet(g, A, B)
+    assert j.shape == (3, g.num, 2)
+    for f, col in ((A, 0), (B, 1)):
+        assert j[0, :, col].tobytes() == f.tobytes()
+        for k in (1, 2):
+            want = g.deriv(f, k, parity=True)
+            assert j[k, :, col].tobytes() == want.tobytes()

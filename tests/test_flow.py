@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -577,9 +578,12 @@ def test_nan_abort_names_its_step_and_first_bad_node(monkeypatch):
     h = metrics.build_conformal(0.2, 3, grid)
     step = flow.h_flow_step
 
+    failed = []
+
     def nan_at_node_5(bg, eA, eB, dt):
         eA, eB = step(bg, eA, eB, dt)
         eB[5] = eA[11] = np.nan
+        failed.append((h.A + eA, h.B + eB))
         return eA, eB
 
     monkeypatch.setattr(flow, "h_flow_step", nan_at_node_5)
@@ -588,7 +592,11 @@ def test_nan_abort_names_its_step_and_first_bad_node(monkeypatch):
     dt = flow.stable_dt(grid, h.A, h.B, 3)
     assert (e.value.step, e.value.node) == (1, 5)
     assert e.value.t == dt
-    assert f"t={dt:.6g} step=1 node=5" == e.value.where()
+    # the least A and B of the failed state pass over its NaNs
+    mA, mB = (float(np.nanmin(f)) for f in failed[-1])
+    assert (e.value.min_A, e.value.min_B) == (mA, mB)
+    assert (f"t={dt:.6g} step=1 node=5 min_A={mA:.6g} min_B={mB:.6g}"
+            == e.value.where())
     # the message keeps the time the failed step started from
     assert str(e.value) == "NaN detected at t=0"
 
@@ -608,3 +616,33 @@ def test_fairness_abort_names_the_extreme_ratio():
     ratio = (getattr(g1.metric, a.field)[a.node]
              / getattr(g0, a.field)[a.node])
     assert ratio == (lo if lo * hi < 1.0 else hi)
+
+
+def test_aborts_carry_the_least_A_and_B_of_the_failed_state():
+    # positivity: the stage metric g = h + eta that failed
+    grid = RadialGrid.staggered(20.0, 128)
+    h = metrics.build_conformal(0.2, 3, grid)
+    eta_B = np.zeros(grid.num)
+    eta_B[[7, 9]] = -2.0 * h.B[[7, 9]]
+    with pytest.raises(flow.FlowAbort, match="positivity") as e:
+        flow.eta_rhs(flow.Background(h), np.zeros(grid.num), eta_B)
+    assert e.value.min_A == np.min(h.A)
+    assert e.value.min_B == np.min(h.B + eta_B) < 0
+    assert e.value.where() == (f"node=7 min_A={np.min(h.A):.6g} "
+                               f"min_B={np.min(h.B + eta_B):.6g}")
+    # fairness: the state whose ratios failed, here g after step 1
+    grid = RadialGrid.staggered(40.0, 256)
+    g0 = metrics.build_conformal(0.2, 3, grid)
+    with pytest.raises(flow.FlowAbort, match="fairness lost") as e:
+        flow.evolve(g0, g0, flow.FlowConfig(T_final=1e-2, monitor_every=1000,
+                                            fairness=1.0 + 1e-9))
+    g1 = flow.evolve(g0, g0, flow.FlowConfig(T_final=e.value.t))
+    g1 = g1.snapshots[-1].metric
+    assert (e.value.min_A, e.value.min_B) == (np.min(g1.A), np.min(g1.B))
+    # a field that is NaN everywhere reads NaN, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = flow.FlowAbort("NaN", state=(np.full(4, np.nan),
+                                         np.array([2.0, np.nan, 1.5])))
+    assert np.isnan(a.min_A) and a.min_B == 1.5
+    assert flow.FlowAbort("x").where() == ""

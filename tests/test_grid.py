@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline, make_interp_spline
 
 from afgeo.corner import make_corner_grid
-from afgeo.grid import (MIN_NODES, RadialGrid, fornberg_weights,
+from afgeo.grid import (MIN_NODES, RadialGrid, Spline, fornberg_weights,
                         interp_spline, rho_weight, smoothstep, sphere_area)
 
 
@@ -57,7 +59,9 @@ def test_one_fornberg_pass_serves_every_lower_order():
     first = [g1.deriv(f, o, parity=True) for o in (1, 2)]
     second = [g2.deriv(f, o, parity=True) for o in (2, 1)][::-1]
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
-    assert sorted(g1._stencils) == [(1, True), (2, True)]  # the one pass
+    # one table per parity, orders 0..2 of the one pass
+    assert list(g1._stencils) == [True]
+    assert g1.stencils(True)[1].shape == (3, len(r), 5)
     assert np.allclose(g1.deriv(f, 0, parity=True), f, rtol=0, atol=1e-12)
 
 
@@ -121,6 +125,14 @@ def test_deriv_parity_even_function():
                              (2, p * (p - 1) * g.r ** (p - 2))):
             d = g.deriv(f, order, parity=True)
             assert np.max(np.abs(d - exact)) < 1e-10, (p, order)
+
+
+@pytest.mark.parametrize("order", [-1, 3])
+def test_deriv_refuses_an_order_the_table_lacks(order):
+    # the table holds orders 0, 1 and 2: -1 would index order 2
+    g = RadialGrid.uniform(0.5, 10.0, 64)
+    with pytest.raises(ValueError, match=f"not {order}"):
+        g.deriv(g.r, order)
 
 
 def test_deriv_nonuniform_grid():
@@ -303,3 +315,48 @@ def test_interp_spline_equals_the_loop_by_loop_build(k, n):
     y = rng.normal(size=(n, 2))
     got = interp_spline(x, y, k)
     assert np.array_equal(got.c, einsum_taylor_spline(x, y, k))
+
+
+def reference_jets(spline, r, order):
+    """Spline.jets by the allocating Horner pass: a new array per product,
+    every term multiplied by its factor q!/(q-p)!, the search keys always
+    scaled by the breakpoints' direction."""
+    r = np.asarray(r, dtype=float)
+    flat = r.reshape(-1)
+    k = len(spline.c) - 1
+    shape = r.shape + spline.c.shape[2:]
+    sign = 1.0 if spline.x[-1] > spline.x[0] else -1.0
+    i = np.searchsorted(sign * spline.x[1:-1], sign * flat, side="right")
+    a = np.take(spline.c.reshape(k + 1, spline.c.shape[1], -1), i, axis=1)
+    dx = flat[:, None] - spline.x[i][:, None]
+    out = np.empty((order + 1,) + a.shape[1:])
+    for p in range(order + 1):
+        f = a[0] * math.perm(k, p)
+        for q in range(k - 1, p - 1, -1):
+            f = f * dx + a[k - q] * math.perm(q, p)
+        out[p] = f
+    return out.reshape((order + 1,) + shape)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("descending", [False, True],
+                         ids=["ascending", "descending"])
+@pytest.mark.parametrize("rshape", [(), (37,), (6, 5)],
+                         ids=["0d", "1d", "2d"])
+@pytest.mark.parametrize("fields", [(), (2,)], ids=["scalar", "2-field"])
+def test_spline_jets_equal_the_allocating_horner(k, descending, rshape,
+                                                 fields):
+    # the in-place pass makes the same products and sums in the same order
+    rng = np.random.default_rng(k)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 12))
+    if descending:
+        x = x[::-1].copy()
+    c = rng.normal(size=(k + 1, len(x) - 1) + fields)
+    s = Spline(c, x)
+    lo, hi = min(x[0], x[-1]), max(x[0], x[-1])
+    r = rng.uniform(lo - 0.5, hi + 0.5, rshape)
+    for order in range(k + 2):
+        got, want = s.jets(r, order), reference_jets(s, r, order)
+        assert got.shape == want.shape == (order + 1,) + rshape + fields
+        assert np.array_equal(got, want)
+    assert np.array_equal(s(r), reference_jets(s, r, 0)[0])

@@ -69,3 +69,32 @@ def test_eta_sup_norms_weight_jth_derivative_by_rho_delta_plus_j():
     g = metrics.RadialMetric(grid, 3, 1.0 + grid.r ** 2, np.ones(grid.num))
     got = norms.eta_sup_norms(g, h, 1.0)
     assert got == pytest.approx([1e3, 2e3, 2e3], rel=1e-9)
+
+
+def per_field_sup_norms(g, h, delta):
+    """eta_sup_norms field by field: sup rho^(delta+j) |d^j f| for each of
+    f = A - A_h and B - B_h from deriv, then the larger of the two."""
+    rho = g.grid.rho()
+    terms = []
+    for f in (g.A - h.A, g.B - h.B):
+        derivs = [f] + [g.grid.deriv(f, j, parity=True) for j in (1, 2)]
+        terms.append([np.max(rho ** (delta + j) * np.abs(d))
+                      for j, d in enumerate(derivs)])
+    return np.max(terms, axis=0)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0])
+def test_eta_sup_norms_equal_the_per_field_reference(grid, delta):
+    # one jet of eta: the same products and maxima, bit for bit, with the
+    # larger noise on A, then on B, so that each field sets the maxima
+    sch = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
+    flat = metrics.build_flat(3, grid)
+    rng = np.random.default_rng(1)
+    nA, nB = rng.normal(size=(2, grid.num))
+    for sA, sB in ((0.02, 0.01), (0.01, 0.02)):
+        g = metrics.RadialMetric(grid, 3, sch.A + sA * nA, sch.B + sB * nB,
+                                 delta)
+        for a, b in ((g, flat), (g, sch), (sch, g)):
+            got = norms.eta_sup_norms(a, b, delta)
+            want = per_field_sup_norms(a, b, delta)
+            assert got.shape == (3,) and got.tobytes() == want.tobytes()
