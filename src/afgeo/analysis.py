@@ -53,14 +53,6 @@ class MonitorReport:
 
 # -- cutoff functions -------------------------------------------------------
 
-@dataclass
-class CutoffFunction:
-    r1: float
-    r2: float
-    values: np.ndarray
-    C_meas: float
-
-
 def _cubic_step(x):
     # quadratic onset keeps sup(f''/f) at the ramp start independent of scale
     x = np.clip(x, 0.0, 1.0)
@@ -71,7 +63,8 @@ def build_cutoff(r1, r2, metric):
     """Product cutoff: a bump rising from 1/r1^2 to 1 + 1/r1^2 across
     [r1, 2r1], flat to r2, then decaying to r^{-n-1} beyond 2r2.
 
-    Satisfies Delta f <= C f with C independent of (r1, r2).
+    Satisfies Delta f <= C f with C independent of (r1, r2).  Returns f at
+    the grid nodes and C_meas, the largest Delta f / f away from the ends.
     """
     if not 1.0 < r1:
         raise ValueError("need r1 > 1")
@@ -90,7 +83,7 @@ def build_cutoff(r1, r2, metric):
     lap = metric.laplacian(f)
     sel = slice(3, -3)  # clipped boundary stencils excluded
     C_meas = float(np.max(lap[sel] / f[sel]))
-    return CutoffFunction(r1, r2, f, C_meas)
+    return f, C_meas
 
 
 def cutoff_report(metric):
@@ -101,8 +94,7 @@ def cutoff_report(metric):
     cs = []
     n = metric.n
     for r1, r2 in CUTOFF_LADDER:
-        co = build_cutoff(r1, r2, metric)
-        f = co.values
+        f, C_meas = build_cutoff(r1, r2, metric)
         inner = r < r1
         mid = (2.0 * r1 <= r) & (r <= r2)
         tail = r > 2.0 * r2
@@ -111,8 +103,8 @@ def cutoff_report(metric):
               and bool(np.all(f[mid] >= 1.0 - VALUE_TOL))
               and bool(np.all(f[tail] <= r[tail] ** -(n + 1.0) + VALUE_TOL)))
         checks.append(ok)
-        cs.append(co.C_meas)
-        rows.append({"r1": r1, "r2": r2, "C_meas": co.C_meas, "values_ok": ok})
+        cs.append(C_meas)
+        rows.append({"r1": r1, "r2": r2, "C_meas": C_meas, "values_ok": ok})
     spread = max(cs) / max(min(cs), 1e-300)
     passed = all(checks) and min(cs) > 0 and spread < 2.0
     return MonitorReport("cutoff", passed,
@@ -170,7 +162,7 @@ def negative_part(metric):
     """integral of |R| over {R < 0}: the trapezoid of the corner
     certificate's integrand."""
     R, w = _weighted_R(metric)
-    return float(metric.grid.trapz(negative_parts(R, w)[:, 0]))
+    return float(np.trapezoid(negative_parts(R, w)[:, 0], metric.grid.r))
 
 
 def rneg_monitor(trajectory, K):
@@ -212,8 +204,9 @@ def l1_tail_monitor(trajectory, radii):
     rows = []
     sup_curve = np.zeros(len(radii))
     mono_ok = True
-    for s in trajectory.snapshots:
-        tails = [_tail_integral(s.metric, r0) for r0 in radii]
+    per_snap = [[_tail_integral(s.metric, r0) for r0 in radii]
+                for s in trajectory.snapshots]
+    for s, tails in zip(trajectory.snapshots, per_snap):
         if np.any(np.diff(tails) > L1_MONO_TOL):
             mono_ok = False
         sup_curve = np.maximum(sup_curve, tails)
@@ -222,13 +215,12 @@ def l1_tail_monitor(trajectory, radii):
         rows.append(row)
     # growth constant of the doubling relation eta~(2r) <= C (r^-2 + eta(r)),
     # with eta measured on the initial data
-    eta0 = {r0: _tail_integral(trajectory.snapshots[0].metric, r0)
-            for r0 in radii}
+    eta0 = per_snap[0]
     C_fit = 0.0
     for i, r0 in enumerate(radii):
         if 2.0 * r0 in radii:
             j = radii.index(2.0 * r0)
-            C_fit = max(C_fit, sup_curve[j] / (r0 ** -2 + eta0[r0]))
+            C_fit = max(C_fit, sup_curve[j] / (r0 ** -2 + eta0[i]))
     meas = {f"eta_sup_r{r0:g}": v for r0, v in zip(radii, sup_curve)}
     meas["C_fit"] = C_fit
     return MonitorReport("l1_tail", mono_ok and np.all(np.isfinite(sup_curve)),
@@ -273,14 +265,20 @@ def boundary_gradient_monitor(trajectory, radii):
 
 # -- experiments ------------------------------------------------------------
 
-def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0)):
-    """Evolve and track the extrapolated mass of every snapshot."""
-    traj = flow_mod.evolve(metric, h, config)
-    targets = metric.grid.snap(radii)
+def _mass_rows(traj, targets):
+    """One row per snapshot: t, and the extrapolated mass and mass_err on
+    the ladder of target radii."""
     rows = []
     for s in traj.snapshots:
         rep = mass_mod.adm_mass(s.metric, targets)
         rows.append({"t": s.t, "mass": rep.mass, "mass_err": rep.mass_err})
+    return rows
+
+
+def mass_constancy_experiment(metric, h, config, radii=(60.0, 80.0, 100.0)):
+    """Evolve and track the extrapolated mass of every snapshot."""
+    traj = flow_mod.evolve(metric, h, config)
+    rows = _mass_rows(traj, metric.grid.snap(radii))
     m0 = rows[0]["mass"]
     scale = max(abs(m0), 1.0)
     drift = max(abs(row["mass"] - m0) for row in rows) / scale
@@ -312,7 +310,6 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     base_mass = mass_mod.adm_mass(base, base.grid.snap(radii)).mass
     rows = []
     pre_masses = []
-    all_masses = []
     collar_nodes = []
     tols = {"rel_tol": MASS_DRIFT_TOL, "R_floor": R_FLOOR_TOL}
     for eps in sorted(eps_ladder, reverse=True):
@@ -327,15 +324,13 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
         pre = mass_mod.adm_mass(sm, targets).mass
         pre_masses.append(pre)
         traj = flow_mod.evolve(sm, sm, config)
-        for s in traj.snapshots:
-            rep = mass_mod.adm_mass(s.metric, targets)
-            all_masses.append(rep.mass)
-            rows.append({"eps": eps, "t": s.t, "mass": rep.mass,
-                         "mass_err": rep.mass_err, "collar_nodes": collar})
+        rows += [{"eps": eps, **row, "collar_nodes": collar}
+                 for row in _mass_rows(traj, targets)]
     RT = scalar_curvature(traj.snapshots[-1].metric)
     sel = grid.r < 0.9 * grid.r_max
     final_R_min = float(np.min(RT[sel]))
-    limit_mass = rows[-1]["mass"]
+    all_masses = [row["mass"] for row in rows]
+    limit_mass = all_masses[-1]
     scale = max(abs(base_mass), 1.0)
     neutral = max(abs(m - base_mass) for m in pre_masses) / scale
     near = max(abs(m - base_mass) for m in all_masses) / scale

@@ -106,16 +106,11 @@ def _float_list(args, key):
             for i, x in enumerate(text.split(","), 1)]
 
 
-def _outdir(args):
-    out = Path(args.out or os.environ.get(ENV_OUTDIR) or "reports")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_report(args, body_lines):
     """Write the subcommand's report: every option but --out, then the body;
     return its directory."""
-    out = _outdir(args)
+    out = Path(args.out or os.environ.get(ENV_OUTDIR) or "reports")
+    out.mkdir(parents=True, exist_ok=True)
     lines = [f"config.{f[2:]}={getattr(args, f[2:].replace('-', '_'))}"
              for f in [*SUBCOMMANDS[args.command][1], "--dim"]]
     (out / f"{args.command.replace('-', '_')}.txt").write_text(
@@ -134,7 +129,7 @@ def cmd_mass(args):
     grid = parse_grid(args.grid)
     g = parse_metric(args.metric, grid, args.dim)
     rep = mass.adm_mass(g, grid.snap(_float_list(args, "radii")))
-    _write_report(args, rep.lines())
+    _write_report(args, [f"tol_rel={mass.MASS_REL_TOL:g}", *rep.lines()])
     return EXIT_OK if rep.converged else EXIT_MONITOR
 
 
@@ -146,7 +141,7 @@ def cmd_flow(args):
     last = traj.snapshots[-1]
     body = [f"steps={traj.steps}", f"rhs_evals={traj.rhs_evals}",
             f"T_final={last.t:.12g}",
-            f"max_eta={float(np.max(np.abs([last.eta_A, last.eta_B]))):.12g}",
+            f"max_eta={float(np.max(np.abs(last.eta))):.12g}",
             f"max_grad_eta={last.diagnostics['max_grad_eta']:.12g}"]
     out = _write_report(args, body)
     with open(out / "trajectory.csv", "w") as fh:
@@ -226,22 +221,25 @@ def cmd_heat_demo(args):
         raise ConfigError(f"heat-demo is one-dimensional; --dim {args.dim} "
                           "has no meaning there")
     times = _float_list(args, "times")
+    # each time from the one before it, the first from the initial time 0
+    for i, (t0, t1) in enumerate(zip([0.0, *times], times), 1):
+        if t1 < t0:
+            raise ConfigError(f"--times {args.times!r}: item {i} ({t1:g}) "
+                              f"is less than the time before it ({t0:g})")
     if times[0] != 0.0:
         times.insert(0, 0.0)
-    p = heatdemo.initial_profile(x_max=args.x_max, dx=args.dx)
+    profiles = [heatdemo.initial_profile(x_max=args.x_max, dx=args.dx)]
     if not heatdemo.dyadic_annuli(args.x_max):
         raise ConfigError(f"--x-max {args.x_max:g} must be >= 80 to hold an annulus")
-    profiles = [p]
     for t0, t1 in zip(times, times[1:]):
-        p = heatdemo.heat_evolve(p, t1 - t0)
-        profiles.append(p)
-    with open(_outdir(args) / "heat_decay.csv", "w") as fh:
-        rows = heatdemo.decay_table(profiles, fh)
+        profiles.append(heatdemo.heat_evolve(profiles[-1], t1 - t0))
+    rows = heatdemo.decay_table(profiles)
     k0 = [r["sup_k0"] for r in rows]
-    ok = min(k0) >= 0.05 and max(k0) <= 1.1
-    _write_report(args, [f"sup_k0_min={min(k0):.6g}",
-                         f"sup_k0_max={max(k0):.6g}", f"floor_ok={ok}"])
-    return EXIT_OK if ok else EXIT_MONITOR
+    lo, hi = heatdemo.SUP_K0_BAND
+    return _finish_monitor(args, analysis.MonitorReport(
+        "heat_decay", lo <= min(k0) and max(k0) <= hi,
+        {"sup_k0_min": lo, "sup_k0_max": hi},
+        {"sup_k0_min": min(k0), "sup_k0_max": max(k0)}, rows))
 
 
 def cmd_verify(args):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import RadialGrid, Spline, fornberg_weights, interp_spline
+from .grid import RadialGrid, Spline, interp_spline
 from .metrics import RadialMetric, volume_element
 from .curvature import mass_function, mean_curvature, scalar
 from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar, collar,
@@ -170,10 +170,8 @@ def corner_example(base, r0, strength):
     if np.max(np.abs(base.A - base.B)) > 1e-12:
         raise ValueError("base must be conformally flat (A = B)")
 
-    win = slice(i0 - 2, i0 + 3)  # u = B^(1/4) on grid.deriv's row at i0
-    u = base.B[win] ** 0.25
-    w = fornberg_weights(grid.r[i0], grid.r[None, win], 1)[:, 1]
-    du0, u0 = float(np.einsum("ij,ij->i", w, u[None])[0]), float(u[2])
+    u = base.B ** 0.25
+    du0, u0 = float(grid.deriv(u)[i0]), float(u[i0])
     # target inner slope: B' jump of `strength` means U' gains strength/(4 u0^3)
     q0 = -r0 ** 2 * (du0 + strength / (4.0 * u0 ** 3))
     if q0 < 0:

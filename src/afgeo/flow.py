@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import RadialGrid, Spline, interp_spline
+from .grid import Spline, interp_spline
 from .metrics import RadialMetric
 from .curvature import jet, ricci, scalar_curvature
 from .norms import fairness_ratios, eta_sup_norms
@@ -100,14 +100,15 @@ def _deturck(bg, A, B, dA, dB, ddA, ddB):
 
 
 def _rhs_pointwise(gj, bg):
-    """(dt A, dt B) of dt g = -2 Ric(g) + Lie_W g in the warped-product
-    reduction, from the 2-jet of g and the background."""
+    """(dt A, dt B), one (2, N) array, of dt g = -2 Ric(g) + Lie_W g in the
+    warped-product reduction, from the 2-jet of g and the background."""
     (A, B), (dA, dB), (ddA, ddB) = gj.swapaxes(1, -1)
     W, dW = _deturck(bg, A, B, dA, dB, ddA, ddB)
     ric_rad, ric_tan = ricci(bg.n, bg.r, gj)
-    dt_A = -2.0 * A * ric_rad + W * dA + 2.0 * A * dW
-    dt_B = -2.0 * B * ric_tan + W * (dB + 2.0 * B / bg.r)
-    return dt_A, dt_B
+    dt = np.empty((2, len(bg.r)))
+    np.add(-2.0 * A * ric_rad + W * dA, 2.0 * A * dW, out=dt[0])
+    np.add(-2.0 * B * ric_tan, W * (dB + 2.0 * B / bg.r), out=dt[1])
+    return dt
 
 
 def deturck_vector(g, bg):
@@ -119,19 +120,19 @@ def deturck_vector(g, bg):
                       d(g.B, 1, parity=True))[0]
 
 
-def eta_rhs(bg, eta_A, eta_B):
-    """Time derivative of (eta_A, eta_B) under the background-gauged flow, at
-    every node.
+def eta_rhs(bg, eta):
+    """Time derivative of eta = g - h, shape (N, 2), under the
+    background-gauged flow, at every node.
 
     The jets of g = h + eta are those of h plus those of eta, each from the
     parity stencils.
     """
-    gj = bg.jet + jet(bg.h.grid, eta_A, eta_B)
+    gj = bg.jet + jet(bg.h.grid, *eta.T)
     bad = gj[0] <= 0
     if bad.any():
         raise FlowAbort("metric positivity lost",
                         node=int(np.argmax(bad.any(axis=1))), state=gj[0].T)
-    return _rhs_pointwise(gj, bg)
+    return _rhs_pointwise(gj, bg).T
 
 
 # -- time stepping ----------------------------------------------------------
@@ -158,12 +159,12 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
-    """One snapshot of a run.  The DeTurck vector W and the decay norms of
-    eta against the run's background bg are computed when first read."""
+    """One snapshot of a run, eta = g - h of shape (N, 2).  The DeTurck
+    vector W and the decay norms of eta against the run's background bg are
+    computed when first read."""
     t: float
     metric: RadialMetric
-    eta_A: np.ndarray
-    eta_B: np.ndarray
+    eta: np.ndarray
     bg: Background
 
     @cached_property
@@ -180,7 +181,6 @@ class FlowState:
 class FlowTrajectory:
     snapshots: list
     dt_history: list
-    config: FlowConfig
     steps: int = 0          # accepted time steps
     rhs_evals: int = 0      # eta_rhs evaluations over those steps
 
@@ -207,25 +207,24 @@ def stable_dt(grid, A, B, n):
 HEUN_STAGES = 2  # eta_rhs evaluations per h_flow_step
 
 
-def h_flow_step(bg, eta_A, eta_B, dt):
-    """One Heun (RK2) step of the eta evolution against the background bg;
+def h_flow_step(bg, eta, dt):
+    """One Heun (RK2) step of eta, shape (N, 2), against the background bg;
     the nodes of bg.frozen hold their values."""
-    kA1, kB1 = eta_rhs(bg, eta_A, eta_B)
-    kA1[bg.frozen] = kB1[bg.frozen] = 0.0
-    kA2, kB2 = eta_rhs(bg, eta_A + dt * kA1, eta_B + dt * kB1)
-    kA2[bg.frozen] = kB2[bg.frozen] = 0.0
-    return eta_A + 0.5 * dt * (kA1 + kA2), eta_B + 0.5 * dt * (kB1 + kB2)
+    k1 = eta_rhs(bg, eta)
+    k1[bg.frozen] = 0.0
+    k2 = eta_rhs(bg, eta + dt * k1)
+    k2[bg.frozen] = 0.0
+    return eta + 0.5 * dt * (k1 + k2)
 
 
-def _fairness_abort(message, h, A, B, ratios, t, step):
-    """The FlowAbort of a fairness loss; the extreme ratio g/h is the one at
-    the end of `ratios` farther from 1."""
+def _fairness_abort(message, bg, g, ratios, t, step):
+    """The FlowAbort of a fairness loss of g, shape (N, 2); the extreme ratio
+    g/h is the one at the end of `ratios` farther from 1."""
     lo, hi = ratios
     pick = np.argmin if lo * hi < 1.0 else np.argmax
-    field, node = divmod(int(pick(np.concatenate([A / h.A, B / h.B]))),
-                         len(A))
+    field, node = divmod(int(pick((g / bg.jet[0]).T)), len(g))
     return FlowAbort(message, t=t, step=step, node=node, field="AB"[field],
-                     ratios=ratios, state=(A, B))
+                     ratios=ratios, state=g.T)
 
 
 def evolve(metric, h, config):
@@ -242,50 +241,48 @@ def evolve(metric, h, config):
                          "grid (r_j = (j + 1/2) dr) to reach the origin")
     if not np.array_equal(grid.r, h.grid.r):
         raise ValueError("metric and background must share a grid")
-    ok, rng = fairness_ratios(h, metric.A, metric.B, config.fairness)
+    # g, eta = g - h and each Heun stage are (N, 2) arrays, field last like
+    # bg.jet[0], which holds h.  g = h + eta is formed once per step: the
+    # step size, the NaN and fairness checks and the snapshot read it
+    bg, g = Background(h), np.array([metric.A, metric.B]).T
+    ok, rng = fairness_ratios(h, *g.T, config.fairness)
     if not ok:
         raise _fairness_abort(f"background not {config.fairness}-fair: "
-                              f"ratios {rng}", h, metric.A, metric.B, rng,
-                              0.0, 0)
-
-    bg = Background(h)
-    eta_A = metric.A - h.A
-    eta_B = metric.B - h.B
-    # g = h + eta, formed once per step: the step size, the fairness check
-    # and the snapshot read it
-    gA, gB = h.A + eta_A, h.B + eta_B
+                              f"ratios {rng}", bg, g, rng, 0.0, 0)
+    eta = g - bg.jet[0]
+    g = bg.jet[0] + eta
     t = 0.0
 
     def snapshot():
-        g = RadialMetric(h.grid, h.n, gA, gB, metric.delta)
-        return FlowState(t, g, eta_A, eta_B, bg)
+        gm = RadialMetric(h.grid, h.n, *g.T, metric.delta)
+        return FlowState(t, gm, eta, bg)
 
     snapshots = [snapshot()]
     dts = []
     step = 0
     while t < config.T_final - 1e-15:
-        dt = min(stable_dt(grid, gA, gB, h.n), config.T_final - t)
+        dt = min(stable_dt(grid, *g.T, h.n), config.T_final - t)
         try:
-            eta_A, eta_B = h_flow_step(bg, eta_A, eta_B, dt)
+            eta = h_flow_step(bg, eta, dt)
         except FlowAbort as e:
             e.t, e.step = t + dt, step + 1
             raise
-        finite = np.isfinite(eta_A) & np.isfinite(eta_B)
+        g = bg.jet[0] + eta
+        finite = np.isfinite(eta).all(axis=1)
         if not finite.all():
             raise FlowAbort(f"NaN detected at t={t:.6g}", t=t + dt,
                             step=step + 1, node=int(np.argmin(finite)),
-                            state=(h.A + eta_A, h.B + eta_B))
+                            state=g.T)
         t += dt
         step += 1
         dts.append(dt)
-        gA, gB = h.A + eta_A, h.B + eta_B
-        ok, rng = fairness_ratios(h, gA, gB, 2 * config.fairness - 1)
+        ok, rng = fairness_ratios(h, *g.T, 2 * config.fairness - 1)
         if not ok:
             raise _fairness_abort(f"fairness lost at t={t:.6g}: ratios {rng}",
-                                  h, gA, gB, rng, t, step)
+                                  bg, g, rng, t, step)
         if step % config.monitor_every == 0 or t >= config.T_final - 1e-15:
             snapshots.append(snapshot())
-    return FlowTrajectory(snapshots, dts, config, steps=step,
+    return FlowTrajectory(snapshots, dts, steps=step,
                           rhs_evals=HEUN_STAGES * step)
 
 
@@ -294,9 +291,8 @@ def evolve(metric, h, config):
 @dataclass
 class DiffeoMap:
     """Radial maps phi_t(r) at the snapshot times, phi_T = identity."""
-    grid: RadialGrid
     times: np.ndarray
-    maps: list  # one array per time, on grid.r
+    maps: list  # one array per time, on the trajectory's grid
 
     def __post_init__(self):
         for phi in self.maps:
@@ -340,7 +336,7 @@ def extract_diffeomorphism(trajectory):
             phi = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += dt
         maps[j - 1] = phi.copy()
-    return DiffeoMap(grid, times, maps)
+    return DiffeoMap(times, maps)
 
 
 def pullback(metric, phi):

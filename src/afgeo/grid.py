@@ -118,9 +118,6 @@ class RadialGrid:
     def dr_min(self):
         return float(np.min(np.diff(self.r)))
 
-    def rho(self):
-        return rho_weight(self.r)
-
     def _build_stencils(self, parity):
         width = 5
         # parity: two ghosts mirrored across r = 0 (even extension), nearest
@@ -152,9 +149,6 @@ class RadialGrid:
         idx, w = self.stencils(parity)
         f = np.asarray(f, dtype=float)
         return np.einsum("ij,ij->i", w[order], f[idx])
-
-    def trapz(self, f):
-        return np.trapezoid(f, self.r)
 
     def snap(self, targets):
         """The node radius nearest to each target radius.  A target that is

@@ -9,6 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# heat-demo's gate: every per-annulus sup of x^2 |f|, at every time, lies in
+# this band
+SUP_K0_BAND = (0.05, 1.1)
+
 
 @dataclass
 class HeatProfile:
@@ -91,8 +95,8 @@ def decay_profile(profile, k):
     return vals
 
 
-def decay_table(profiles, fh=None):
-    """Rows `t, X, sup_k0, sup_k1, sup_k2`; optionally written as CSV."""
+def decay_table(profiles):
+    """Rows `t, X, sup_k0, sup_k1, sup_k2`, one per profile and annulus."""
     rows = []
     for p in profiles:
         per_k = [dict(decay_profile(p, k)) for k in range(3)]
@@ -100,9 +104,4 @@ def decay_table(profiles, fh=None):
             rows.append({"t": p.t, "X": X,
                          "sup_k0": per_k[0][X], "sup_k1": per_k[1][X],
                          "sup_k2": per_k[2][X]})
-    if fh is not None:
-        fh.write("t,X,sup_k0,sup_k1,sup_k2\n")
-        for row in rows:
-            fh.write(f"{row['t']:.12g},{row['X']:.12g},{row['sup_k0']:.12g},"
-                     f"{row['sup_k1']:.12g},{row['sup_k2']:.12g}\n")
     return rows

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .curvature import jet
+from .grid import rho_weight
 
 
 def fairness_ratios(h, A, B, fairness):
@@ -21,6 +22,6 @@ def eta_sup_norms(g, h, delta):
     sup rho^(delta+j) |d^j eta|, j = 0, 1, 2, of the C^2_delta norm,
     componentwise over (A - A_h, B - B_h)."""
     ej = jet(g.grid, g.A - h.A, g.B - h.B)
-    rho = g.grid.rho()[:, None]
+    rho = rho_weight(g.grid.r)[:, None]
     return np.array([np.max(rho ** (delta + j) * np.abs(ej[j]))
                      for j in range(3)])

@@ -174,7 +174,8 @@ def test_criterion_9_heat_demo():
     for _ in range(4):
         p = heatdemo.heat_evolve(p, 0.25)
         sups.append(float(np.max(p.x[sel] ** 2 * np.abs(p.f[sel]))))
-    in_band = min(sups) >= 0.05 and max(sups) <= 1.1
+    lo, hi = heatdemo.SUP_K0_BAND
+    in_band = min(sups) >= lo and max(sups) <= hi
     # order check against a fine reference on a short domain
     ref = heatdemo.heat_evolve(heatdemo.initial_profile(30.0, 0.0125), 0.1)
     errs = []

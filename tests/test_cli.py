@@ -123,7 +123,7 @@ def test_flow_max_eta_covers_both_components(tmp_path):
     g = cli.parse_metric("conformal:c=0.2",
                          cli.parse_grid("staggered:rmax=60,num=1024"))
     last = flow.evolve(g, g, flow.FlowConfig(T_final=0.01)).snapshots[-1]
-    sup_A, sup_B = (float(np.max(np.abs(e))) for e in (last.eta_A, last.eta_B))
+    sup_A, sup_B = (float(np.max(np.abs(e))) for e in last.eta.T)
     assert sup_B > sup_A
     assert f"max_eta={sup_B:.12g}" in lines
 
@@ -165,7 +165,7 @@ def test_heat_demo_subcommand(tmp_path):
     assert code == 0
     lines = (tmp_path / "heat_decay.csv").read_text().splitlines()
     assert lines[0] == "t,X,sup_k0,sup_k1,sup_k2"
-    assert "floor_ok=True" in (tmp_path / "heat_demo.txt").read_text()
+    assert "passed=True" in (tmp_path / "heat_demo.txt").read_text()
 
 
 def test_verify_subcommand(tmp_path):
@@ -368,7 +368,10 @@ def test_spec_value_that_would_mean_another_exits_config(argv, key, tmp_path,
     ["mass", "--radii", "50,abc,200"],  # "could not convert string to float"
     ["mass", "--radii", "50,,100,200"],  # ran three radii, exit 0
     ["corner", "--eps", "0.1,"],         # ran eps = 0.1 alone, exit 0
-    ["heat-demo", "--times", ",0.5"]], ids=" ".join)
+    ["heat-demo", "--times", ",0.5"],
+    # a decreasing time: "T must be finite and >= 0, got -0.25"
+    ["heat-demo", "--times", "0.5,0.25"],
+    ["heat-demo", "--times", "-0.5"]], ids=" ".join)
 def test_list_item_that_is_not_a_number_exits_config(argv, tmp_path, capsys):
     assert cli.run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -440,6 +443,9 @@ def test_report_echoes_every_option(name, tmp_path):
         want.append(f"config.{flag[2:]}={value}")
     assert echoed == want
     assert text.startswith("".join(f"{line}\n" for line in want))
+    # every gate states its tolerance; flow has no gate
+    if name != "flow":
+        assert any(l.startswith("tol_") for l in text.splitlines())
 
 
 @pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))

@@ -11,7 +11,7 @@ import pytest
 from scipy.interpolate import PPoly
 
 from afgeo import cli, corner, curvature, mass, metrics, mollifier
-from afgeo.grid import RadialGrid, Spline
+from afgeo.grid import RadialGrid, Spline, fornberg_weights
 
 
 def split_metric(metric, r0):
@@ -145,6 +145,40 @@ def test_inner_piece_nonnegative_scalar(valid_corner):
 def test_strength_cap(base):
     with pytest.raises(ValueError):
         corner.corner_example(base, 4.0, 0.5)  # inner factor would lose R >= 0
+
+
+def _window_inner_A(base, r0, strength):
+    """corner_example's inner A = B, u'(r0) from a Fornberg window of the
+    five nodes about r0: the reference grid.deriv's row must equal."""
+    grid = base.grid
+    i0 = grid.node_at(r0)
+    win = slice(i0 - 2, i0 + 3)
+    u = base.B[win] ** 0.25
+    w = fornberg_weights(grid.r[i0], grid.r[None, win], 1)[:, 1]
+    du0, u0 = float(np.einsum("ij,ij->i", w, u[None])[0]), float(u[2])
+    q0 = -r0 ** 2 * (du0 + strength / (4.0 * u0 ** 3))
+    ri = grid.r[:i0 + 1]
+    F = 5.0 * ri ** 2 / r0 ** 3 - 5.0 * ri ** 3 / r0 ** 4 + 1.5 * ri ** 4 / r0 ** 5
+    return (u0 + q0 * (F[-1] - F)) ** 4
+
+
+@pytest.mark.parametrize("r_min, r0, r_max, fine_dr, outer_num", [
+    (0.5, 4.0, 300.0, 1 / 32, 512), (0.5, 2.0, 100.0, 1 / 16, 256),
+    (1.0, 6.0, 200.0, 1 / 64, 384), (0.25, 3.0, 60.0, 1 / 8, 128)])
+def test_corner_example_inner_piece_equals_the_window_build(
+        r_min, r0, r_max, fine_dr, outer_num):
+    grid = corner.make_corner_grid(r_min, r0, r_max, fine_dr=fine_dr,
+                                   outer_num=outer_num)
+    for base, strengths in (
+            (metrics.build_schwarzschild_isotropic(1.0, 3, grid), (0.05, -0.1)),
+            (metrics.build_schwarzschild_isotropic(0.3, 3, grid), (0.01, -0.2)),
+            (metrics.build_conformal(0.4, 3, grid), (0.02, -0.1)),
+            (metrics.build_flat(3, grid), (-0.1,))):
+        for s in strengths:
+            inner = corner.corner_example(base, r0, s).inner
+            want = _window_inner_A(base, r0, s)
+            assert np.array_equal(inner.A, want)
+            assert np.array_equal(inner.B, want)
 
 
 def test_discontinuous_pieces_rejected(base, valid_corner):

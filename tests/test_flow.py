@@ -71,7 +71,8 @@ def test_deturck_vector_vanishes_on_background(lock_grid):
 def test_rhs_matches_closed_form_flat_background(lock_grid):
     g = metrics.build_schwarzschild_isotropic(1.0, 3, lock_grid)
     h = metrics.build_flat(3, lock_grid)
-    rA, rB = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B)
+    rA, rB = flow.eta_rhs(flow.Background(h),
+                          np.stack([g.A - h.A, g.B - h.B], -1)).T
     oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
     sel = (lock_grid.r > 2.0) & (lock_grid.r < 55.0)
     assert np.max(np.abs(rA - oA)[sel] / (1 + np.abs(oA[sel]))) < 1e-4
@@ -82,7 +83,8 @@ def test_rhs_matches_closed_form_curved_background(lock_grid):
     # nonflat background exercises the Riemann and quadratic terms
     g = metrics.build_schwarzschild_isotropic(1.0, 3, lock_grid)
     h = metrics.build_conformal(0.4, 3, lock_grid)
-    rA, rB = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B)
+    rA, rB = flow.eta_rhs(flow.Background(h),
+                          np.stack([g.A - h.A, g.B - h.B], -1)).T
     oA, oB = oracle.tensor_eta_rhs(h, g.A - h.A, g.B - h.B)
     sel = (lock_grid.r > 2.0) & (lock_grid.r < 55.0)
     assert np.max(np.abs(rA - oA)[sel] / (1 + np.abs(oA[sel]))) < 1e-4
@@ -92,7 +94,7 @@ def test_rhs_matches_closed_form_curved_background(lock_grid):
 def test_zero_eta_reduces_to_background_ricci(lock_grid):
     h = metrics.build_conformal(0.4, 3, lock_grid)
     z = np.zeros(lock_grid.num)
-    rA, rB = flow.eta_rhs(flow.Background(h), z, z)
+    rA, rB = flow.eta_rhs(flow.Background(h), np.stack([z, z], -1)).T
     oA, oB = oracle.tensor_eta_rhs(h, z, z)
     sel = slice(8, -8)
     assert np.max(np.abs(rA - oA)[sel]) < 1e-12
@@ -118,7 +120,7 @@ def test_closed_form_matches_tensor_kernel(n, grid_kind, background):
     h = _BACKGROUNDS[background](n, grid)
     g = metrics.build_angular_bump(0.2, n, grid, width=2.0)
     eA, eB = g.A - h.A, g.B - h.B
-    got = flow.eta_rhs(flow.Background(h), eA, eB)
+    got = tuple(flow.eta_rhs(flow.Background(h), np.stack([eA, eB], -1)).T)
     ref = oracle.tensor_eta_rhs(h, eA, eB)
     got += (flow.deturck_vector(g, flow.Background(h)),)
     ref += (oracle.tensor_deturck_vector(g, h),)
@@ -143,7 +145,8 @@ def test_rhs_discretization_converges():
         grid = RadialGrid.uniform(0.5, 60.0, num)
         g = metrics.build_schwarzschild_isotropic(1.0, 3, grid)
         h = metrics.build_flat(3, grid)
-        rA, _ = flow.eta_rhs(flow.Background(h), g.A - h.A, g.B - h.B)
+        rA, _ = flow.eta_rhs(flow.Background(h),
+                             np.stack([g.A - h.A, g.B - h.B], -1)).T
         # the flat background's stencil jets are exact to roundoff (5e-13)
         exact, _ = flow._rhs_pointwise(_schwarzschild_jets(1.0, grid.r),
                                        flow.Background(h))
@@ -164,8 +167,8 @@ def test_flat_data_is_stationary(grid, n):
     traj = flow.evolve(fl, metrics.build_flat(n, grid),
                        flow.FlowConfig(T_final=1e-3, monitor_every=5))
     last = traj.snapshots[-1]
-    assert np.max(np.abs(last.eta_A)) < 1e-12
-    assert np.max(np.abs(last.eta_B)) < 1e-12
+    assert np.max(np.abs(last.eta[:, 0])) < 1e-12
+    assert np.max(np.abs(last.eta[:, 1])) < 1e-12
 
 
 def test_step_halving_second_order():
@@ -177,10 +180,10 @@ def test_step_halving_second_order():
     bg = flow.Background(h)
 
     def integrate(dt, steps):
-        eA, eB = eA0.copy(), eB0.copy()
+        eta = np.stack([eA0, eB0], -1)
         for _ in range(steps):
-            eA, eB = flow.h_flow_step(bg, eA, eB, dt)
-        return eA
+            eta = flow.h_flow_step(bg, eta, dt)
+        return eta[:, 0]
 
     dt = 0.5 * flow.stable_dt(grid, g0.A, g0.B, 3)
     ref = integrate(dt / 4, 16)
@@ -258,10 +261,66 @@ def test_step_holds_the_frozen_boundary_nodes(grid, frozen):
     assert bg.frozen.tolist() == frozen
     eA, eB = g0.A - h.A, g0.B - h.B
     dt = flow.stable_dt(grid, g0.A, g0.B, 3)
-    nA, nB = flow.h_flow_step(bg, eA, eB, dt)
+    nA, nB = flow.h_flow_step(bg, np.stack([eA, eB], -1), dt).T
     held = (nA == eA) & (nB == eB)
     assert np.flatnonzero(held).tolist() == sorted(i % grid.num
                                                    for i in frozen)
+
+
+def _per_field_rhs(bg, eA, eB):
+    """(dt eta_A, dt eta_B) written field by field, each of its own
+    arithmetic: the reference the one-array flow state must equal."""
+    gj = bg.jet + curvature.jet(bg.h.grid, eA, eB)
+    (A, B), (dA, dB), (ddA, ddB) = gj.swapaxes(1, -1)
+    W, dW = flow._deturck(bg, A, B, dA, dB, ddA, ddB)
+    ric_rad, ric_tan = curvature.ricci(bg.n, bg.r, gj)
+    return (-2.0 * A * ric_rad + W * dA + 2.0 * A * dW,
+            -2.0 * B * ric_tan + W * (dB + 2.0 * B / bg.r))
+
+
+def _per_field_heun(bg, eA, eB, dt):
+    kA1, kB1 = _per_field_rhs(bg, eA, eB)
+    kA1[bg.frozen] = kB1[bg.frozen] = 0.0
+    kA2, kB2 = _per_field_rhs(bg, eA + dt * kA1, eB + dt * kB1)
+    kA2[bg.frozen] = kB2[bg.frozen] = 0.0
+    return eA + 0.5 * dt * (kA1 + kA2), eB + 0.5 * dt * (kB1 + kB2)
+
+
+@pytest.mark.parametrize("grid", [
+    RadialGrid.staggered(40.0, 256), RadialGrid.uniform(0.5, 40.0, 256),
+    corner.make_corner_grid(0.5, 4.0, 40.0, fine_dr=1 / 16, outer_num=128)],
+    ids=["staggered", "excised-uniform", "corner"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_one_array_step_equals_the_per_field_step_bit_for_bit(grid, n):
+    h = metrics.build_conformal(0.3, n, grid)
+    g0 = metrics.build_angular_bump(0.2, n, grid, width=2.0)
+    bg = flow.Background(h)
+    eA, eB = g0.A - h.A, g0.B - h.B
+    eta = np.stack([eA, eB], -1)
+    assert np.array_equal(flow.eta_rhs(bg, eta).T, _per_field_rhs(bg, eA, eB))
+    dt = flow.stable_dt(grid, g0.A, g0.B, n)
+    for _ in range(3):  # the frozen nodes are compared too
+        eta = flow.h_flow_step(bg, eta, dt)
+        eA, eB = _per_field_heun(bg, eA, eB, dt)
+        assert np.array_equal(eta, np.stack([eA, eB], -1))
+    # evolve: the per-field loop, its step sizes from g = h + eta
+    T = 7.5 * dt
+    traj = flow.evolve(g0, h, flow.FlowConfig(T_final=T, monitor_every=3,
+                                              fairness=3.0))
+    eA, eB, t, steps = g0.A - h.A, g0.B - h.B, 0.0, 0
+    while t < T - 1e-15:
+        gA, gB = h.A + eA, h.B + eB
+        if steps % 3 == 0:
+            s = traj.snapshots[steps // 3]
+            assert s.t == t and np.array_equal(s.eta, np.stack([eA, eB], -1))
+            assert np.array_equal(s.metric.A, gA)
+            assert np.array_equal(s.metric.B, gB)
+        dt = min(flow.stable_dt(grid, gA, gB, n), T - t)
+        assert dt == traj.dt_history[steps]
+        eA, eB = _per_field_heun(bg, eA, eB, dt)
+        t, steps = t + dt, steps + 1
+    assert steps == traj.steps
+    assert np.array_equal(traj.snapshots[-1].eta, np.stack([eA, eB], -1))
 
 
 def test_grid_with_origin_node_rejected():
@@ -312,7 +371,7 @@ def distorted_run():
 
 def test_lipschitz_data_smooths(distorted_run):
     _, traj = distorted_run
-    snaps = [s for s in traj.snapshots if s.t >= traj.config.T_final / 10]
+    snaps = [s for s in traj.snapshots if s.t >= traj.times()[-1] / 10]
     vals = [np.sqrt(s.t) * s.diagnostics["wnorm2"] for s in snaps]
     # second derivatives obey the parabolic sqrt(t) gain and keep improving
     assert vals[-1] < vals[0]
@@ -434,7 +493,7 @@ def test_rhs_at_zero_eta_is_minus_twice_ricci(n, a, b, wa, wb):
     B = 1.0 + b / (1.0 + (grid.r / wb) ** 2)
     h = metrics.RadialMetric(grid, n, A, B)
     z = np.zeros(grid.num)
-    rA, rB = flow.eta_rhs(flow.Background(h), z, z)
+    rA, rB = flow.eta_rhs(flow.Background(h), np.stack([z, z], -1)).T
     rad, tan = -rA / (2.0 * A), -rB / (2.0 * B)
     R = curvature.scalar_curvature(h)
     ric2 = curvature.ricci_norm_sq(h)
@@ -554,16 +613,16 @@ def test_positivity_abort_names_its_step_and_node(monkeypatch):
     eta_B = z.copy()
     eta_B[[7, 9]] = -2.0 * h.B[[7, 9]]
     with pytest.raises(flow.FlowAbort, match="positivity") as e:
-        flow.eta_rhs(bg, z, eta_B)
+        flow.eta_rhs(bg, np.stack([z, eta_B], -1))
     assert (e.value.node, e.value.t, e.value.step) == (7, None, None)
     # evolve adds the step that failed and the time it was to reach
     rhs, seen = flow.eta_rhs, []
 
-    def fail_on_third(bg, eA, eB):
+    def fail_on_third(bg, eta):
         seen.append(0)
         if len(seen) == 3:
             raise flow.FlowAbort("metric positivity lost", node=7)
-        return rhs(bg, eA, eB)
+        return rhs(bg, eta)
 
     monkeypatch.setattr(flow, "eta_rhs", fail_on_third)
     with pytest.raises(flow.FlowAbort) as e:
@@ -580,11 +639,11 @@ def test_nan_abort_names_its_step_and_first_bad_node(monkeypatch):
 
     failed = []
 
-    def nan_at_node_5(bg, eA, eB, dt):
-        eA, eB = step(bg, eA, eB, dt)
-        eB[5] = eA[11] = np.nan
-        failed.append((h.A + eA, h.B + eB))
-        return eA, eB
+    def nan_at_node_5(bg, eta, dt):
+        eta = step(bg, eta, dt)
+        eta[5, 1] = eta[11, 0] = np.nan
+        failed.append((h.A + eta[:, 0], h.B + eta[:, 1]))
+        return eta
 
     monkeypatch.setattr(flow, "h_flow_step", nan_at_node_5)
     with pytest.raises(flow.FlowAbort, match="NaN") as e:
@@ -625,7 +684,8 @@ def test_aborts_carry_the_least_A_and_B_of_the_failed_state():
     eta_B = np.zeros(grid.num)
     eta_B[[7, 9]] = -2.0 * h.B[[7, 9]]
     with pytest.raises(flow.FlowAbort, match="positivity") as e:
-        flow.eta_rhs(flow.Background(h), np.zeros(grid.num), eta_B)
+        flow.eta_rhs(flow.Background(h),
+                     np.stack([np.zeros(grid.num), eta_B], -1))
     assert e.value.min_A == np.min(h.A)
     assert e.value.min_B == np.min(h.B + eta_B) < 0
     assert e.value.where() == (f"node=7 min_A={np.min(h.A):.6g} "

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from afgeo import heatdemo
+from afgeo import analysis, heatdemo
 
 
 def gaussian_profile(sigma=2.0, x_max=200.0, dx=0.05):
@@ -93,7 +93,8 @@ def test_second_order_convergence():
 
 def test_csv_table(run):
     buf = io.StringIO()
-    rows = heatdemo.decay_table(run, buf)
+    rows = heatdemo.decay_table(run)
+    analysis.MonitorReport("heat_decay", True, {}, {}, rows).write_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,X,sup_k0,sup_k1,sup_k2"
     assert len(lines) == 1 + len(rows)

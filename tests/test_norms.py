@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from afgeo.grid import RadialGrid
+from afgeo.grid import RadialGrid, rho_weight
 from afgeo import metrics, norms
 
 
@@ -22,7 +22,7 @@ def test_zero_field(grid):
 
 
 def test_rho_decay_unit_sup(grid):
-    sup0 = _sups(grid, grid.rho() ** (-1.5), 1.5)[0]
+    sup0 = _sups(grid, rho_weight(grid.r) ** (-1.5), 1.5)[0]
     assert sup0 == pytest.approx(1.0, abs=1e-6)
 
 
@@ -74,7 +74,7 @@ def test_eta_sup_norms_weight_jth_derivative_by_rho_delta_plus_j():
 def per_field_sup_norms(g, h, delta):
     """eta_sup_norms field by field: sup rho^(delta+j) |d^j f| for each of
     f = A - A_h and B - B_h from deriv, then the larger of the two."""
-    rho = g.grid.rho()
+    rho = rho_weight(g.grid.r)
     terms = []
     for f in (g.A - h.A, g.B - h.B):
         derivs = [f] + [g.grid.deriv(f, j, parity=True) for j in (1, 2)]
