@@ -374,7 +374,7 @@ def zero_mass_experiment(config, grid, kink_radius=3.0, amp=0.05, n=3):
     Phi = radial_kink_map(grid.r, kink_radius, amp,
                           smooth_width=smooth_width)
     phi_err = float(np.max(np.abs(phi.at_time(0.0) - Phi)[s2]))
-    rows = [{"t": s.t, "max_grad_eta": s.diagnostics["max_grad_eta"]}
+    rows = [{"t": s.t, "max_grad_eta": s.diagnostics["wnorm1"]}
             for s in traj.snapshots]
     tols = ZERO_MASS_TOLS
     passed = (abs(rep0.mass) < tols["mass_tol"] and supR < tols["R_tol"]

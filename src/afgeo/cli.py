@@ -142,7 +142,7 @@ def cmd_flow(args):
     body = [f"steps={traj.steps}", f"rhs_evals={traj.rhs_evals}",
             f"T_final={last.t:.12g}",
             f"max_eta={float(np.max(np.abs(last.eta))):.12g}",
-            f"max_grad_eta={last.diagnostics['max_grad_eta']:.12g}"]
+            f"max_grad_eta={last.diagnostics['wnorm1']:.12g}"]
     out = _write_report(args, body)
     with open(out / "trajectory.csv", "w") as fh:
         traj.dump(fh)
@@ -223,6 +223,8 @@ def cmd_heat_demo(args):
     times = _float_list(args, "times")
     # each time from the one before it, the first from the initial time 0
     for i, (t0, t1) in enumerate(zip([0.0, *times], times), 1):
+        if not np.isfinite(t1):
+            raise ConfigError(f"--times {args.times!r}: item {i} is not finite")
         if t1 < t0:
             raise ConfigError(f"--times {args.times!r}: item {i} ({t1:g}) "
                               f"is less than the time before it ({t0:g})")

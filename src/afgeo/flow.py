@@ -173,8 +173,8 @@ class FlowState:
 
     @cached_property
     def diagnostics(self):
-        w0, w1, w2 = eta_sup_norms(self.metric, self.bg.h, self.metric.delta)
-        return {"max_grad_eta": w1, "wnorm0": w0, "wnorm1": w1, "wnorm2": w2}
+        w = eta_sup_norms(self.metric.grid, self.eta, self.metric.delta)
+        return dict(zip(("wnorm0", "wnorm1", "wnorm2"), w))
 
 
 @dataclass

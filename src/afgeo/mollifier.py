@@ -1,14 +1,13 @@
 """The corner certificate's sigma-free tables.  The mollifier's are functions
-of the scaled radius s = (r - r0) / sigma alone: the normalized bump of
-half-width 1/2 and its split 16-point Gauss-Legendre rule, the cutoff chi of
+of the scaled radius s = (r - r0) / sigma alone: the polynomial bump of
+half-width 1/2 with its split 16-point Gauss-Legendre rule, the cutoff chi of
 the collar -1 < s < 1 and the operator of the certificate's fixed collar,
-shipped as COLLAR_OPERATOR; `corner` scales them by sigma, and a new rule
-replaces `conv_nodes` here and regenerates COLLAR_OPERATOR.  A corner
-piece's FarTable holds the certificate's running sums over its nodes."""
+built on first use from the bump's closed-form moments; `corner` scales them
+by sigma.  A corner piece's FarTable holds the certificate's running sums
+over its nodes."""
 
-import os
 from functools import cache
-from math import perm
+from math import comb, perm
 from typing import NamedTuple
 
 import numpy as np
@@ -17,8 +16,6 @@ from .curvature import scalar_curvature
 from .grid import smoothstep
 
 COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
-COLLAR_OPERATOR = os.path.join(os.path.dirname(__file__), "collar_operator.npy")
-REGENERATE = "PYTHONPATH=src python tests/test_corner.py"
 
 
 @cache
@@ -36,39 +33,28 @@ def gauss_legendre():
 
     k = np.arange(1.0, n)
     z = np.linalg.eigvalsh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
-    p, dp = legendre(z)
-    z = z - p / dp
+    z = z - np.divide(*legendre(z))
     z = (z - z[::-1]) / 2  # the rule is symmetric
     dp = legendre(z)[1]
     return z, 2 / ((1 - z * z) * dp * dp)
 
 
 def _psi(x):
-    """The unnormalized bump exp(-1 / (1 - 4 x^2)) of half-width 1/2."""
-    return np.exp(-1.0 / (1.0 - np.clip(2.0 * x, -1 + 1e-14, 1 - 1e-14) ** 2))
+    """The C^3 bump (1 - 4 x^2)^4 / (128/315) of unit mass on |x| < 1/2."""
+    return 315 / 128 * np.maximum(1.0 - 4.0 * x * x, 0.0) ** 4
 
 
 def conv_nodes(s):
-    """Split Gauss-Legendre rule of the normalized bump of half-width 1/2 at
-    kink offsets s: the nodes t on [s, 1/2], their normalized weights and the
-    bump density at s, for the exact jump term.  Nodes on [-1/2, s] would sit
-    at r - sigma t >= r0, where the deviation vanishes.  Built node by node,
-    once per distinct clip(s, -1/2, 1/2): every s <= -1/2 shares one rule."""
+    """Split Gauss-Legendre rule of the bump at kink offsets s, exact on it
+    times a quintic: the nodes t on [s, 1/2], their weights and the bump
+    density at s, for the exact jump term.  Nodes on [-1/2, s] would sit at
+    r - sigma t >= r0, where the deviation vanishes.  Built once per
+    distinct clip(s, -1/2, 1/2): every s <= -1/2 shares one rule."""
     c, col = np.unique(np.clip(s, -0.5, 0.5), return_inverse=True)
     z, gw = gauss_legendre()
-    mid = np.stack([(c - 0.5) / 2, (c + 0.5) / 2])  # [-1/2, c], [c, 1/2]
-    half = np.stack([(c + 0.5) / 2, (0.5 - c) / 2])
-    t, wt = np.empty((2, len(z), len(s)))
-    Z = 0.0  # the weights summed in node order, [-1/2, c] first
-    for zi, gi, ti, wi in zip(z, gw, t, wt):
-        tp = half * zi + mid
-        wp = half * gi * _psi(tp)
-        Z = Z + wp[0]
-        tp[1].take(col, out=ti, mode="clip")  # "clip": no buffered copy
-        wp[1].take(col, out=wi, mode="clip")
-    Z = sum(wt, Z[col])
-    wt /= Z
-    return t, wt, _psi(s) / Z  # dens exactly 0 for |s| >= 1/2
+    half = (0.5 - c) / 2
+    t = half * z[:, None] + (c + 0.5) / 2
+    return t[:, col], (half * gw[:, None] * _psi(t))[:, col], _psi(s)
 
 
 def blend(s):
@@ -92,6 +78,15 @@ def collar(s):
     return at, *conv_nodes(s[at]), [chi[:, None] for chi in blend(s[at])]
 
 
+def _powers(x, n):
+    """x^0, ..., x^(n-1) as the rows of an (n, len(x)) array."""
+    p = np.empty((n, len(x)))
+    p[0] = 1.0
+    for m in range(1, n):
+        np.multiply(p[m - 1], x, out=p[m])
+    return p
+
+
 # POWER_DERIV[p] @ c: the coefficients of the p-th derivative of
 # sum_q c_q s^q, q = 0..5 (c_q moves to power q - p, times perm(q, p))
 POWER_DERIV = [np.diag([perm(q, p) for q in range(p, 6)], p) for p in range(3)]
@@ -99,25 +94,45 @@ POWER_DERIV = [np.diag([perm(q, p) for q in range(p, 6)], p) for p in range(3)]
 
 @cache
 def certificate_collar():
-    """The tables on COLLAR_S, loaded once per process and shared, read-only,
+    """The tables on COLLAR_S, built once per process and shared, read-only,
     by every sigma and every corner: the collar slice, the powers s^m and
-    the (3, N, 7) operator H as COLLAR_OPERATOR ships it.  Where D is one
-    polynomial sum_q d_q (r - r0)^q, the collar adds H_k @ [d_q sigma^q;
-    jump sigma^(k-1)] / sigma^k to the k-th derivative at r0 + sigma s: the
-    blend derivatives times the moments G_m(s) = sum_i w_i (s - t_i)^m -
-    s^m [s <= 0], m = 0..5, by Leibniz' rule, plus the bump-density jump."""
+    the (3, N, 7) operator H.  Where D is one polynomial sum_q d_q (r -
+    r0)^q, the collar adds H_k @ [d_q sigma^q; jump sigma^(k-1)] / sigma^k
+    to the k-th derivative at r0 + sigma s: the blend derivatives times the
+    moments G_m(s) = int_s^{1/2} rho(t) (s - t)^m dt - s^m [s <= 0], m =
+    0..5, by Leibniz' rule, plus the bump-density jump."""
     i = np.flatnonzero(in_collar(COLLAR_S))
-    try:
-        H = np.load(COLLAR_OPERATOR, allow_pickle=False)
-        if H.shape != (3, len(i), 7) or H.dtype != float:
-            raise ValueError(f"{H.dtype} {H.shape}, not float64 "
-                             f"(3, {len(i)}, 7) for COLLAR_S")
-    except (OSError, ValueError) as err:
-        raise RuntimeError(f"bad collar operator table {COLLAR_OPERATOR}: "
-                           f"{err}; regenerate it with `{REGENERATE}`") from err
-    powers = np.vander(COLLAR_S, 6, True)
+    at, s = slice(i[0], i[-1] + 1), COLLAR_S[i]
+    lo, hi = np.searchsorted(s, [-0.5, 0.0], "right")
+    # built transposed: each column of a table is one contiguous row
+    powers, H = _powers(COLLAR_S, 6), np.zeros((3, 7, len(s)))
+    G = H[0, :6]  # chi G, chi = 1 but in the blend zone
+    # s <= 0: G = B - L, B_m(s) = sum_j C(m, j) mu_j s^(m-j) over the bump's
+    # moments mu_2 = 1/44, mu_4 = 3/2288 and L_m(s) = int_{-1/2}^s rho(t) (s
+    # - t)^m dt, 0 on s <= -1/2: there G_0 = G_1 = 0 exactly.  s > 0: G_m(s)
+    # = (-1)^m L_m(-s).  L_m(-|s|) = a^(5+m) sum_j c_mj b^j, a, b = 1/2 -/+
+    # |s|, c_mj = 630 C(4, j) B(5 + j, 5 - j + m) > 0 (B Euler's beta): no
+    # sum cancels
+    np.matmul([[1 / 44, 0, 0, 0], [0, 3 / 44, 0, 0], [3 / 2288, 0, 6 / 44, 0],
+               [0, 15 / 2288, 0, 10 / 44]], powers[:4, at], out=G[2:])
+    a, b = 0.5 - np.abs(s[lo:]), 0.5 + np.abs(s[lo:])
+    L = np.matmul([[comb(4 + j, j) * perm(4 - j + m, m) / perm(9 + m, m)
+                    for j in range(5)] for m in range(6)], _powers(b, 5))
+    L *= a ** 5
+    L[1:] *= _powers(a, 6)[1:]
+    G[:, lo:hi] -= L[:, :hi - lo]
+    G[:, hi:] = L[:, hi - lo:] * [[1], [-1], [1], [-1], [1], [-1]]
+    for k in (1, 2):
+        np.multiply(G[:6 - k], [[perm(q, k)] for q in range(k, 6)],
+                    out=H[k, k:6])
+    H[2, 6] = _psi(s)  # 0 on s <= -1/2
+    # the blend zone, k descending: rows k - j still hold G @ POWER_DERIV
+    chi, Hb = blend(s[:lo]), H[:, 2:6, :lo]
+    for k in (2, 1, 0):
+        Hb[k] = sum(comb(k, j) * chi[j] * Hb[k - j] for j in range(k + 1))
+    powers, H = powers.T, H.transpose(0, 2, 1)
     powers.flags.writeable = H.flags.writeable = False
-    return slice(i[0], i[-1] + 1), powers, H
+    return at, powers, H
 
 
 class FarTable(NamedTuple):

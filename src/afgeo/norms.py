@@ -17,11 +17,11 @@ def fairness_ratios(h, A, B, fairness):
     return bool(ok), (lo, hi)
 
 
-def eta_sup_norms(g, h, delta):
-    """Monitored decay quantities of eta = g - h: the sup terms
+def eta_sup_norms(grid, eta, delta):
+    """Monitored decay quantities of eta = g - h, shape (N, 2): the sup terms
     sup rho^(delta+j) |d^j eta|, j = 0, 1, 2, of the C^2_delta norm,
     componentwise over (A - A_h, B - B_h)."""
-    ej = jet(g.grid, g.A - h.A, g.B - h.B)
-    rho = rho_weight(g.grid.r)[:, None]
+    ej = jet(grid, *eta.T)
+    rho = rho_weight(grid.r)[:, None]
     return np.array([np.max(rho ** (delta + j) * np.abs(ej[j]))
                      for j in range(3)])

@@ -272,14 +272,15 @@ def test_epsilon_not_finite_positive_exits_config(command, eps, tmp_path,
 def test_corner_refuses_a_collar_outside_the_corner(tmp_path, capsys):
     # r0 = 4, r_min = 0.5: epsilon = 2 gives sigma = 4, whose collar reads
     # down to r = -2; before the check it divided by zero at r = 0 and
-    # exited 0.  epsilon = 1 reads down to 2.5 and runs as before.
+    # exited 0.  epsilon = 1 reads down to 2.5 and runs as before; the
+    # polynomial bump's certificate passes at its first collar, sigma = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.run(["corner", "--eps", "2", "--out", str(tmp_path)]) == 2
         assert "r0 - 3 sigma/2 = -2" in capsys.readouterr().err
         assert cli.run(["corner", "--eps", "1", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "corner.txt").read_text()
-    assert "eps=1 epsilon=1 sigma=0.5 " in text and "satisfied=True" in text
+    assert "eps=1 epsilon=1 sigma=1 " in text and "satisfied=True" in text
 
 
 @pytest.mark.parametrize("command", ["corner", "mass-liminf"])
@@ -371,7 +372,11 @@ def test_spec_value_that_would_mean_another_exits_config(argv, key, tmp_path,
     ["heat-demo", "--times", ",0.5"],
     # a decreasing time: "T must be finite and >= 0, got -0.25"
     ["heat-demo", "--times", "0.5,0.25"],
-    ["heat-demo", "--times", "-0.5"]], ids=" ".join)
+    ["heat-demo", "--times", "-0.5"],
+    # a NaN passed the decreasing-list check: "T must be finite ..., got nan"
+    ["heat-demo", "--times", "nan"],
+    ["heat-demo", "--times", "inf"],
+    ["heat-demo", "--times", "0.1,nan,0.2"]], ids=" ".join)
 def test_list_item_that_is_not_a_number_exits_config(argv, tmp_path, capsys):
     assert cli.run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

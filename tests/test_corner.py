@@ -282,17 +282,20 @@ def test_deviation_matches_spline_difference(valid_corner):
 
 
 @pytest.mark.parametrize("sig, h, blend_tol, inner_tol", [
-    (1e-2, 1e-5, (1e-7, 1e-4), (5e-6, 1e-2)),
-    (0.2, 1e-4, (1e-7, 1e-5), (5e-6, 1e-3)),   # blend terms well above noise
+    (1e-2, 1e-5, (1e-7, 1e-4), (1e-6, 1e-3)),
+    (0.2, 1e-4, (1e-7, 1e-5), (1e-7, 1e-5)),   # blend terms well above noise
 ])
 def test_eval_derivatives_match_differences(valid_corner, sig, h, blend_tol,
                                             inner_tol):
     mc = corner.MollifiedCorner(valid_corner, sig)
-    # blend zone (sigma/2 < |r - r0| < sigma): the quadrature rule is fixed,
-    # so eval's derivatives are those of its values up to the step error;
-    # inside, the split point moves with r and adds the 16-point rule's error
+    # blend zone (sigma/2 < |r - r0| < sigma) and inside: the split rule is
+    # exact for the polynomial bump, so eval's derivatives are those of its
+    # values up to the step error; also at r0 - sigma/2, where the split
+    # point stops moving and the C-infinity bump's rule error jumped (the
+    # differences missed eval's by 1.9e-5 and 3.9 at sigma = 1e-2)
     for zone, (tol1, tol2) in (([-0.9, -0.7, -0.6, 0.6, 0.8], blend_tol),
-                               ([-0.3, -0.1, 0.0, 0.1, 0.3], inner_tol)):
+                               ([-0.3, -0.1, 0.0, 0.1, 0.3], inner_tol),
+                               ([-0.5], (1e-8, 1e-3))):
         r = valid_corner.r0 + sig * np.array(zone)
         jet = mc.eval(r, 2)
         lo, mid, hi = (mc.eval(r + s * h) for s in (-1, 0, 1))
@@ -301,6 +304,33 @@ def test_eval_derivatives_match_differences(valid_corner, sig, h, blend_tol,
             d2 = (hi[0, :, f] - 2 * mid[0, :, f] + lo[0, :, f]) / h ** 2
             assert np.max(np.abs(d1 - jet[1, :, f])) < tol1
             assert np.max(np.abs(d2 - jet[2, :, f])) < tol2
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+def test_mass_ledger_closes_across_the_collar(valid_corner, eps):
+    # dm/dr = phi^(n-1) phi_r R / (2 (n-1)) from eval's jets, integrated over
+    # r0 +/- 1.2 sigma, is the jump of the Misner-Sharp mass m there (the
+    # C-infinity bump, whose weights missed unit mass, left 1.3e-6).  Each
+    # piece between the cutoff's and the bump's breakpoints takes the
+    # 16-point rule through the float nodes eval sees: at sigma = 1e-6 their
+    # rounding moves a Gauss-Legendre node by 1e-9 of its piece
+    from numpy.polynomial.legendre import legvander
+
+    mc, rep = corner.mollify(valid_corner, eps)
+    n, r0, sig = valid_corner.n, valid_corner.r0, mc.sigma
+    z = mollifier.gauss_legendre()[0]
+    edges = r0 + sig * np.array([-1.2, -1.0, -0.5, 0.0, 0.5, 1.0, 1.2])
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        r = (a + b) / 2 + (b - a) / 2 * z
+        V = legvander(2 * (r - a) / (b - a) - 1, len(z) - 1)
+        w = np.linalg.solve(V.T, np.eye(len(z))[0]) * (b - a)
+        jet = mc.eval(r, 2)
+        sB = np.sqrt(jet[0, :, 1])
+        phi, phi_r = r * sB, sB + r * jet[1, :, 1] / (2 * sB)
+        total += w @ (phi ** (n - 1) * phi_r * curvature.scalar(n, r, jet))
+    m = curvature.mass_function(n, edges[[0, -1]], mc.eval(edges[[0, -1]], 2))
+    assert abs(total / (2 * (n - 1)) - (m[1] - m[0])) < 1e-10
 
 
 def test_every_jet_producer_builds_one_layout(valid_corner):
@@ -380,9 +410,10 @@ def test_support_check_refuses_a_far_node_the_collar_reaches():
 
 
 def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
-    # the operator on the fixed scaled collar ships as a table: no corner runs
-    # the split rule on COLLAR_S, and every sigma of every corner reuses the
-    # one load; a cache that missed would reload it at each attempt
+    # the operator on the fixed scaled collar is built once from the closed-
+    # form moments: no corner runs the split rule on COLLAR_S, and every
+    # sigma of every corner reuses the one build; a cache that missed would
+    # rebuild it at each attempt
     builds, sigmas = [], []
     collar, init = mollifier.collar, corner.MollifiedCorner.__init__
 
@@ -402,7 +433,7 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
         corner.mollify(cm, eps)
     assert len(sigmas) == 14  # 3 valid, then 11 halvings of the invalid one
     assert builds.count(True) == 0
-    # the operator table: one load, read by every attempt
+    # the operator table: one build, read by every attempt
     info = mollifier.certificate_collar.cache_info()
     assert (info.misses, info.hits) == (1, 13)
 
@@ -447,42 +478,36 @@ def test_collar_tables_are_read_only():
             table *= 1.0
 
 
-@pytest.mark.parametrize("table", [None, np.zeros((3, 2998, 7)),
-                                   np.zeros((3, 2999, 6)),
-                                   np.zeros((7, 2999)),
-                                   np.zeros((3, 2999, 7), np.float32)],
-                         ids=["missing", "3x2998x7", "3x2999x6", "7x2999",
-                              "float32"])
-def test_a_missing_or_misshapen_collar_table_is_refused(monkeypatch, tmp_path,
-                                                        table):
-    path = tmp_path / "collar_operator.npy"
-    if table is not None:
-        np.save(path, table)
-    monkeypatch.setattr(mollifier, "COLLAR_OPERATOR", str(path))
-    mollifier.certificate_collar.cache_clear()
-    with pytest.raises(RuntimeError) as err:
-        mollifier.certificate_collar()
-    assert str(path) in str(err.value)
-    assert mollifier.REGENERATE in str(err.value)
-    monkeypatch.undo()
-    assert mollifier.certificate_collar()[2].shape == (3, 2999, 7)
+def bump_moment(s, m):
+    """G_m(s) = int_s^{1/2} rho(t) (s - t)^m dt - s^m [s <= 0], exactly:
+    rho(t) (s - t)^m = 315/128 (1 - 4 t^2)^4 (s - t)^m in powers t^p of t,
+    integrated term by term in Fractions."""
+    x = Fraction(s)
+    lo, hi = max(x, Fraction(-1, 2)), Fraction(1, 2)
+    exact = Fraction(0)
+    for j in range(5):
+        for i in range(m + 1):
+            p = 2 * j + i
+            c = Fraction(315, 128) * comb(4, j) * (-4) ** j
+            c *= comb(m, i) * x ** (m - i) * (-1) ** i
+            exact += c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+    return exact - (x ** m if x <= 0 else 0)
 
 
 def test_collar_moments_g0_g1_summed_exactly():
     # the blend derivatives multiply G_0 and G_1 by up to 1 / sigma: on the
-    # collar the shipped table must match exact rational sums over the float
-    # nodes and weights to 1e-18, where a float64 sum errs by about 1e-16
-    at, t, wt, dens, chi = mollifier.collar(mollifier.COLLAR_S)
+    # collar the closed-form table must match the bump's exact rational
+    # integrals to 1e-18, where a float64 sum errs by about 1e-16, and hold
+    # them at exactly 0 in the blend zone s <= -1/2
+    at, powers, H = mollifier.certificate_collar()
     s = mollifier.COLLAR_S[at]
-    H0 = mollifier.certificate_collar()[2][0]  # chi G on the collar
+    chi = mollifier.blend(s)[0]
     for j in np.linspace(0, len(s) - 1, 41).astype(int):
-        x = Fraction(s[j])
         for m in (0, 1):
-            exact = sum(Fraction(w) * (x - Fraction(ti)) ** m
-                        for w, ti in zip(wt[:, j], t[:, j]))
-            exact -= x ** m if s[j] <= 0 else 0
-            got = H0[j, m] / chi[0][j, 0]
-            assert abs(got - float(exact)) <= 1e-18 + 4e-16 * abs(got), (j, m)
+            got = H[0, j, m] / chi[j]
+            exact = float(bump_moment(s[j], m))
+            assert abs(got - exact) <= 1e-18 + 4e-16 * abs(got), (j, m)
+    assert not H[:, s <= -0.5, :2].any()
 
 
 def direct_conv_nodes(s):
@@ -491,39 +516,27 @@ def direct_conv_nodes(s):
     clipped offset."""
     c = np.clip(s, -0.5, 0.5)
     z, gw = mollifier.gauss_legendre()
-    mid = np.stack([(c - 0.5) / 2, (c + 0.5) / 2])[:, None]
-    half = np.stack([(c + 0.5) / 2, (0.5 - c) / 2])[:, None]
-    t = (mid + half * z[:, None]).reshape(2 * len(z), len(s))
-    jac = (half * gw[:, None]).reshape(t.shape)
+    half = (0.5 - c) / 2
+    t = half * z[:, None] + (c + 0.5) / 2
 
     def psi(x):
-        u = np.clip(2.0 * x, -1 + 1e-14, 1 - 1e-14)
-        return np.exp(-1.0 / (1.0 - u ** 2))
+        return 315 / 128 * np.maximum(1.0 - 4.0 * x * x, 0.0) ** 4
 
-    wt = jac * psi(t)
-    Z = np.sum(wt, axis=0)
-    return t[len(z):], wt[len(z):] / Z, psi(s) / Z
+    return t, half * gw[:, None] * psi(t), psi(s)
 
 
 def direct_certificate_collar():
     """The collar tables built directly: every column's split rule, the
-    moments with their running products (G_0 and G_1 in np.longdouble),
-    then chi_j G @ POWER_DERIV[k - j] summed over j by Leibniz' rule.  The
-    last item, H, is the (3, N, 7) table `mollifier.COLLAR_OPERATOR`
-    ships."""
+    moments summed over its nodes in float64, then chi_j G @ POWER_DERIV[k -
+    j] summed over j by Leibniz' rule."""
     s = mollifier.COLLAR_S
     at = np.flatnonzero(mollifier.in_collar(s))
-    t, wt, dens = direct_conv_nodes(s[at])
-    chi = [c[:, None] for c in mollifier.blend(s[at])]
-    x = s[at].astype(np.longdouble)
-    term, u, sm, G = wt.astype(x.dtype), x - t, (x <= 0).astype(x.dtype), []
-    for m in range(6):
-        G.append(term.sum(axis=0) - sm)
-        if m == 1:
-            term, u, sm, x = (v.astype(float) for v in (term, u, sm, x))
-        term *= u
-        sm *= x
-    G, H = np.stack(G, axis=1).astype(float), []
+    x = s[at]
+    t, wt, dens = direct_conv_nodes(x)
+    chi = [c[:, None] for c in mollifier.blend(x)]
+    G = np.stack([np.sum(wt * (x - t) ** m, axis=0) - x ** m * (x <= 0)
+                  for m in range(6)], axis=1)
+    H = []
     for k in range(3):
         conv = sum(comb(k, j) * chi[j] * G @ mollifier.POWER_DERIV[k - j]
                    for j in range(k + 1))
@@ -531,29 +544,27 @@ def direct_certificate_collar():
     return at, (t, wt, dens), np.vander(s, 6, True), np.stack(H)
 
 
-# the shipped table was summed with x87's 64-bit significand; another
-# np.longdouble rounds G_0 and G_1 otherwise
-X87_LONGDOUBLE = np.finfo(np.longdouble).nmant == 63
-
-
-@pytest.mark.skipif(not X87_LONGDOUBLE,
-                    reason="np.longdouble is not x87 80-bit here, so the "
-                           "direct build cannot reproduce the shipped table "
-                           "to the bit; test_collar_moments_g0_g1_summed_"
-                           "exactly still holds it to exact sums")
 def test_collar_tables_equal_the_direct_build():
-    # the staleness gate: the shipped operator H is the direct build's, to
-    # the bit, and so are the collar slice and the powers
+    # the closed-form operator H is the split rule's float sums to their
+    # roundoff; the collar slice and the powers are the direct build's bits
     at, rule, powers, H = direct_certificate_collar()
-    shipped = np.load(mollifier.COLLAR_OPERATOR, allow_pickle=False)
-    assert shipped.dtype == H.dtype and shipped.shape == H.shape
-    assert np.array_equal(shipped, H), (
-        f"{mollifier.COLLAR_OPERATOR} is stale; regenerate it with "
-        f"`{mollifier.REGENERATE}`")
     fast_at, fast_powers, fast_H = mollifier.certificate_collar()
     assert np.arange(len(mollifier.COLLAR_S))[fast_at].tolist() == at.tolist()
     assert np.array_equal(fast_powers, powers)
-    assert fast_H.shape == H.shape and np.array_equal(fast_H, H)
+    assert fast_H.shape == H.shape == (3, 2999, 7)
+    assert np.max(np.abs(fast_H - H)) <= 1e-13
+
+
+def test_bump_density_integrates_to_one_at_every_split():
+    # the rule's weights on [c, 1/2], and on [-1/2, c] as the mirror image
+    # of [-c, 1/2]: one unit of mass wherever the collar splits the bump;
+    # and the density of the jump term, normalized once and not per offset
+    # (the C-infinity bump's drifted by 8.5e-6 across the collar)
+    s = np.concatenate([mollifier.COLLAR_S, np.linspace(-0.6, 0.6, 1001)])
+    mass = sum(mollifier.conv_nodes(x)[1].sum(axis=0) for x in (s, -s))
+    assert np.max(np.abs(mass - 1.0)) <= 1e-13
+    z, w = mollifier.gauss_legendre()
+    assert abs(w @ mollifier.conv_nodes(z / 2)[2] / 2 - 1.0) <= 1e-13
 
 
 def test_split_rule_dedup_matches_direct_on_the_collar():
@@ -760,11 +771,3 @@ def test_gauss_legendre_matches_leggauss():
     # 16 points integrate degree 31 exactly
     assert abs(np.sum(w * z ** 30) - 2 / 31) <= 1e-15
     assert abs(np.sum(w * z ** 31)) <= 1e-15
-
-
-if __name__ == "__main__":
-    # writes the collar operator table the package ships, from the direct
-    # build; run from the repository root as mollifier.REGENERATE says
-    np.save(mollifier.COLLAR_OPERATOR, direct_certificate_collar()[-1],
-            allow_pickle=False)
-    print("wrote", mollifier.COLLAR_OPERATOR)
