@@ -12,7 +12,7 @@ import numpy as np
 from .grid import smoothstep
 from .metrics import build_flat, build_distorted_flat, radial_kink_map, volume_element
 from .curvature import scalar_curvature
-from .mollifier import negative_parts
+from .mollifier import in_collar, negative_parts
 from . import corner as corner_mod
 from . import flow as flow_mod
 from . import mass as mass_mod
@@ -301,8 +301,9 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
     does not exceed the ladder minimum, and R(g(T)) clears the floor.
     A refused smoothing certificate ends the ladder: the report fails,
     naming that epsilon and its certificate, and no trajectory is returned.
-    collar_nodes counts the grid nodes inside each certified collar
-    |r - r0| < sigma: where it is 0 the grid samples the unsmoothed corner."""
+    collar_nodes counts the grid nodes each certified collar moves, -1 <
+    (r - r0) / sigma < 1/2: where it is 0 the grid samples the unsmoothed
+    corner."""
     if not eps_ladder:
         raise ValueError("the epsilon ladder is empty")
     base = cm.combined()
@@ -319,7 +320,8 @@ def mass_liminf_experiment(cm, eps_ladder, config, grid,
             refused = {"eps": f"{eps:g} " + " ".join(cert.lines())}
             return MonitorReport("mass_liminf", False, tols, refused), None
         sm = mc.sample(grid)
-        collar = int(np.count_nonzero(np.abs(grid.r - cm.r0) < cert.sigma))
+        s = (grid.r - cm.r0) / cert.sigma
+        collar = int(np.count_nonzero(in_collar(s)))
         collar_nodes.append(collar)
         pre = mass_mod.adm_mass(sm, targets).mass
         pre_masses.append(pre)

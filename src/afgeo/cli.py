@@ -230,9 +230,20 @@ def cmd_heat_demo(args):
                               f"is less than the time before it ({t0:g})")
     if times[0] != 0.0:
         times.insert(0, 0.0)
-    profiles = [heatdemo.initial_profile(x_max=args.x_max, dx=args.dx)]
-    if not heatdemo.dyadic_annuli(args.x_max):
-        raise ConfigError(f"--x-max {args.x_max:g} must be >= 80 to hold an annulus")
+    x_max, dx = args.x_max, args.dx
+    if not (x_max < np.inf and heatdemo.dyadic_annuli(x_max)):
+        raise ConfigError(f"--x-max {x_max:g} must be finite and >= 80 to "
+                          "hold an annulus")
+    # the grid's 2 x_max / dx cells, counted before numpy allocates them
+    if not (0 < dx < np.inf and 2 * x_max / dx < np.inf):
+        raise ConfigError(f"--dx {dx:g} must be finite and > 0, and leave "
+                          f"--x-max {x_max:g} a finite number of cells")
+    profiles = [heatdemo.initial_profile(x_max=x_max, dx=dx)]
+    x = np.abs(profiles[0].x)
+    for lo, hi in heatdemo.dyadic_annuli(x_max):
+        if not np.any((x >= lo) & (x <= hi)):
+            raise ConfigError(f"--dx {dx:g} leaves the annulus [{lo:g}, "
+                              f"{hi:g}] of --x-max {x_max:g} without a node")
     for t0, t1 in zip(times, times[1:]):
         profiles.append(heatdemo.heat_evolve(profiles[-1], t1 - t0))
     rows = heatdemo.decay_table(profiles)

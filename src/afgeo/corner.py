@@ -17,8 +17,8 @@ import numpy as np
 from .grid import RadialGrid, Spline, interp_spline
 from .metrics import RadialMetric, volume_element
 from .curvature import mass_function, mean_curvature, scalar
-from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar, collar,
-                        far_table, in_collar, negative_parts)
+from .mollifier import (COLLAR_S, POWER_DERIV, certificate_collar,
+                        collar_operator, far_table, in_collar, negative_parts)
 
 CONT_TOL = 1e-12
 K_TARGET = 10.0  # the certificate's bound inf R > -K_TARGET
@@ -27,10 +27,10 @@ K_TARGET = 10.0  # the certificate's bound inf R > -K_TARGET
 class CornerFits(NamedTuple):
     inner: Spline        # (A, B) on the inner piece, trailing field axis
     outer: Spline        # (A, B) on the outer piece
-    dev: Spline          # D = inner - outer's first piece; 0 for r > r0
     jump: np.ndarray     # (A', B') jump across r0, outer minus inner
     taylor: list         # about r0, lowest power first: the inner fit's last
-                         # piece, the outer fit's first, D's piece at r0
+                         # piece, the outer fit's first, and T, the first
+                         # minus the second: the part the collar smooths
 
 
 def _quintic(m):
@@ -47,21 +47,6 @@ def _shift(c, h):
         w = np.array([comb(p + e, p) for p in range(k - e + 1)], ndmin=c.ndim)
         out[:k - e + 1] += w.T * h ** e * c[k - e::-1]
     return out[::-1]
-
-
-def _deviation(inner, outer, r0, r_hi):
-    """D = inner - (outer's first piece continued inward), zero on (r0, r_hi].
-
-    Convolving D rather than the field removes the O(f'') smoothing bias of
-    the blend zone.  The breakpoints descend, so every piece is expanded
-    about its right end: next to r0, D is its Taylor form about r0, a sum of
-    small terms rather than the difference of two O(1) values.
-    """
-    b = inner.x[1:, None]  # right end of each inner piece
-    d = (_shift(inner.c, b - inner.x[:-1, None])
-         - _shift(outer.c[:, :1], b - r0))
-    c = np.concatenate([np.zeros_like(d[:, :1]), d[:, ::-1]], axis=1)
-    return Spline(c, np.append(r_hi, inner.x[::-1]))
 
 
 @dataclass
@@ -92,14 +77,13 @@ class CornerMetric:
 
     @cached_property
     def fits(self):
-        """One-sided fits, the deviation polynomial and their Taylor forms at
-        r0, built once per corner and shared by every collar width."""
+        """One-sided fits and the Taylor forms of their pieces at r0, built
+        once per corner and shared by every collar width."""
         inner, outer = _quintic(self.inner), _quintic(self.outer)
-        dev = _deviation(inner, outer, self.r0, self.outer.grid.r[-1])
         taylor = [_shift(p, self.r0 - x)[::-1] for p, x in (
-            (inner.c[:, -1], inner.x[-2]), (outer.c[:, 0], outer.x[0]),
-            (dev.c[:, 1], dev.x[1]))]
-        return CornerFits(inner, outer, dev, -dev.c[-2, 1], taylor)
+            (inner.c[:, -1], inner.x[-2]), (outer.c[:, 0], outer.x[0]))]
+        taylor.append(taylor[0] - taylor[1])
+        return CornerFits(inner, outer, -taylor[2][1], taylor)
 
     @cached_property
     def far(self):
@@ -111,6 +95,9 @@ class CornerMetric:
 def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
     """Grid with a node exactly at r0: uniform spacing fine_dr out to 3 r0,
     then geometrically stretched to r_max."""
+    if not np.isfinite([r_min, r0, r_max]).all():
+        raise ValueError(f"need finite radii, got r_min={r_min:g}, "
+                         f"r0={r0:g}, r_max={r_max:g}")
     if not 0 < fine_dr < np.inf or outer_num < 1:
         raise ValueError(f"need a finite fine_dr > 0 and outer_num >= 1, got "
                          f"fine_dr={fine_dr:g}, outer_num={outer_num}")
@@ -213,9 +200,13 @@ class SmoothingReport:
 class MollifiedCorner:
     """Smooth evaluation of the mollified corner metric at arbitrary radii.
 
-    Inside a collar of half-width sigma around r0 the fields are replaced by
-    their convolution with a normalized bump of half-width sigma/2, blended in
-    with a smooth cutoff so that the metric is untouched outside the collar.
+    Inside a collar of half-width sigma around r0 the corner's polynomial
+    part T, the inner fit's piece at r0 minus the outer fit's, cut off at
+    r0, is replaced by its convolution with a normalized bump of half-width
+    sigma/2, blended in with a smooth cutoff so that the metric is untouched
+    outside the collar.  The rest of the inner fit's difference from the
+    outer's is C^4 and zero on the inner fit's last piece: it stays as it
+    is, and the mollified metric is C^4.
     """
 
     def __init__(self, cm, sigma):
@@ -238,52 +229,50 @@ class MollifiedCorner:
         """Mollified A and B with their radial derivatives up to order <= 2
         at radii r: the jet of `curvature`, shape (order + 1, len(r), 2).
 
-        The collar adds chi * (D * bump - D) to the one-sided fits, D the
-        deviation polynomial.  Its derivatives are convolutions of D's
-        derivatives, plus the exact bump-density jump term at second order,
-        combined with the analytic blend derivatives by Leibniz' rule.
+        The one-sided fits plus, in the collar, `collar_operator` at the
+        scaled radii times T's coefficients and the derivative jump: the
+        closed-form convolution of T, combined with the analytic blend
+        derivatives by Leibniz' rule.
         """
         if order > 2:
             raise ValueError("order <= 2")
         r = np.asarray(r, dtype=float)
         jets = self._raw(r, order)
-        at, t, wt, dens, chi = collar((r - self.r0) / self.sigma)
-        if wt.size:
-            fits = self.cm.fits
-            rc = r[at]
-            # nodes from the floats rc the fits see: rounding them apart
-            # would be amplified by the sigma^-2 blend derivatives
-            diff = [np.einsum("ij,ijf->jf", wt, conv) - d for conv, d in
-                    zip(fits.dev.jets(rc - self.sigma * t, order),
-                        fits.dev.jets(rc, order))]
-            if order == 2:
-                diff[2] += fits.jump * (dens / self.sigma)[:, None]
-            for k in range(order + 1):
-                jets[k, at] += sum(comb(k, j) * chi[j] / self.sigma ** j
-                                   * diff[k - j] for j in range(k + 1))
+        s = (r - self.r0) / self.sigma
+        at = np.flatnonzero(in_collar(s))
+        at = at[np.argsort(s[at])]
+        H = collar_operator(s[at])
+        for k, coef in enumerate(self._coefficients()[:order + 1]):
+            jets[k, at] += H[k] @ coef / self.sigma ** k
         return jets
+
+    def _coefficients(self):
+        """What `collar_operator`'s H_k multiplies, k = 0, 1, 2: T's
+        coefficients times sigma^q over the jump times sigma^(k-1)."""
+        f, sig = self.cm.fits, self.sigma
+        d = f.taylor[2] * sig ** np.arange(6.0)[:, None]
+        return [np.vstack([d, f.jump * sig ** (k - 1)]) for k in range(3)]
 
     def collar_jets(self):
         """Raw (A, B), shape (N, 2), and the mollified 2-jet, shape (3, N,
-        2), at the N radii r0 + sigma COLLAR_S.  When D's piece at r0 holds
-        every node, down to r0 - 3 sigma / 2, and the fits' pieces there hold
-        r0 -/+ sigma, each is one polynomial about r0: a jet is a few
-        (N x 6)(6 x 2) products of the tables of `certificate_collar` with
-        its coefficients.  Otherwise eval, node by node."""
+        2), at the N radii r0 + sigma COLLAR_S.  When the fits' pieces at r0
+        hold r0 -/+ sigma, the raw fields are polynomials about r0 too: a jet
+        is a few (N x 6)(6 x 2) products of the tables of
+        `certificate_collar` with the Taylor coefficients.  Otherwise eval."""
         f, r0, sig = self.cm.fits, self.r0, self.sigma
-        if 1.5 * sig > r0 - f.dev.x[2] or sig > f.outer.x[1] - r0:
+        if sig > r0 - f.inner.x[-2] or sig > f.outer.x[1] - r0:
             rc = r0 + sig * COLLAR_S
             return self._raw(rc)[0], self.eval(rc, 2)
-        a, b, d = (c * sig ** np.arange(6.0)[:, None] for c in f.taylor)
+        a, b = (c * sig ** np.arange(6.0)[:, None] for c in f.taylor[:2])
         at, powers, H = certificate_collar()
         lo = np.searchsorted(COLLAR_S, 0.0, "right")  # the rows s <= 0
         jets = np.empty((3, len(COLLAR_S), 2))  # every product in place
         np.matmul(powers[:lo], POWER_DERIV @ a, out=jets[:, :lo])
         np.matmul(powers[lo:], POWER_DERIV @ b, out=jets[:, lo:])
         raw = jets[0].copy()
-        for k, jet in enumerate(jets):
+        for k, (jet, coef) in enumerate(zip(jets, self._coefficients())):
             jet /= sig ** k
-            conv = H[k] @ np.vstack([d, f.jump * sig ** (k - 1)])
+            conv = H[k] @ coef
             jet[at] += np.divide(conv, sig ** k, out=conv)
         return raw, jets
 
@@ -349,8 +338,9 @@ def mollify(cm, epsilon):
     # starting collar width eps^2, floored where blend-derivative roundoff
     # (growing like sigma^-2) would swamp the certificate
     sigma = max(epsilon ** 2, 1e-7)
-    # the widest collar reads the fits from its deepest convolution node,
-    # r0 - 3 sigma / 2, out to r0 + sigma: both must lie in the corner
+    # the widest collar's bump weighs T, the inner fit's piece at r0
+    # continued, down to r0 - 3 sigma / 2, and its cutoff reaches r0 +
+    # sigma: both must lie in the corner
     lo, hi = cm.r0 - 1.5 * sigma, cm.r0 + sigma
     r_lo, r_hi = cm.inner.grid.r[0], cm.outer.grid.r[-1]
     if not r_lo <= lo < hi <= r_hi:

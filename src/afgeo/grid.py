@@ -177,17 +177,13 @@ class Spline:
 
     c[k - p, i, ...] is the p-th Taylor coefficient of piece i about its
     first breakpoint x[i]; trailing axes of c are fields.  The breakpoints
-    ascend or descend; piece i holds x[i] but not x[i+1], and points beyond
-    the ends use the end pieces.
+    ascend; piece i holds x[i] but not x[i+1], and points beyond the ends
+    use the end pieces.
     """
 
     def __init__(self, c, x):
         self.c = np.asarray(c, dtype=float)
         self.x = np.asarray(x, dtype=float)
-        # the interior breakpoints as ascending keys: searching them gives
-        # the piece, with the end pieces reaching beyond the ends
-        self._sign = 1.0 if self.x[-1] > self.x[0] else -1.0
-        self._keys = self._sign * self.x[1:-1]
         # field-major copy: the gather and the Horner passes run on rows
         # contiguous in the evaluation points
         k1, pieces = self.c.shape[:2]
@@ -205,8 +201,9 @@ class Spline:
         flat = r.reshape(-1)
         k = len(self.c) - 1
         shape = r.shape + self.c.shape[2:]
-        keys = flat if self._sign > 0 else self._sign * flat
-        i = np.searchsorted(self._keys, keys, side="right")
+        # the interior breakpoints give the piece, with the end pieces
+        # reaching beyond the ends
+        i = np.searchsorted(self.x[1:-1], flat, side="right")
         a = np.take(self._cf, i, axis=2).transpose(1, 0, 2)
         dx = flat - self.x[i]
         out = np.empty((order + 1,) + a.shape[1:])

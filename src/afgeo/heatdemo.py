@@ -31,10 +31,11 @@ class HeatProfile:
 
 def initial_profile(x_max=200.0, dx=0.05):
     """Probe data sin(x)/(1 + x^2) on a symmetric grid of at least 3 nodes."""
-    finite = 0 < dx < np.inf and 0 < x_max < np.inf
+    finite = (0 < dx < np.inf and 0 < x_max < np.inf
+              and 2 * x_max / dx < np.inf)
     if not finite or (num := int(round(2 * x_max / dx))) < 2:
         raise ValueError(f"dx={dx:g}, x_max={x_max:g}: need both finite and "
-                         "> 0, and at least 3 nodes")
+                         "> 0, and from 3 to finitely many nodes")
     x = np.linspace(-x_max, x_max, num + 1)
     return HeatProfile(x, np.sin(x) / (1.0 + x ** 2), 0.0)
 

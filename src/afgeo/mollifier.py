@@ -1,10 +1,10 @@
 """The corner certificate's sigma-free tables.  The mollifier's are functions
 of the scaled radius s = (r - r0) / sigma alone: the polynomial bump of
-half-width 1/2 with its split 16-point Gauss-Legendre rule, the cutoff chi of
-the collar -1 < s < 1 and the operator of the certificate's fixed collar,
-built on first use from the bump's closed-form moments; `corner` scales them
-by sigma.  A corner piece's FarTable holds the certificate's running sums
-over its nodes."""
+half-width 1/2, the cutoff chi of the collar -1 < s < 1 and the collar
+operator, from the bump's closed-form moments at any scaled radii and built
+once on the certificate's fixed collar; `corner` scales them by sigma.  A
+corner piece's FarTable holds the certificate's running sums over its
+nodes."""
 
 from functools import cache
 from math import comb, perm
@@ -18,43 +18,9 @@ from .grid import smoothstep
 COLLAR_S = np.linspace(-1.0, 1.0, 4001)  # certificate collar, in sigma
 
 
-@cache
-def gauss_legendre():
-    """16-point Gauss-Legendre rule on [-1, 1], built on first use (Golub-Welsch:
-    the eigenvalues of the Jacobi matrix, one Newton step on the three-term
-    recurrence, weights 2 / ((1 - z^2) P_n'(z)^2))."""
-    n = 16
-
-    def legendre(z):
-        p0, p1 = np.ones_like(z), z
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
-        return p1, n * (z * p1 - p0) / (z * z - 1)  # P_n, P_n'
-
-    k = np.arange(1.0, n)
-    z = np.linalg.eigvalsh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
-    z = z - np.divide(*legendre(z))
-    z = (z - z[::-1]) / 2  # the rule is symmetric
-    dp = legendre(z)[1]
-    return z, 2 / ((1 - z * z) * dp * dp)
-
-
 def _psi(x):
     """The C^3 bump (1 - 4 x^2)^4 / (128/315) of unit mass on |x| < 1/2."""
     return 315 / 128 * np.maximum(1.0 - 4.0 * x * x, 0.0) ** 4
-
-
-def conv_nodes(s):
-    """Split Gauss-Legendre rule of the bump at kink offsets s, exact on it
-    times a quintic: the nodes t on [s, 1/2], their weights and the bump
-    density at s, for the exact jump term.  Nodes on [-1/2, s] would sit at
-    r - sigma t >= r0, where the deviation vanishes.  Built once per
-    distinct clip(s, -1/2, 1/2): every s <= -1/2 shares one rule."""
-    c, col = np.unique(np.clip(s, -0.5, 0.5), return_inverse=True)
-    z, gw = gauss_legendre()
-    half = (0.5 - c) / 2
-    t = half * z[:, None] + (c + 0.5) / 2
-    return t[:, col], (half * gw[:, None] * _psi(t))[:, col], _psi(s)
 
 
 def blend(s):
@@ -68,14 +34,6 @@ def blend(s):
 def in_collar(s):
     """-1 < s < 1/2, where the mollifier moves the fields."""
     return (s > -1.0) & (s < 0.5)
-
-
-def collar(s):
-    """The mollifier's tables at scaled radii s = (r - r0) / sigma: the
-    indices of the collar `in_collar`, `conv_nodes` and `blend` there.  In r
-    the nodes are sigma t, the density dens / sigma."""
-    at = np.flatnonzero(in_collar(s))
-    return at, *conv_nodes(s[at]), [chi[:, None] for chi in blend(s[at])]
 
 
 def _powers(x, n):
@@ -92,20 +50,17 @@ def _powers(x, n):
 POWER_DERIV = [np.diag([perm(q, p) for q in range(p, 6)], p) for p in range(3)]
 
 
-@cache
-def certificate_collar():
-    """The tables on COLLAR_S, built once per process and shared, read-only,
-    by every sigma and every corner: the collar slice, the powers s^m and
-    the (3, N, 7) operator H.  Where D is one polynomial sum_q d_q (r -
-    r0)^q, the collar adds H_k @ [d_q sigma^q; jump sigma^(k-1)] / sigma^k
-    to the k-th derivative at r0 + sigma s: the blend derivatives times the
+def collar_operator(s):
+    """The (3, len(s), 7) collar operator H at ascending scaled radii s in
+    the collar, -1 < s < 1/2.  Where T = sum_q d_q (r - r0)^q is the
+    corner's polynomial part, the collar adds chi ((T [r < r0]) * rho - T [r
+    < r0]), whose k-th derivative at r0 + sigma s is H_k @ [d_q sigma^q;
+    jump sigma^(k-1)] / sigma^k, jump = -d_1: the blend derivatives times the
     moments G_m(s) = int_s^{1/2} rho(t) (s - t)^m dt - s^m [s <= 0], m =
     0..5, by Leibniz' rule, plus the bump-density jump."""
-    i = np.flatnonzero(in_collar(COLLAR_S))
-    at, s = slice(i[0], i[-1] + 1), COLLAR_S[i]
     lo, hi = np.searchsorted(s, [-0.5, 0.0], "right")
     # built transposed: each column of a table is one contiguous row
-    powers, H = _powers(COLLAR_S, 6), np.zeros((3, 7, len(s)))
+    H = np.zeros((3, 7, len(s)))
     G = H[0, :6]  # chi G, chi = 1 but in the blend zone
     # s <= 0: G = B - L, B_m(s) = sum_j C(m, j) mu_j s^(m-j) over the bump's
     # moments mu_2 = 1/44, mu_4 = 3/2288 and L_m(s) = int_{-1/2}^s rho(t) (s
@@ -114,7 +69,7 @@ def certificate_collar():
     # |s|, c_mj = 630 C(4, j) B(5 + j, 5 - j + m) > 0 (B Euler's beta): no
     # sum cancels
     np.matmul([[1 / 44, 0, 0, 0], [0, 3 / 44, 0, 0], [3 / 2288, 0, 6 / 44, 0],
-               [0, 15 / 2288, 0, 10 / 44]], powers[:4, at], out=G[2:])
+               [0, 15 / 2288, 0, 10 / 44]], _powers(s, 4), out=G[2:])
     a, b = 0.5 - np.abs(s[lo:]), 0.5 + np.abs(s[lo:])
     L = np.matmul([[comb(4 + j, j) * perm(4 - j + m, m) / perm(9 + m, m)
                     for j in range(5)] for m in range(6)], _powers(b, 5))
@@ -130,9 +85,18 @@ def certificate_collar():
     chi, Hb = blend(s[:lo]), H[:, 2:6, :lo]
     for k in (2, 1, 0):
         Hb[k] = sum(comb(k, j) * chi[j] * Hb[k - j] for j in range(k + 1))
-    powers, H = powers.T, H.transpose(0, 2, 1)
+    return H.transpose(0, 2, 1)
+
+
+@cache
+def certificate_collar():
+    """The tables on COLLAR_S, built once per process and shared, read-only,
+    by every sigma and every corner: the collar slice, the powers s^m and
+    `collar_operator` there."""
+    i = np.flatnonzero(in_collar(COLLAR_S))
+    powers, H = _powers(COLLAR_S, 6).T, collar_operator(COLLAR_S[i])
     powers.flags.writeable = H.flags.writeable = False
-    return at, powers, H
+    return slice(i[0], i[-1] + 1), powers, H
 
 
 class FarTable(NamedTuple):

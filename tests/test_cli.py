@@ -259,6 +259,17 @@ def test_mass_liminf_counts_collar_nodes(tmp_path):
     assert n >= 1
 
 
+def test_mass_liminf_counts_only_the_nodes_the_collar_moves(tmp_path):
+    # spacing 1/8 from 0.5, sigma = 0.25: |r - r0| < sigma holds 3.875, 4
+    # and 4.125, and the report said 3; but 4.125 sits at s = 1/2, where
+    # the mollifier leaves the corner as it is
+    assert cli.run(["mass-liminf", "--eps", "0.5", "--T", "1e-3",
+                    "--grid", "uniform:rmin=0.5,rmax=300.5,num=2401",
+                    "--out", str(tmp_path)]) in (0, 1)
+    text = (tmp_path / "mass_liminf.txt").read_text()
+    assert "collar_nodes_min=2" in text.splitlines()
+
+
 @pytest.mark.parametrize("command", ["corner", "mass-liminf"])
 @pytest.mark.parametrize("eps", ["0", "-0.01", "nan", "inf"])
 def test_epsilon_not_finite_positive_exits_config(command, eps, tmp_path,
@@ -315,21 +326,57 @@ NOT_A_NUMBER = [
     ["zero-mass", "--kink", "nan"],
     ["corner", "--strength", "nan"],        # exit 1
     ["corner", "--r0", "nan"],
+    ["corner", "--r0", "inf"],              # OverflowError from round()
+    ["corner", "--rmin", "inf"],            # OverflowError from round()
+    ["corner", "--rmax", "inf"],            # a RuntimeWarning, then refused
+    ["mass-liminf", "--r0", "inf"],         # OverflowError from round()
     ["mass-constancy", "--T", "nan"],
     ["heat-demo", "--dx", "0"],             # ZeroDivisionError
     ["heat-demo", "--dx", "inf"],
     ["heat-demo", "--dx", "300"],           # 2 nodes
     ["heat-demo", "--x-max", "0"],          # IndexError
+    ["heat-demo", "--x-max", "1e308"],      # OverflowError from round()
+    ["heat-demo", "--dx", "100"],           # no node in [10, 20]: numpy's
+                                            # zero-size maximum
     ["heat-demo", "--times", "nan"],        # exit 0
 ]
 
 
 @pytest.mark.parametrize("argv", NOT_A_NUMBER, ids=" ".join)
 def test_non_finite_or_degenerate_numbers_exit_config(argv, tmp_path, capsys):
-    assert cli.run(argv + ["--out", str(tmp_path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(("config error: ", cli.USAGE)), err
     assert not list(tmp_path.iterdir())
+
+
+# each refusal and the value it names
+REFUSED_GRIDS = {
+    ("corner", "--r0", "inf"): "r0=inf",
+    ("corner", "--rmin", "inf"): "r_min=inf",
+    ("mass-liminf", "--rmax", "inf"): "r_max=inf",
+    ("heat-demo", "--x-max", "1e308"): "--x-max 1e+308",
+    ("heat-demo", "--dx", "100"): "--dx 100 leaves the annulus [10, 20]"}
+
+
+@pytest.mark.parametrize("argv", REFUSED_GRIDS, ids=" ".join)
+def test_refused_grid_names_its_value(argv, monkeypatch, tmp_path, capsys):
+    # each is refused before a grid is built from it: heat-demo builds no
+    # profile of more than the 4 cells of --dx 100
+    from afgeo import heatdemo
+
+    cells, build = [], heatdemo.initial_profile
+
+    def counted(x_max, dx):
+        cells.append(2 * x_max / dx)
+        return build(x_max=x_max, dx=dx)
+
+    monkeypatch.setattr(heatdemo, "initial_profile", counted)
+    assert cli.run([*argv, "--out", str(tmp_path)]) == 2
+    assert REFUSED_GRIDS[argv] in capsys.readouterr().err
+    assert all(c <= 4 for c in cells)
 
 
 @pytest.mark.parametrize("radii", ["50,100,1e9", "50,nan,200", "-1,100,200"])

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import PPoly
 
 from afgeo import cli, corner, curvature, mass, metrics, mollifier
 from afgeo.grid import RadialGrid, Spline, fornberg_weights
@@ -267,16 +266,17 @@ def test_shift_matches_the_term_by_term_sum(shape):
 
 
 def test_deviation_matches_spline_difference(valid_corner):
-    # sigma = 0.2: the convolution nodes reach r0 - 0.3, across several pieces
+    # T, the polynomial the collar smooths, is the inner fit minus the outer
+    # fit's first piece continued inward, across the inner fit's last piece
+    from numpy.polynomial import polynomial as P
+
     fits = valid_corner.fits
     r0 = valid_corner.r0
-    x = np.linspace(r0 - 1.5 * 0.2, r0, 301)
-    assert np.count_nonzero((fits.dev.x > x[0]) & (fits.dev.x < r0)) >= 1
-    dev, inner, outer = (s.jets(x, 2) for s in (fits.dev, fits.inner,
-                                                fits.outer))
+    x = np.linspace(fits.inner.x[-2], r0, 301)
+    inner, outer = (s.jets(x, 2) for s in (fits.inner, fits.outer))
     for k in range(3):
-        assert np.max(np.abs(dev[k] - (inner[k] - outer[k]))) < 1e-13
-    assert np.all(fits.dev(np.linspace(r0 + 1e-9, r0 + 0.3, 50)) == 0.0)
+        T = P.polyval(x - r0, P.polyder(fits.taylor[2], k)).T
+        assert np.max(np.abs(T - (inner[k] - outer[k]))) < 1e-13
     jump = fits.outer.jets(r0, 1)[1] - fits.inner.jets(r0, 1)[1]
     assert np.allclose(fits.jump, jump, rtol=0, atol=1e-13)
 
@@ -288,11 +288,11 @@ def test_deviation_matches_spline_difference(valid_corner):
 def test_eval_derivatives_match_differences(valid_corner, sig, h, blend_tol,
                                             inner_tol):
     mc = corner.MollifiedCorner(valid_corner, sig)
-    # blend zone (sigma/2 < |r - r0| < sigma) and inside: the split rule is
-    # exact for the polynomial bump, so eval's derivatives are those of its
-    # values up to the step error; also at r0 - sigma/2, where the split
-    # point stops moving and the C-infinity bump's rule error jumped (the
-    # differences missed eval's by 1.9e-5 and 3.9 at sigma = 1e-2)
+    # blend zone (sigma/2 < |r - r0| < sigma) and inside: the collar term is
+    # closed form, so eval's derivatives are those of its values up to the
+    # step error; also at r0 - sigma/2, where the C-infinity bump's split
+    # 16-point rule made them jump (the differences missed eval's by 1.9e-5
+    # and 3.9 at sigma = 1e-2)
     for zone, (tol1, tol2) in (([-0.9, -0.7, -0.6, 0.6, 0.8], blend_tol),
                                ([-0.3, -0.1, 0.0, 0.1, 0.3], inner_tol),
                                ([-0.5], (1e-8, 1e-3))):
@@ -306,20 +306,25 @@ def test_eval_derivatives_match_differences(valid_corner, sig, h, blend_tol,
             assert np.max(np.abs(d2 - jet[2, :, f])) < tol2
 
 
-@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+# 0.5 and 1: sigma = 0.25 and 1, across the fits' knots
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 0.5, 1.0])
 def test_mass_ledger_closes_across_the_collar(valid_corner, eps):
     # dm/dr = phi^(n-1) phi_r R / (2 (n-1)) from eval's jets, integrated over
     # r0 +/- 1.2 sigma, is the jump of the Misner-Sharp mass m there (the
-    # C-infinity bump, whose weights missed unit mass, left 1.3e-6).  Each
-    # piece between the cutoff's and the bump's breakpoints takes the
+    # C-infinity bump, whose weights missed unit mass, left 1.3e-6; the split
+    # rule on the deviation spline, 1.1e-12 at sigma = 1).  Each piece
+    # between the cutoff's, the bump's and the fits' breakpoints takes the
     # 16-point rule through the float nodes eval sees: at sigma = 1e-6 their
     # rounding moves a Gauss-Legendre node by 1e-9 of its piece
-    from numpy.polynomial.legendre import legvander
+    from numpy.polynomial.legendre import leggauss, legvander
 
     mc, rep = corner.mollify(valid_corner, eps)
     n, r0, sig = valid_corner.n, valid_corner.r0, mc.sigma
-    z = mollifier.gauss_legendre()[0]
+    z = leggauss(16)[0]
     edges = r0 + sig * np.array([-1.2, -1.0, -0.5, 0.0, 0.5, 1.0, 1.2])
+    knots = np.concatenate([valid_corner.fits.inner.x,
+                            valid_corner.fits.outer.x])
+    edges = np.union1d(edges, knots[(knots > edges[0]) & (knots < edges[-1])])
     total = 0.0
     for a, b in zip(edges, edges[1:]):
         r = (a + b) / 2 + (b - a) / 2 * z
@@ -330,7 +335,32 @@ def test_mass_ledger_closes_across_the_collar(valid_corner, eps):
         phi, phi_r = r * sB, sB + r * jet[1, :, 1] / (2 * sB)
         total += w @ (phi ** (n - 1) * phi_r * curvature.scalar(n, r, jet))
     m = curvature.mass_function(n, edges[[0, -1]], mc.eval(edges[[0, -1]], 2))
-    assert abs(total / (2 * (n - 1)) - (m[1] - m[0])) < 1e-10
+    assert abs(total / (2 * (n - 1)) - (m[1] - m[0])) < 1e-13
+
+
+def test_eval_takes_radii_in_any_order(valid_corner):
+    # collar_operator reads ascending scaled radii: eval sorts the collar's,
+    # so repeats, both ends of the collar, the kink and radii outside it give
+    # the jets they give in order, and radii with none in the collar get the
+    # raw fits
+    mc = corner.MollifiedCorner(valid_corner, 0.25)
+    s = np.array([-0.9, 0.3, -0.5, -0.7, 0.0, 0.3, 0.5, 0.7, -0.25, 1e-9,
+                  -1.0, 1.2])
+    r = mc.r0 + mc.sigma * s
+    order = np.argsort(s)
+    assert np.array_equal(mc.eval(r, 2)[:, order], mc.eval(r[order], 2))
+    out = r[(s >= 0.5) | (s <= -1.0)]
+    assert np.array_equal(mc.eval(out, 2), mc._raw(out, 2))
+
+
+def test_sample_moves_only_the_collar(valid_corner):
+    # sigma = 0.25 on spacing 1/8: the nodes at -1 < s < 1/2, r = 3.875 and
+    # 4, and no other; r = 4.125, at s = 1/2, keeps the raw fits' values
+    grid = RadialGrid.uniform(0.5, 300.5, 2401)
+    mc = corner.MollifiedCorner(valid_corner, 0.25)
+    sm = mc.sample(grid)
+    moved = np.stack([sm.A, sm.B], axis=-1) != mc._raw(grid.r)[0]
+    assert grid.r[moved.any(axis=-1)].tolist() == [3.875, 4.0]
 
 
 def test_every_jet_producer_builds_one_layout(valid_corner):
@@ -364,27 +394,6 @@ def test_mollify_k_free_of_blend_roundoff(valid_corner):
     assert abs(K[1] - K[0]) < 1e-3 * abs(K[0])
 
 
-def test_descending_deviation_matches_ppoly(valid_corner):
-    # the same coefficients through scipy's PPoly, whose descending
-    # breakpoints expand every piece about its right end as Spline does
-    dev = valid_corner.fits.dev
-    ref = PPoly(dev.c, dev.x)
-    r0 = valid_corner.r0
-    # across every piece, then a batch in the last piece before r0
-    for x in (np.concatenate([np.linspace(dev.x[-1] - 0.1, r0 + 0.5, 2001),
-                              dev.x[1:-1], [r0, dev.x[0] + 1.0]]),
-              np.linspace(r0 - 0.05, r0, 3000)):
-        jets = dev.jets(x, 2)
-        for k in range(3):
-            want = ref(x, k)
-            assert (np.max(np.abs(jets[k] - want))
-                    <= 1e-14 * np.max(np.abs(want)))
-    # r0 belongs to the inner piece, where D' is minus the derivative jump
-    assert np.array_equal(dev.jets(r0, 1)[1], ref(r0, 1))
-    assert np.allclose(dev.jets(r0, 1)[1], -valid_corner.fits.jump,
-                       rtol=1e-12)
-
-
 def test_support_check_reads_the_corner_data(base):
     # the fits reproduce the node data to roundoff; a data value that no
     # longer matches them, far outside the collar, must fail the certificate
@@ -410,29 +419,29 @@ def test_support_check_refuses_a_far_node_the_collar_reaches():
 
 
 def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
-    # the operator on the fixed scaled collar is built once from the closed-
-    # form moments: no corner runs the split rule on COLLAR_S, and every
-    # sigma of every corner reuses the one build; a cache that missed would
-    # rebuild it at each attempt
+    # the operator on the fixed scaled collar is built once per process, and
+    # every sigma of every corner reuses the one build: no attempt builds
+    # one at its own radii, and a cache that missed would rebuild it at each
     builds, sigmas = [], []
-    collar, init = mollifier.collar, corner.MollifiedCorner.__init__
+    operator, init = mollifier.collar_operator, corner.MollifiedCorner.__init__
 
-    def counted_collar(s):
-        builds.append(s is mollifier.COLLAR_S)
-        return collar(s)
+    def counted_operator(s):
+        builds.append(len(s))
+        return operator(s)
 
     def counted_init(self, cm, sigma):
         sigmas.append(sigma)
         init(self, cm, sigma)
 
-    monkeypatch.setattr(mollifier, "collar", counted_collar)
+    for module in (mollifier, corner):
+        monkeypatch.setattr(module, "collar_operator", counted_operator)
     monkeypatch.setattr(corner.MollifiedCorner, "__init__", counted_init)
     mollifier.certificate_collar.cache_clear()
     for cm, eps in [(valid_corner, 1e-1), (valid_corner, 1e-2),
                     (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
         corner.mollify(cm, eps)
     assert len(sigmas) == 14  # 3 valid, then 11 halvings of the invalid one
-    assert builds.count(True) == 0
+    assert builds == [2999]  # the certificate's collar, -1 < s < 1/2
     # the operator table: one build, read by every attempt
     info = mollifier.certificate_collar.cache_info()
     assert (info.misses, info.hits) == (1, 13)
@@ -511,11 +520,13 @@ def test_collar_moments_g0_g1_summed_exactly():
 
 
 def direct_conv_nodes(s):
-    """The split rule built column by column, every s on its own: the
-    reference for `mollifier.conv_nodes`, which builds it once per distinct
-    clipped offset."""
+    """The split 16-point Gauss-Legendre rule of the bump at kink offsets s,
+    exact on it times a quintic: the nodes t on [s, 1/2], their weights and
+    the bump density at s, every s on its own."""
+    from numpy.polynomial.legendre import leggauss
+
     c = np.clip(s, -0.5, 0.5)
-    z, gw = mollifier.gauss_legendre()
+    z, gw = leggauss(16)
     half = (0.5 - c) / 2
     t = half * z[:, None] + (c + 0.5) / 2
 
@@ -541,13 +552,13 @@ def direct_certificate_collar():
         conv = sum(comb(k, j) * chi[j] * G @ mollifier.POWER_DERIV[k - j]
                    for j in range(k + 1))
         H.append(np.hstack([conv, (k == 2) * chi[0] * dens[:, None]]))
-    return at, (t, wt, dens), np.vander(s, 6, True), np.stack(H)
+    return at, np.vander(s, 6, True), np.stack(H)
 
 
 def test_collar_tables_equal_the_direct_build():
     # the closed-form operator H is the split rule's float sums to their
     # roundoff; the collar slice and the powers are the direct build's bits
-    at, rule, powers, H = direct_certificate_collar()
+    at, powers, H = direct_certificate_collar()
     fast_at, fast_powers, fast_H = mollifier.certificate_collar()
     assert np.arange(len(mollifier.COLLAR_S))[fast_at].tolist() == at.tolist()
     assert np.array_equal(fast_powers, powers)
@@ -556,35 +567,20 @@ def test_collar_tables_equal_the_direct_build():
 
 
 def test_bump_density_integrates_to_one_at_every_split():
-    # the rule's weights on [c, 1/2], and on [-1/2, c] as the mirror image
-    # of [-c, 1/2]: one unit of mass wherever the collar splits the bump;
-    # and the density of the jump term, normalized once and not per offset
-    # (the C-infinity bump's drifted by 8.5e-6 across the collar)
+    # the bump's mass on [s, 1/2] is G_0(s) + [s <= 0], and on [-1/2, s] its
+    # mirror image, that on [-s, 1/2]: one unit wherever the collar splits
+    # the bump; and the density of the jump term, normalized once and not
+    # per offset (the C-infinity bump's drifted by 8.5e-6 across the collar)
+    from numpy.polynomial.legendre import leggauss
+
     s = np.concatenate([mollifier.COLLAR_S, np.linspace(-0.6, 0.6, 1001)])
-    mass = sum(mollifier.conv_nodes(x)[1].sum(axis=0) for x in (s, -s))
-    assert np.max(np.abs(mass - 1.0)) <= 1e-13
-    z, w = mollifier.gauss_legendre()
-    assert abs(w @ mollifier.conv_nodes(z / 2)[2] / 2 - 1.0) <= 1e-13
-
-
-def test_split_rule_dedup_matches_direct_on_the_collar():
-    # the split rule once per distinct clipped offset: the same arithmetic
-    # as the direct build, so the same bits
-    at, rule = direct_certificate_collar()[:2]
-    got_at, *got_rule, _ = mollifier.collar(mollifier.COLLAR_S)
-    assert np.array_equal(np.arange(len(mollifier.COLLAR_S))[got_at], at)
-    for got, want in zip(got_rule, rule):
-        assert got.shape == want.shape and np.array_equal(got, want)
-
-
-def test_split_rule_dedup_matches_direct_off_the_collar():
-    # eval's scaled radii are arbitrary: repeats, both clipped ends, the
-    # kink itself and no radius at all
-    s = np.array([-0.9, 0.3, -0.5, -0.7, 0.0, 0.3, 0.5, 0.7, -0.25, 1e-9])
-    for got, want in zip(mollifier.conv_nodes(s), direct_conv_nodes(s)):
-        assert got.shape == want.shape and np.array_equal(got, want)
-    for got in mollifier.conv_nodes(s[:0]):
-        assert got.size == 0
+    s = np.unique(s[np.abs(s) < 0.5])
+    upper = [mollifier.collar_operator(x)[0, :, 0] + (x <= 0)
+             for x in (s, -s[::-1])]
+    assert np.max(np.abs(upper[0] + upper[1][::-1] - 1.0)) <= 1e-13
+    z, w = leggauss(16)
+    dens = mollifier.collar_operator(z / 2)[2, :, 6]
+    assert abs(w @ dens / 2 - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("sig", [1e-2, 1e-4, 1e-6, 1e-8])
@@ -609,8 +605,9 @@ def test_collar_tables_match_direct_eval(base, sig, strength):
 
 
 def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
-    # sigma = 0.25: the convolution nodes reach r0 - 0.375, across four
-    # pieces of D (each 3/32 wide), where no one polynomial about r0 holds
+    # sigma = 0.25: the collar reaches r0 - 0.25, across six pieces of the
+    # inner fit (the last 3/32 wide, the rest 1/32), where no one polynomial
+    # about r0 holds the raw fields
     grid = valid_corner.combined().grid
     mc, rep = corner.mollify(valid_corner, 0.5)
     assert rep.sigma == 0.25 and rep.satisfied
@@ -631,7 +628,7 @@ def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
     # the benchmark's four mollify calls take the operator table for every
     # collar, and the far nodes' sums from sigma-free tables: over the 14
     # attempts a spline sees each fresh corner's two pieces once, and never
-    # the 16 x 2999 convolution nodes of a collar or a per-attempt far node
+    # the 2999 radii of a collar or a per-attempt far node
     valid, invalid = (corner.corner_example(base, 4.0, s) for s in (0.1, -0.1))
     sizes = []
     jets = Spline.jets
@@ -753,21 +750,10 @@ def test_mollify_refuses_epsilon_not_finite_positive(valid_corner, eps):
 
 def test_mollify_refuses_a_first_collar_that_reads_below_the_corner(
         valid_corner):
-    # r0 = 4, r_lo = 0.5: the deepest convolution node of the sigma = eps^2
+    # r0 = 4, r_lo = 0.5: the bump's deepest reach in the sigma = eps^2
     # collar, r0 - 3 sigma/2, is 0.125 inside at eps = 1.5 and 0.011 outside
     # at eps = 1.53
     corner.mollify(valid_corner, 1.5)
     with pytest.raises(ValueError, match=r"r0 - 3 sigma/2 = 0\.48865 "):
         corner.mollify(valid_corner, 1.53)
 
-
-def test_gauss_legendre_matches_leggauss():
-    from numpy.polynomial.legendre import leggauss
-
-    z, w = mollifier.gauss_legendre()
-    x, v = leggauss(16)
-    assert np.max(np.abs(z - x)) <= 1e-16
-    assert np.max(np.abs(w - v)) <= 4e-16
-    # 16 points integrate degree 31 exactly
-    assert abs(np.sum(w * z ** 30) - 2 / 31) <= 1e-15
-    assert abs(np.sum(w * z ** 31)) <= 1e-15
