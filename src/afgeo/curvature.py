@@ -9,15 +9,17 @@ at one node: the derivative order first and the field (A, B) last.
 import numpy as np
 
 
-def jet(grid, A, B):
-    """The 2-jet of (A, B) from the parity stencils, stored field-major so
-    that each jet[k, :, i], and each field of a sum of jets, is contiguous:
-    one gather of each field and one product with the stencil table."""
+def jet(grid, A, B, rows=slice(None)):
+    """The 2-jet of (A, B) at the nodes `rows`, every node by default, from
+    the parity stencils, stored field-major so that each jet[k, :, i], and
+    each field of a sum of jets, is contiguous: one gather of each field and
+    one product with the stencil table's rows."""
     idx, w = grid.stencils(True)
-    out = np.empty((2, 3, grid.num))
+    idx, w = idx[rows], w[1:, rows]
+    out = np.empty((2, 3, len(idx)))
     for o, f in zip(out, (A, B)):
-        o[0] = f
-        np.einsum("kij,ij->ki", w[1:], f[idx], out=o[1:])
+        o[0] = f[rows]
+        np.einsum("kij,ij->ki", w, f[idx], out=o[1:])
     return out.transpose(1, 2, 0)
 
 

@@ -6,6 +6,7 @@ from functools import cached_property
 import numpy as np
 
 MIN_NODES = 16
+MAX_NODES = 2 ** 24  # the most nodes a grid may have: 128 MiB a field
 BLOCK = 32  # rows per dense block of _solve_banded
 
 
@@ -49,6 +50,14 @@ def fornberg_weights(z, x, m):
     return np.moveaxis(c, (0, 1), (-2, -1))
 
 
+def check_nodes(num, what):
+    """Refuse a grid of more than MAX_NODES nodes before numpy allocates
+    it; `what` names the input that asked for them."""
+    if not num <= MAX_NODES:
+        raise ValueError(f"{what} asks for {num:g} nodes, more than "
+                         f"MAX_NODES = {MAX_NODES}")
+
+
 def smoothstep(x):
     """Quintic smoothstep: 0 -> 1 on [0, 1] with zero 1st and 2nd derivatives at ends."""
     x = np.clip(x, 0.0, 1.0)
@@ -88,11 +97,13 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, r_min, r_max, num):
+        check_nodes(num, f"num={num}")
         return cls(np.linspace(r_min, r_max, num))
 
     @classmethod
     def staggered(cls, r_max, num):
         """Uniform cell-centered grid r_j = (j + 1/2) h; no node at r = 0."""
+        check_nodes(num, f"num={num}")
         h = r_max / num
         return cls((np.arange(num) + 0.5) * h)
 
@@ -101,6 +112,7 @@ class RadialGrid:
         """Spacing grows by `ratio` per cell, starting from r_min."""
         if ratio <= 1.0:
             raise ValueError("ratio must exceed 1")
+        check_nodes(num, f"num={num}")
         steps = ratio ** np.arange(num - 1)
         cum = np.concatenate([[0.0], np.cumsum(steps)])
         r = r_min + (r_max - r_min) * cum / cum[-1]

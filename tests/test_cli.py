@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -377,6 +378,33 @@ def test_refused_grid_names_its_value(argv, monkeypatch, tmp_path, capsys):
     assert cli.run([*argv, "--out", str(tmp_path)]) == 2
     assert REFUSED_GRIDS[argv] in capsys.readouterr().err
     assert all(c <= 4 for c in cells)
+
+
+# each node count beyond MAX_NODES and the input its refusal names; before
+# the bound, numpy's _ArrayMemoryError: a traceback and exit 1
+UNBUILDABLE_GRIDS = {
+    ("flow", "--grid", "staggered:rmax=60,num=1e12"): "num=1000000000000",
+    ("mass", "--grid", "uniform:rmax=300,num=1e12"): "num=1000000000000",
+    ("corner", "--fine-density", "1e12"): "(density 1e+12)",
+    ("mass-liminf", "--outer-num", "1000000000000"):
+        "outer_num=1000000000000",
+    ("heat-demo", "--x-max", "1e12"): "--x-max 1e+12"}
+
+
+@pytest.mark.parametrize("argv", UNBUILDABLE_GRIDS, ids=" ".join)
+def test_unbuildable_node_count_exits_config(argv, tmp_path, capsys):
+    # refused from the count alone: the run allocates no grid
+    tracemalloc.start()
+    try:
+        assert cli.run([*argv, "--out", str(tmp_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "MAX_NODES" in err
+    assert UNBUILDABLE_GRIDS[argv] in err
+    assert peak < 2 ** 20
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("radii", ["50,100,1e9", "50,nan,200", "-1,100,200"])

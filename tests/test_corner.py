@@ -243,6 +243,62 @@ def test_mollify_invalid_floor(invalid_corner):
     assert min(floors) > 1.0
 
 
+def _moved_data_corner(base):
+    """The valid corner with one outer data value moved off its fit far
+    outside every collar: the support check fails at every width."""
+    cm = corner.corner_example(base, 4.0, 0.1)
+    cm.fits  # fitted to the data before it moves
+    cm.outer.A = cm.outer.A.copy()
+    cm.outer.A[cm.outer.grid.node_at(5.0)] += 1e-12
+    return cm
+
+
+# passed at the first width (0.1); refused: K fails at every width (-0.1),
+# K passes at the first width (-9.59) but neg_part (15.9) fails (-0.05),
+# support fails at every width (moved)
+@pytest.mark.parametrize("strength, eps", [
+    (0.1, 1e-1), (0.1, 1e-2), (0.1, 1e-3), (-0.1, 1e-1), (-0.05, 1e-1),
+    ("moved", 1e-1)])
+def test_mollify_returns_the_complete_certificate(base, strength, eps):
+    # mollify drops a width at its first failed criterion; the width it
+    # returns runs every stage, and its report is _certificate's, bit for bit
+    cm = (_moved_data_corner(base) if strength == "moved"
+          else corner.corner_example(base, 4.0, strength))
+    mc, rep = corner.mollify(cm, eps)
+    want = corner._certificate(corner.MollifiedCorner(cm, mc.sigma), eps)
+    assert [repr(v) for v in vars(rep).values()] == [
+        repr(v) for v in vars(want).values()]
+    assert rep.satisfied is (strength == 0.1)
+    if not rep.satisfied:
+        assert rep.sigma == eps ** 2 / 2 ** 10  # the last width
+    assert rep.support_ok is (strength != "moved")
+
+
+@pytest.mark.parametrize("strength, integrals", [(-0.1, 1), (-0.05, 2)])
+def test_mollify_integrates_only_widths_that_pass_k_and_the_sandwich(
+        monkeypatch, base, strength, integrals):
+    # 11 widths, each past support and the sandwich.  At -0.1 every width
+    # fails K, so only the last, returned, is integrated; at -0.05 the
+    # first width passes K (-9.59) and is integrated, to fail neg_part
+    cm = corner.corner_example(base, 4.0, strength)
+    counts = {"collar_jets": 0, "negative_parts": 0}
+    jets, parts = corner.MollifiedCorner.collar_jets, corner.negative_parts
+
+    def counted_jets(self):
+        counts["collar_jets"] += 1
+        return jets(self)
+
+    def counted_parts(R, dens):
+        counts["negative_parts"] += 1
+        return parts(R, dens)
+
+    monkeypatch.setattr(corner.MollifiedCorner, "collar_jets", counted_jets)
+    monkeypatch.setattr(corner, "negative_parts", counted_parts)
+    _, rep = corner.mollify(cm, 0.1)
+    assert not rep.satisfied and rep.sigma == 0.1 ** 2 / 2 ** 10
+    assert counts == {"collar_jets": 11, "negative_parts": integrals}
+
+
 def test_mollified_sampling_on_foreign_grid(valid_corner):
     target = RadialGrid.staggered(300.0, 2048)
     mc, rep = corner.mollify(valid_corner, 1e-2)
@@ -397,10 +453,7 @@ def test_mollify_k_free_of_blend_roundoff(valid_corner):
 def test_support_check_reads_the_corner_data(base):
     # the fits reproduce the node data to roundoff; a data value that no
     # longer matches them, far outside the collar, must fail the certificate
-    cm = corner.corner_example(base, 4.0, 0.1)
-    cm.fits  # fitted to the data before the bump
-    cm.outer.A = cm.outer.A.copy()
-    cm.outer.A[cm.outer.grid.node_at(5.0)] += 1e-12
+    cm = _moved_data_corner(base)
     rep = corner._certificate(corner.MollifiedCorner(cm, 1e-2), 1e-2)
     assert not rep.support_ok and not rep.satisfied
 
@@ -700,24 +753,27 @@ _CORNERS = {
 @pytest.mark.parametrize("eps", [1e-3, 1e-1, 0.25, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("kind", sorted(_CORNERS))
 def test_certificate_matches_composite_grid(monkeypatch, base, eps, kind):
+    # every width mollify tries, its complete certificate against the
+    # composite one: mollify drops a failed width before its last stages
     cm = _CORNERS[kind](base)
-    attempts = []
-    certificate = corner._certificate
+    widths = []
+    init = corner.MollifiedCorner.__init__
 
-    def recorded(mc, epsilon):
-        rep = certificate(mc, epsilon)
-        attempts.append((_composite_certificate(mc, epsilon), rep))
-        return rep
+    def recorded(self, cm, sigma):
+        init(self, cm, sigma)
+        widths.append(self)
 
-    monkeypatch.setattr(corner, "_certificate", recorded)
+    monkeypatch.setattr(corner.MollifiedCorner, "__init__", recorded)
     if eps == 2.0:
         with pytest.raises(ValueError, match="outside the corner's domain"):
             corner.mollify(cm, eps)
-        assert not attempts
+        assert not widths
         return
     corner.mollify(cm, eps)
-    assert attempts
-    for want, got in attempts:
+    assert widths
+    for mc in widths:
+        want = _composite_certificate(mc, eps)
+        got = corner._certificate(mc, eps)
         for f, v in vars(want).items():
             if f in ("neg_part", "neg_measure"):
                 assert getattr(got, f) == pytest.approx(v, rel=1e-13,

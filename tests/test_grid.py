@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline, make_interp_spline
 
 from afgeo.corner import make_corner_grid
-from afgeo.grid import (MIN_NODES, RadialGrid, Spline, fornberg_weights,
-                        interp_spline, rho_weight, smoothstep, sphere_area)
+from afgeo.grid import (MAX_NODES, MIN_NODES, RadialGrid, Spline,
+                        fornberg_weights, interp_spline, rho_weight,
+                        smoothstep, sphere_area)
 
 
 def test_sphere_area_known_values():
@@ -95,6 +97,25 @@ def test_grid_validation():
         RadialGrid(np.linspace(0, 1, MIN_NODES - 1))
     with pytest.raises(ValueError):
         RadialGrid(np.linspace(-1, 1, 100))
+
+
+@pytest.mark.parametrize("build", [
+    lambda num: RadialGrid.staggered(60.0, num),
+    lambda num: RadialGrid.uniform(0.5, 300.0, num),
+    lambda num: RadialGrid.geometric(0.5, 300.0, num, 1.005),
+    lambda num: make_corner_grid(0.5, 4.0, 300.0, outer_num=num)],
+    ids=["staggered", "uniform", "geometric", "corner"])
+def test_grid_beyond_max_nodes_is_refused_before_allocating(build):
+    # a count one past MAX_NODES is refused before any array is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than MAX_NODES = "
+                                             f"{MAX_NODES}"):
+            build(MAX_NODES + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_staggered_avoids_origin():

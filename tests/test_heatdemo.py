@@ -1,9 +1,11 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from afgeo import analysis, heatdemo
+from afgeo.grid import MAX_NODES
 
 
 def gaussian_profile(sigma=2.0, x_max=200.0, dx=0.05):
@@ -100,3 +102,16 @@ def test_csv_table(run):
     assert len(lines) == 1 + len(rows)
     n_annuli = len(heatdemo.dyadic_annuli(run[0].x_max))
     assert len(rows) == len(run) * n_annuli
+
+
+def test_profile_beyond_max_nodes_is_refused_before_allocating():
+    # 2 x_max / dx = MAX_NODES cells make MAX_NODES + 1 nodes: refused from
+    # the count, with no array made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_NODES"):
+            heatdemo.initial_profile(x_max=MAX_NODES / 2 * 0.05, dx=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
