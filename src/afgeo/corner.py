@@ -101,12 +101,14 @@ def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
     if not 0 < fine_dr < np.inf or outer_num < 1:
         raise ValueError(f"need a finite fine_dr > 0 and outer_num >= 1, got "
                          f"fine_dr={fine_dr:g}, outer_num={outer_num}")
+    # counted in floats: past the largest float it is inf, where round raises
+    check_nodes((3.0 * r0 - r_min) / fine_dr + 1 + outer_num, f"fine_dr="
+                f"{fine_dr:g} (density {1 / fine_dr:g}) with outer_num="
+                f"{outer_num}")
     k0 = round((r0 - r_min) / fine_dr)
     if abs(r_min + k0 * fine_dr - r0) > 1e-12 * r0:
         raise ValueError("r0 must sit on the fine lattice")
     m = round((3.0 * r0 - r_min) / fine_dr)
-    check_nodes(m + 1 + outer_num, f"fine_dr={fine_dr:g} (density "
-                f"{1 / fine_dr:g}) with outer_num={outer_num}")
     fine = r_min + fine_dr * np.arange(m + 1)
     span = r_max - fine[-1]
 
@@ -285,11 +287,10 @@ class MollifiedCorner:
 
 
 def _stages(mc, epsilon):
-    """The certificate's four criteria, cheapest first: support (from the
-    far tables and sigma), the sandwich (the collar jets), inf R > -K_TARGET
-    (R on the collar) and neg_part < epsilon (the integral).  Yields each
-    verdict once it is known, then the SmoothingReport; a caller that stops
-    at a verdict skips the later stages, and the arrays go with the frame.
+    """The certificate in two stages: yields whether the sandwich, inf R >
+    -K_TARGET and support hold, then integrates R's negative part and yields
+    the SmoothingReport.  A caller that stops at the verdict skips the
+    integral, and the arrays go with the frame.
 
     Outside the collar |r - r0| < sigma the metric is untouched: R comes from
     the grid stencils of each smooth piece, and each sum there is a running
@@ -297,30 +298,27 @@ def _stages(mc, epsilon):
     derivatives; a trapezoid over the collar and the nearest far nodes joins
     the two."""
     cm, sig, r0 = mc.cm, mc.sigma, mc.r0
+    rc = r0 + sig * COLLAR_S
+    raw, jet = mc.collar_jets()
+    ratios = jet[0] / raw
+    sandwich_lo, sandwich_hi = float(np.min(ratios)), float(np.max(ratios))
+    del raw, ratios  # a lower peak: glibc keeps the heap between attempts
+    Rc = scalar(cm.n, rc, jet)
+
     # the far nodes: r <= r0 - sigma inside, r >= r0 + sigma outside; their
     # nearest, [k - 1:k], is empty when k = 0
     (ti, ki), (to, ko) = ((t, np.searchsorted(t.key, s * r0 - sig, "right"))
                           for t, s in zip(cm.far, (1, -1)))
+    K_measured = float(np.min([ti.R_min[ki], np.min(Rc), to.R_min[ko]]))
     # outside the collar the metric must be the corner's own data: the fits
     # match it there, and the collar adds nothing at any far node
     far = np.concatenate([ti.r[:ki], to.r[:ko]])
     support_ok = bool(max(ti.moved[ki], to.moved[ko]) < 1e-14
                       and not in_collar((far - r0) / sig).any())
-    del far
-    yield support_ok
-
-    raw, jet = mc.collar_jets()
-    ratios = jet[0] / raw
-    sandwich_lo, sandwich_hi = float(np.min(ratios)), float(np.max(ratios))
-    del raw, ratios  # a lower peak: glibc keeps the heap between attempts
-    sandwich_ok = sandwich_lo >= 1 - epsilon and sandwich_hi <= 1 + epsilon
-    yield sandwich_ok
-
-    rc = r0 + sig * COLLAR_S
-    Rc = scalar(cm.n, rc, jet)
-    K_measured = float(np.min([ti.R_min[ki], np.min(Rc), to.R_min[ko]]))
-    K_ok = K_measured > -K_TARGET
-    yield K_ok
+    del far  # not held through the integral
+    passed = bool(K_measured > -K_TARGET and sandwich_lo >= 1 - epsilon
+                  and sandwich_hi <= 1 + epsilon and support_ok)
+    yield passed
 
     x = np.concatenate([ti.r[ki - 1:ki], rc, to.r[ko - 1:ko]])
     y = np.concatenate([ti.y[ki - 1:ki], negative_parts(
@@ -330,17 +328,14 @@ def _stages(mc, epsilon):
     seg /= 2.0
     neg_part, neg_measure = (np.cumsum(seg, 0, out=seg)[-1] + ti.integral[ki]
                              + to.integral[ko]).tolist()
-    neg_ok = neg_part < epsilon
-    yield neg_ok
-
     yield SmoothingReport(epsilon, sig, K_measured, neg_part, neg_measure,
                           sandwich_lo, sandwich_hi, support_ok,
-                          bool(support_ok and sandwich_ok and K_ok and neg_ok))
+                          passed and neg_part < epsilon)
 
 
 def _certificate(mc, epsilon):
-    """Measure the four smoothing properties: every stage of `_stages`."""
-    *_, rep = _stages(mc, epsilon)
+    """Measure the four smoothing properties: both stages of `_stages`."""
+    _, rep = _stages(mc, epsilon)
     return rep
 
 
@@ -348,13 +343,12 @@ def mollify(cm, epsilon):
     """Smooth a corner metric in a collar around r0; certify the result.
 
     The collar half-width starts at epsilon^2 and halves until the certificate
-    (support, sandwich, inf R > -K_TARGET, neg_part < epsilon) passes; if no
+    (neg_part < epsilon, inf R > -K_TARGET, sandwich, support) passes; if no
     width works the last report is returned with satisfied=False.  A width
-    stops at its first failed criterion, in that order, cheapest first: only
-    the width returned, the one that passes or the last, runs every stage,
-    each once, into `_certificate`'s report.  Returns the MollifiedCorner
-    (`sample` puts it on a grid) and the report.  An epsilon whose first
-    collar leaves the corner's domain is refused."""
+    that fails inf R, the sandwich or support stops before the negative-part
+    integral; the width returned gets `_certificate`'s report.  Returns the
+    MollifiedCorner (`sample` puts it on a grid) and the report.  An epsilon
+    whose first collar leaves the corner's domain is refused."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon:g}")
     # starting collar width eps^2, floored where blend-derivative roundoff
@@ -374,10 +368,10 @@ def mollify(cm, epsilon):
     while True:
         mc = MollifiedCorner(cm, sigma)
         last = sigma * 0.5 < floor
-        # the break frees a stopped width's arrays before the next allocates
-        for step in _stages(mc, epsilon):
-            if not (step or last):
-                break
-        else:
-            return mc, step
+        stages = _stages(mc, epsilon)
+        if next(stages) or last:
+            rep = next(stages)
+            if rep.satisfied or last:
+                return mc, rep
+        del stages  # frees the width's arrays before the next allocates
         sigma *= 0.5

@@ -9,17 +9,15 @@ at one node: the derivative order first and the field (A, B) last.
 import numpy as np
 
 
-def jet(grid, A, B, rows=slice(None)):
-    """The 2-jet of (A, B) at the nodes `rows`, every node by default, from
-    the parity stencils, stored field-major so that each jet[k, :, i], and
-    each field of a sum of jets, is contiguous: one gather of each field and
-    one product with the stencil table's rows."""
+def jet(grid, A, B):
+    """The 2-jet of (A, B) from the parity stencils, stored field-major so
+    that each jet[k, :, i], and each field of a sum of jets, is contiguous:
+    one gather of each field and one product with the stencil table."""
     idx, w = grid.stencils(True)
-    idx, w = idx[rows], w[1:, rows]
-    out = np.empty((2, 3, len(idx)))
+    out = np.empty((2, 3, grid.num))
     for o, f in zip(out, (A, B)):
-        o[0] = f[rows]
-        np.einsum("kij,ij->ki", w, f[idx], out=o[1:])
+        o[0] = f
+        np.einsum("kij,ij->ki", w[1:], f[idx], out=o[1:])
     return out.transpose(1, 2, 0)
 
 

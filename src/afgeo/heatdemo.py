@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MAX_NODES
+from .grid import check_nodes
 
 # heat-demo's gate: every per-annulus sup of x^2 |f|, at every time, lies in
 # this band
@@ -35,9 +35,10 @@ def initial_profile(x_max=200.0, dx=0.05):
     """Probe data sin(x)/(1 + x^2) on a symmetric grid of at least 3 nodes."""
     finite = (0 < dx < np.inf and 0 < x_max < np.inf
               and 2 * x_max / dx < np.inf)
-    if not finite or not 2 <= (num := int(round(2 * x_max / dx))) < MAX_NODES:
+    if not finite or (num := int(round(2 * x_max / dx))) < 2:
         raise ValueError(f"dx={dx:g}, x_max={x_max:g}: need both finite and "
-                         f"> 0, and from 3 to MAX_NODES = {MAX_NODES} nodes")
+                         "> 0, and from 3 to finitely many nodes")
+    check_nodes(num + 1, f"x_max={x_max:g} over dx={dx:g}")
     x = np.linspace(-x_max, x_max, num + 1)
     return HeatProfile(x, np.sin(x) / (1.0 + x ** 2), 0.0)
 

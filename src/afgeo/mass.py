@@ -74,7 +74,7 @@ def adm_mass(metric, radii):
             warnings.warn(f"mass radius r={r} outside asymptotic regime "
                           "(|A-1| > 0.5)")
         idx.append(i)
-    j = jet(grid, metric.A, metric.B, idx)
+    j = jet(grid, metric.A, metric.B)[:, idx]
     rung = 2 * (n - 1) * sphere_area(n) * mass_function(n, grid.r[idx], j)
     m, err = fit_power_tail(radii, rung, n)
     converged = err < MASS_REL_TOL * max(1.0, abs(m))

@@ -386,9 +386,10 @@ UNBUILDABLE_GRIDS = {
     ("flow", "--grid", "staggered:rmax=60,num=1e12"): "num=1000000000000",
     ("mass", "--grid", "uniform:rmax=300,num=1e12"): "num=1000000000000",
     ("corner", "--fine-density", "1e12"): "(density 1e+12)",
+    ("corner", "--fine-density", "1e308"): "(density 1e+308)",
     ("mass-liminf", "--outer-num", "1000000000000"):
         "outer_num=1000000000000",
-    ("heat-demo", "--x-max", "1e12"): "--x-max 1e+12"}
+    ("heat-demo", "--x-max", "1e12"): "x_max=1e+12 over dx=0.05"}
 
 
 @pytest.mark.parametrize("argv", UNBUILDABLE_GRIDS, ids=" ".join)
