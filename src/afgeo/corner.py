@@ -95,9 +95,9 @@ class CornerMetric:
 def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
     """Grid with a node exactly at r0: uniform spacing fine_dr out to 3 r0,
     then geometrically stretched to r_max."""
-    if not np.isfinite([r_min, r0, r_max]).all():
-        raise ValueError(f"need finite radii, got r_min={r_min:g}, "
-                         f"r0={r0:g}, r_max={r_max:g}")
+    if not (np.isfinite([r_min, r0, r_max]).all() and 0 < r_min < r0):
+        raise ValueError(f"need finite radii and 0 < r_min < r0, got r_min="
+                         f"{r_min:g}, r0={r0:g}, r_max={r_max:g}")
     if not 0 < fine_dr < np.inf or outer_num < 1:
         raise ValueError(f"need a finite fine_dr > 0 and outer_num >= 1, got "
                          f"fine_dr={fine_dr:g}, outer_num={outer_num}")
@@ -107,10 +107,14 @@ def make_corner_grid(r_min, r0, r_max, fine_dr=1.0 / 32, outer_num=256):
                 f"{outer_num}")
     k0 = round((r0 - r_min) / fine_dr)
     if abs(r_min + k0 * fine_dr - r0) > 1e-12 * r0:
-        raise ValueError("r0 must sit on the fine lattice")
+        raise ValueError(f"r0={r0:g} must sit on the fine lattice r_min + k "
+                         f"fine_dr, r_min={r_min:g}, fine_dr={fine_dr:g}")
     m = round((3.0 * r0 - r_min) / fine_dr)
     fine = r_min + fine_dr * np.arange(m + 1)
     span = r_max - fine[-1]
+    if not span > 0:
+        raise ValueError(f"r_max={r_max:g} must lie past {fine[-1]:g}, where "
+                         f"the fine lattice ends near 3 r0 = {3.0 * r0:g}")
 
     def gap(ratio):
         return fine_dr * (ratio ** (outer_num + 1) - ratio) / (ratio - 1) - span
@@ -286,11 +290,8 @@ class MollifiedCorner:
         return RadialMetric(grid, self.cm.n, A, B, self.cm.delta)
 
 
-def _stages(mc, epsilon):
-    """The certificate in two stages: yields whether the sandwich, inf R >
-    -K_TARGET and support hold, then integrates R's negative part and yields
-    the SmoothingReport.  A caller that stops at the verdict skips the
-    integral, and the arrays go with the frame.
+def _certificate(mc, epsilon):
+    """Measure the four smoothing properties of one collar width.
 
     Outside the collar |r - r0| < sigma the metric is untouched: R comes from
     the grid stencils of each smooth piece, and each sum there is a running
@@ -316,9 +317,6 @@ def _stages(mc, epsilon):
     support_ok = bool(max(ti.moved[ki], to.moved[ko]) < 1e-14
                       and not in_collar((far - r0) / sig).any())
     del far  # not held through the integral
-    passed = bool(K_measured > -K_TARGET and sandwich_lo >= 1 - epsilon
-                  and sandwich_hi <= 1 + epsilon and support_ok)
-    yield passed
 
     x = np.concatenate([ti.r[ki - 1:ki], rc, to.r[ko - 1:ko]])
     y = np.concatenate([ti.y[ki - 1:ki], negative_parts(
@@ -328,27 +326,27 @@ def _stages(mc, epsilon):
     seg /= 2.0
     neg_part, neg_measure = (np.cumsum(seg, 0, out=seg)[-1] + ti.integral[ki]
                              + to.integral[ko]).tolist()
-    yield SmoothingReport(epsilon, sig, K_measured, neg_part, neg_measure,
-                          sandwich_lo, sandwich_hi, support_ok,
-                          passed and neg_part < epsilon)
-
-
-def _certificate(mc, epsilon):
-    """Measure the four smoothing properties: both stages of `_stages`."""
-    _, rep = _stages(mc, epsilon)
-    return rep
+    satisfied = (K_measured > -K_TARGET and sandwich_lo >= 1 - epsilon
+                 and sandwich_hi <= 1 + epsilon and support_ok
+                 and neg_part < epsilon)
+    return SmoothingReport(epsilon, sig, K_measured, neg_part, neg_measure,
+                           sandwich_lo, sandwich_hi, support_ok,
+                           bool(satisfied))
 
 
 def mollify(cm, epsilon):
     """Smooth a corner metric in a collar around r0; certify the result.
 
-    The collar half-width starts at epsilon^2 and halves until the certificate
-    (neg_part < epsilon, inf R > -K_TARGET, sandwich, support) passes; if no
-    width works the last report is returned with satisfied=False.  A width
-    that fails inf R, the sandwich or support stops before the negative-part
-    integral; the width returned gets `_certificate`'s report.  Returns the
-    MollifiedCorner (`sample` puts it on a grid) and the report.  An epsilon
-    whose first collar leaves the corner's domain is refused."""
+    The collar half-width starts at epsilon^2 and halves until
+    `_certificate` (neg_part < epsilon, inf R > -K_TARGET, sandwich,
+    support) passes; if no width works the last report is returned with
+    satisfied=False.  A width that fails inf R on a corner that fails
+    `corner_condition` is returned at once, refused: with H(-) < H(+) the
+    mollified R keeps the jump's term, which falls like -1/sigma, and each
+    far table's R_min is a running minimum that only falls as the collar
+    narrows, so no narrower width can mend it.  Returns the MollifiedCorner
+    (`sample` puts it on a grid) and the report.  An epsilon whose first
+    collar leaves the corner's domain is refused."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon:g}")
     # starting collar width eps^2, floored where blend-derivative roundoff
@@ -367,11 +365,10 @@ def mollify(cm, epsilon):
     floor = max(1e-9, sigma / 2 ** 10)
     while True:
         mc = MollifiedCorner(cm, sigma)
-        last = sigma * 0.5 < floor
-        stages = _stages(mc, epsilon)
-        if next(stages) or last:
-            rep = next(stages)
-            if rep.satisfied or last:
-                return mc, rep
-        del stages  # frees the width's arrays before the next allocates
+        rep = _certificate(mc, epsilon)
+        # corner_condition is read only at a width that fails inf R
+        if (rep.satisfied or sigma * 0.5 < floor
+                or not rep.K_measured > -K_TARGET
+                and not corner_condition(cm)[2]):
+            return mc, rep
         sigma *= 0.5

@@ -330,6 +330,11 @@ NOT_A_NUMBER = [
     ["corner", "--r0", "inf"],              # OverflowError from round()
     ["corner", "--rmin", "inf"],            # OverflowError from round()
     ["corner", "--rmax", "inf"],            # a RuntimeWarning, then refused
+    ["corner", "--rmax", "5"],              # a RuntimeWarning, then blamed
+                                            # the outer cells
+    ["corner", "--rmin", "0"],              # blamed a staggered grid
+    ["corner", "--rmin", "13"],             # IndexError: no fine lattice
+    ["corner", "--fine-density", "3"],      # named no value
     ["mass-liminf", "--r0", "inf"],         # OverflowError from round()
     ["mass-constancy", "--T", "nan"],
     ["heat-demo", "--dx", "0"],             # ZeroDivisionError
@@ -358,6 +363,12 @@ REFUSED_GRIDS = {
     ("corner", "--r0", "inf"): "r0=inf",
     ("corner", "--rmin", "inf"): "r_min=inf",
     ("mass-liminf", "--rmax", "inf"): "r_max=inf",
+    ("corner", "--rmax", "5"):
+        "r_max=5 must lie past 12, where the fine lattice ends near 3 r0 = 12",
+    ("corner", "--rmin", "0"): "0 < r_min < r0, got r_min=0, r0=4",
+    ("mass-liminf", "--fine-density", "3"):
+        "r0=4 must sit on the fine lattice r_min + k fine_dr, r_min=0.5, "
+        "fine_dr=0.333333",
     ("heat-demo", "--x-max", "1e308"): "--x-max 1e+308",
     ("heat-demo", "--dx", "100"): "--dx 100 leaves the annulus [10, 20]"}
 

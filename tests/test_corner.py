@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -54,6 +55,18 @@ def test_corner_grid_refuses_outer_cells_past_r_max():
     # 10^5 cells no shorter than fine_dr cannot fit between 3 r0 and r_max
     with pytest.raises(ValueError, match="overrun"):
         corner.make_corner_grid(0.5, 4.0, 300.0, outer_num=100000)
+
+
+def test_corner_grid_refuses_r_max_inside_the_fine_lattice():
+    # fine_dr = 1/8 from r_min = 0.3 ends at 12.175, past 3 r0 = 12.15: an
+    # r_max between the two is refused by the lattice's end, before the
+    # outer cells take a power of a negative span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r_max=12.16 must lie past "
+                           "12.175, where the fine lattice ends near 3 r0 "
+                           "= 12.15"):
+            corner.make_corner_grid(0.3, 4.05, 12.16, fine_dr=1 / 8)
 
 
 @pytest.mark.parametrize("kw", [{"fine_dr": 0.0}, {"fine_dr": -1 / 32},
@@ -253,15 +266,15 @@ def _moved_data_corner(base):
     return cm
 
 
-# passed at the first width (0.1); refused: K fails at every width (-0.1),
-# K passes at the first width (-9.59) but neg_part (15.9) fails (-0.05),
-# support fails at every width (moved)
+# passed at the first width (0.1); refused where K first fails on a corner
+# that fails the condition: at the first width (-0.1), at the second after
+# the first passes K (-9.59) but fails neg_part (15.9) (-0.05); support
+# fails at every width, and the condition holds, so all 11 run (moved)
 @pytest.mark.parametrize("strength, eps", [
     (0.1, 1e-1), (0.1, 1e-2), (0.1, 1e-3), (-0.1, 1e-1), (-0.05, 1e-1),
     ("moved", 1e-1)])
 def test_mollify_returns_the_complete_certificate(base, strength, eps):
-    # mollify drops a width at its first failed criterion; the width it
-    # returns runs every stage, and its report is _certificate's, bit for bit
+    # the width mollify returns gets _certificate's report, bit for bit
     cm = (_moved_data_corner(base) if strength == "moved"
           else corner.corner_example(base, 4.0, strength))
     mc, rep = corner.mollify(cm, eps)
@@ -269,34 +282,91 @@ def test_mollify_returns_the_complete_certificate(base, strength, eps):
     assert [repr(v) for v in vars(rep).values()] == [
         repr(v) for v in vars(want).values()]
     assert rep.satisfied is (strength == 0.1)
+    refused = {-0.1: eps ** 2, -0.05: eps ** 2 / 2, "moved": eps ** 2 / 2 ** 10}
     if not rep.satisfied:
-        assert rep.sigma == eps ** 2 / 2 ** 10  # the last width
+        assert rep.sigma == refused[strength]
     assert rep.support_ok is (strength != "moved")
 
 
-@pytest.mark.parametrize("strength, integrals", [(-0.1, 1), (-0.05, 2)])
-def test_mollify_integrates_only_widths_that_pass_k_and_the_sandwich(
-        monkeypatch, base, strength, integrals):
-    # 11 widths, each past support and the sandwich.  At -0.1 every width
-    # fails K, so only the last, returned, is integrated; at -0.05 the
-    # first width passes K (-9.59) and is integrated, to fail neg_part
+def _every_width(cm, eps):
+    """`_certificate` at each of the 11 widths from sigma = eps^2 down, the
+    ladder with no early stop."""
+    sigma = max(eps ** 2, 1e-7)
+    floor = max(1e-9, sigma / 2 ** 10)
+    reps = [corner._certificate(corner.MollifiedCorner(cm, sigma), eps)]
+    while sigma * 0.5 >= floor:
+        sigma *= 0.5
+        reps.append(corner._certificate(corner.MollifiedCorner(cm, sigma),
+                                        eps))
+    return reps
+
+
+# at eps 0.1 the 1st, 2nd, 4th and 7th widths, sigma = 0.01, 0.005, 0.00125
+# and 1.5625e-4: not always the first
+@pytest.mark.parametrize("strength, width", [
+    (-0.1, 1), (-0.05, 2), (-0.01, 4), (-0.001, 7)])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2])
+def test_refused_width_is_never_mended_by_a_narrower_one(base, strength,
+                                                         width, eps):
+    # a corner with H(-) < H(+) keeps the jump's term, falling like
+    # -1/sigma, and the far tables' R_min only falls as the collar narrows:
+    # from the width mollify stops at, every narrower width fails and inf R
+    # never rises
     cm = corner.corner_example(base, 4.0, strength)
-    counts = {"collar_jets": 0, "negative_parts": 0}
-    jets, parts = corner.MollifiedCorner.collar_jets, corner.negative_parts
+    assert not corner.corner_condition(cm)[2]
+    reps = _every_width(cm, eps)
+    assert len(reps) == 11
+    _, rep = corner.mollify(cm, eps)
+    k = [r.sigma for r in reps].index(rep.sigma)
+    assert [repr(v) for v in vars(rep).values()] == [
+        repr(v) for v in vars(reps[k]).values()]
+    assert not any(r.satisfied for r in reps[k:])
+    K = [r.K_measured for r in reps[k:]]
+    assert all(b <= a for a, b in zip(K, K[1:]))
+    assert rep.K_measured <= -corner.K_TARGET
+    if eps == 1e-1:
+        assert k + 1 == width and rep.sigma == eps ** 2 / 2 ** k
+
+
+# tight-K: the valid corner under K_TARGET = 0.01 fails inf R at every
+# width, and meets the condition, so all 11 run
+@pytest.mark.parametrize("kind, eps", [
+    ("valid", 1e-1), ("valid", 1e-2), ("valid", 1e-3), ("moved", 1e-1),
+    ("tight-K", 1e-1)])
+def test_mollify_returns_the_full_ladders_width(monkeypatch, base, kind, eps):
+    # a corner that meets the condition halves as before the stop rule: the
+    # first width that passes, or the last
+    cm = (_moved_data_corner(base) if kind == "moved"
+          else corner.corner_example(base, 4.0, 0.1))
+    if kind == "tight-K":
+        monkeypatch.setattr(corner, "K_TARGET", 0.01)
+    reps = _every_width(cm, eps)
+    if kind == "tight-K":
+        assert all(r.K_measured <= -0.01 for r in reps)
+    want = next((r for r in reps if r.satisfied), reps[-1])
+    _, rep = corner.mollify(cm, eps)
+    assert [repr(v) for v in vars(rep).values()] == [
+        repr(v) for v in vars(want).values()]
+
+
+@pytest.mark.parametrize("strength, widths", [(-0.1, 1), (-0.05, 2)])
+def test_mollify_stops_at_a_refusal_no_narrower_width_mends(
+        monkeypatch, base, strength, widths):
+    # at -0.1 the first width fails K and is returned; at -0.05 the first
+    # passes K (-9.59) and fails neg_part (15.9), the second fails K.  Of
+    # the 11 widths the ladder held, only these take their collar jets
+    cm = corner.corner_example(base, 4.0, strength)
+    calls = []
+    jets = corner.MollifiedCorner.collar_jets
 
     def counted_jets(self):
-        counts["collar_jets"] += 1
+        calls.append(self.sigma)
         return jets(self)
 
-    def counted_parts(R, dens):
-        counts["negative_parts"] += 1
-        return parts(R, dens)
-
     monkeypatch.setattr(corner.MollifiedCorner, "collar_jets", counted_jets)
-    monkeypatch.setattr(corner, "negative_parts", counted_parts)
     _, rep = corner.mollify(cm, 0.1)
-    assert not rep.satisfied and rep.sigma == 0.1 ** 2 / 2 ** 10
-    assert counts == {"collar_jets": 11, "negative_parts": integrals}
+    assert not rep.satisfied and rep.K_measured <= -corner.K_TARGET
+    assert len(calls) == widths and rep.sigma == calls[-1]
 
 
 def test_mollified_sampling_on_foreign_grid(valid_corner):
@@ -493,11 +563,11 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
     for cm, eps in [(valid_corner, 1e-1), (valid_corner, 1e-2),
                     (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
         corner.mollify(cm, eps)
-    assert len(sigmas) == 14  # 3 valid, then 11 halvings of the invalid one
+    assert len(sigmas) == 4  # 3 valid, then the invalid one's first width
     assert builds == [2999]  # the certificate's collar, -1 < s < 1/2
     # the operator table: one build, read by every attempt
     info = mollifier.certificate_collar.cache_info()
-    assert (info.misses, info.hits) == (1, 13)
+    assert (info.misses, info.hits) == (1, 3)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -505,7 +575,8 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
 def test_collar_attempts_map_no_fresh_memory():
     # each sigma attempt writes its jets in place and frees its largest
     # arrays early, so once a first mollify has loaded the tables and fitted
-    # the corner, the 11 attempts of a second one reuse the heap's pages.
+    # the corner, the 11 attempts of a second one reuse the heap's pages:
+    # the corner whose data moved off its fits fails support at every width.
     # Whether glibc trims them in between depends on the heap's layout, so
     # three layouts: 0 faults each, against 770 to 1 200 in some layout
     # when every attempt paid for fresh memory
@@ -516,7 +587,10 @@ from afgeo import corner, metrics
 layout = [np.empty(n) for n in range(1, 8 * int(sys.argv[1]), 8)]
 grid = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32, outer_num=512)
 cm = corner.corner_example(metrics.build_schwarzschild_isotropic(1.0, 3, grid),
-                           4.0, -0.1)
+                           4.0, 0.1)
+cm.fits
+cm.outer.A = cm.outer.A.copy()
+cm.outer.A[cm.outer.grid.node_at(5.0)] += 1e-12
 corner.mollify(cm, 0.1)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 mc, rep = corner.mollify(cm, 0.1)
@@ -679,7 +753,7 @@ def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
 
 def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
     # the benchmark's four mollify calls take the operator table for every
-    # collar, and the far nodes' sums from sigma-free tables: over the 14
+    # collar, and the far nodes' sums from sigma-free tables: over the 4
     # attempts a spline sees each fresh corner's two pieces once, and never
     # the 2999 radii of a collar or a per-attempt far node
     valid, invalid = (corner.corner_example(base, 4.0, s) for s in (0.1, -0.1))
@@ -754,7 +828,7 @@ _CORNERS = {
 @pytest.mark.parametrize("kind", sorted(_CORNERS))
 def test_certificate_matches_composite_grid(monkeypatch, base, eps, kind):
     # every width mollify tries, its complete certificate against the
-    # composite one: mollify drops a failed width before its last stages
+    # composite one
     cm = _CORNERS[kind](base)
     widths = []
     init = corner.MollifiedCorner.__init__
