@@ -12,7 +12,7 @@ import numpy as np
 from .grid import smoothstep
 from .metrics import build_flat, build_distorted_flat, radial_kink_map, volume_element
 from .curvature import scalar_curvature
-from .mollifier import in_collar, negative_parts
+from .corner import in_collar, negative_parts
 from . import corner as corner_mod
 from . import flow as flow_mod
 from . import mass as mass_mod

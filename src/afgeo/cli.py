@@ -265,13 +265,14 @@ def cmd_verify(args):
               for spec in ("flat", "schwarzschild", "conformal",
                            "angular-bump", "distorted-flat:amp=0.03")]
     flat_bg = metrics.build_flat(args.dim, grid)
+    bg = flow.Background(flat_bg)
     radii = grid.snap((10.0, 20.0))
     worst = 0.0
     for name, g in probes:
         R = curvature.scalar_curvature(g)
         Rn = curvature.ricci_norm_sq(g)
         jet = curvature.jet(grid, g.A, g.B)
-        W = flow.deturck_vector(g, flow.Background(flat_bg))
+        W = flow.deturck_vector(g, bg)
         refs = zip(oracle.scalar_curvature_oracle(g, radii),
                    oracle.ricci_norm_sq_oracle(g, radii),
                    oracle.mean_curvature_oracle(g, radii),

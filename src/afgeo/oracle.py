@@ -241,20 +241,14 @@ def _metric_point(metric, second=False):
 
 
 def _christoffel(minv, Dm):
-    low = 0.5 * (np.einsum("Nalb->Nlab", Dm) + np.einsum("Nbla->Nlab", Dm)
-                 - Dm)
-    return np.einsum("Nkl,Nlab->Nkab", minv, low)
+    return np.einsum("Nkl,Nlab->Nkab", minv, _lower(Dm))
 
 
 def _dchristoffel(minv, Dm, DDm):
     """DG[d,k,a,b] = d_d Gamma^k_ab."""
     dminv = -np.einsum("Nka,Nlb,Ndab->Ndkl", minv, minv, Dm)
-    low = 0.5 * (np.einsum("Nalb->Nlab", Dm) + np.einsum("Nbla->Nlab", Dm)
-                 - Dm)
-    dlow = 0.5 * (np.einsum("Ndalb->Ndlab", DDm) + np.einsum("Ndbla->Ndlab", DDm)
-                  - DDm)
-    return (np.einsum("Ndkl,Nlab->Ndkab", dminv, low)
-            + np.einsum("Nkl,Ndlab->Ndkab", minv, dlow))
+    return (np.einsum("Ndkl,Nlab->Ndkab", dminv, _lower(Dm))
+            + np.einsum("Nkl,Ndlab->Ndkab", minv, _lower(DDm)))
 
 
 def _riemann_lower(m, G, DG):

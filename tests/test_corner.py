@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afgeo import cli, corner, curvature, mass, metrics, mollifier
+from afgeo import cli, corner, curvature, mass, metrics
 from afgeo.grid import RadialGrid, Spline, fornberg_weights
 
 
@@ -46,7 +46,8 @@ def invalid_corner(base):
 
 
 def test_corner_grid_has_interface_node():
-    g = corner.make_corner_grid(0.5, 4.0, 300.0)
+    g = corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
+                                outer_num=256)
     assert g.node_at(4.0) is not None
     assert g.r_max == pytest.approx(300.0)
 
@@ -54,7 +55,8 @@ def test_corner_grid_has_interface_node():
 def test_corner_grid_refuses_outer_cells_past_r_max():
     # 10^5 cells no shorter than fine_dr cannot fit between 3 r0 and r_max
     with pytest.raises(ValueError, match="overrun"):
-        corner.make_corner_grid(0.5, 4.0, 300.0, outer_num=100000)
+        corner.make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
+                                outer_num=100000)
 
 
 def test_corner_grid_refuses_r_max_inside_the_fine_lattice():
@@ -66,7 +68,8 @@ def test_corner_grid_refuses_r_max_inside_the_fine_lattice():
         with pytest.raises(ValueError, match="r_max=12.16 must lie past "
                            "12.175, where the fine lattice ends near 3 r0 "
                            "= 12.15"):
-            corner.make_corner_grid(0.3, 4.05, 12.16, fine_dr=1 / 8)
+            corner.make_corner_grid(0.3, 4.05, 12.16, fine_dr=1 / 8,
+                                    outer_num=256)
 
 
 @pytest.mark.parametrize("kw", [{"fine_dr": 0.0}, {"fine_dr": -1 / 32},
@@ -78,7 +81,8 @@ def test_corner_grid_refuses_a_bad_spacing_or_cell_count(kw):
     # before the check, 0 divided by zero and -5 indexed an empty array
     (key, value), = kw.items()
     with pytest.raises(ValueError, match=f"{key}={value:g}"):
-        corner.make_corner_grid(0.5, 4.0, 300.0, **kw)
+        corner.make_corner_grid(0.5, 4.0, 300.0, **{
+            "fine_dr": 1.0 / 32, "outer_num": 256, **kw})
 
 
 def test_smooth_split_trivial_condition(base):
@@ -378,22 +382,11 @@ def test_mollified_sampling_on_foreign_grid(valid_corner):
     assert np.all(sm.A > 0) and np.all(sm.B > 0)
 
 
-@pytest.mark.parametrize("shape", [(6, 2), (6, 7, 2)])
-def test_shift_matches_the_term_by_term_sum(shape):
-    # re-expansion by powers of h, summed over the terms of each power in
-    # ascending order: the same sums as the term-by-term formula
-    rng = np.random.default_rng(5)
-    c = rng.normal(size=shape)
-    h = rng.normal(size=(7, 1)) if len(shape) == 3 else 0.37
-    want = np.array([sum(comb(q, p) * h ** (q - p) * c[5 - q]
-                         for q in range(p, 6)) for p in range(5, -1, -1)])
-    got = corner._shift(c, h)
-    assert got.shape == want.shape and np.array_equal(got, want)
-
-
 def test_deviation_matches_spline_difference(valid_corner):
-    # T, the polynomial the collar smooths, is the inner fit minus the outer
-    # fit's first piece continued inward, across the inner fit's last piece
+    # the Taylor forms about r0 are the inner fit's last piece and the outer
+    # fit's first, each across its end piece, and T, the polynomial the
+    # collar smooths, is the inner fit minus the outer fit's first piece
+    # continued inward, across the inner fit's last piece
     from numpy.polynomial import polynomial as P
 
     fits = valid_corner.fits
@@ -403,8 +396,16 @@ def test_deviation_matches_spline_difference(valid_corner):
     for k in range(3):
         T = P.polyval(x - r0, P.polyder(fits.taylor[2], k)).T
         assert np.max(np.abs(T - (inner[k] - outer[k]))) < 1e-13
+    for fit, taylor, x in ((fits.inner, fits.taylor[0], x),
+                           (fits.outer, fits.taylor[1],
+                            np.linspace(r0, fits.outer.x[1], 301))):
+        want = fit.jets(x, 2)
+        for k in range(3):
+            got = P.polyval(x - r0, P.polyder(taylor, k)).T
+            assert np.max(np.abs(got - want[k])) < 1e-13
+    # T's slope at r0 is minus the (A', B') jump, outer minus inner
     jump = fits.outer.jets(r0, 1)[1] - fits.inner.jets(r0, 1)[1]
-    assert np.allclose(fits.jump, jump, rtol=0, atol=1e-13)
+    assert np.allclose(-fits.taylor[2][1], jump, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("sig, h, blend_tol, inner_tol", [
@@ -498,7 +499,7 @@ def test_every_jet_producer_builds_one_layout(valid_corner):
     g = cm.combined()
     mc = corner.MollifiedCorner(cm, 1e-2)
     r = cm.r0 + np.linspace(-0.02, 0.02, 41)  # across the collar
-    rc = cm.r0 + mc.sigma * mollifier.COLLAR_S
+    rc = cm.r0 + mc.sigma * corner.COLLAR_S
     raw, collar = mc.collar_jets()
     assert isinstance(raw, np.ndarray) and raw.dtype == float
     assert raw.shape == (len(rc), 2)
@@ -546,7 +547,7 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
     # every sigma of every corner reuses the one build: no attempt builds
     # one at its own radii, and a cache that missed would rebuild it at each
     builds, sigmas = [], []
-    operator, init = mollifier.collar_operator, corner.MollifiedCorner.__init__
+    operator, init = corner.collar_operator, corner.MollifiedCorner.__init__
 
     def counted_operator(s):
         builds.append(len(s))
@@ -556,17 +557,16 @@ def test_collar_tables_built_once(monkeypatch, valid_corner, invalid_corner):
         sigmas.append(sigma)
         init(self, cm, sigma)
 
-    for module in (mollifier, corner):
-        monkeypatch.setattr(module, "collar_operator", counted_operator)
+    monkeypatch.setattr(corner, "collar_operator", counted_operator)
     monkeypatch.setattr(corner.MollifiedCorner, "__init__", counted_init)
-    mollifier.certificate_collar.cache_clear()
+    corner.certificate_collar.cache_clear()
     for cm, eps in [(valid_corner, 1e-1), (valid_corner, 1e-2),
                     (valid_corner, 1e-3), (invalid_corner, 1e-1)]:
         corner.mollify(cm, eps)
     assert len(sigmas) == 4  # 3 valid, then the invalid one's first width
     assert builds == [2999]  # the certificate's collar, -1 < s < 1/2
     # the operator table: one build, read by every attempt
-    info = mollifier.certificate_collar.cache_info()
+    info = corner.certificate_collar.cache_info()
     assert (info.misses, info.hits) == (1, 3)
 
 
@@ -608,7 +608,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, rep.sigma)
 def test_collar_tables_are_read_only():
     # every sigma of every corner shares them: an in-place write must fail
     # (times 1.0, which would leave the shared values as they are)
-    at, powers, H = mollifier.certificate_collar()
+    at, powers, H = corner.certificate_collar()
     for table in (powers, H):
         with pytest.raises(ValueError, match="read-only"):
             table *= 1.0
@@ -635,9 +635,9 @@ def test_collar_moments_g0_g1_summed_exactly():
     # collar the closed-form table must match the bump's exact rational
     # integrals to 1e-18, where a float64 sum errs by about 1e-16, and hold
     # them at exactly 0 in the blend zone s <= -1/2
-    at, powers, H = mollifier.certificate_collar()
-    s = mollifier.COLLAR_S[at]
-    chi = mollifier.blend(s)[0]
+    at, powers, H = corner.certificate_collar()
+    s = corner.COLLAR_S[at]
+    chi = corner.blend(s)[0]
     for j in np.linspace(0, len(s) - 1, 41).astype(int):
         for m in (0, 1):
             got = H[0, j, m] / chi[j]
@@ -667,16 +667,16 @@ def direct_certificate_collar():
     """The collar tables built directly: every column's split rule, the
     moments summed over its nodes in float64, then chi_j G @ POWER_DERIV[k -
     j] summed over j by Leibniz' rule."""
-    s = mollifier.COLLAR_S
-    at = np.flatnonzero(mollifier.in_collar(s))
+    s = corner.COLLAR_S
+    at = np.flatnonzero(corner.in_collar(s))
     x = s[at]
     t, wt, dens = direct_conv_nodes(x)
-    chi = [c[:, None] for c in mollifier.blend(x)]
+    chi = [c[:, None] for c in corner.blend(x)]
     G = np.stack([np.sum(wt * (x - t) ** m, axis=0) - x ** m * (x <= 0)
                   for m in range(6)], axis=1)
     H = []
     for k in range(3):
-        conv = sum(comb(k, j) * chi[j] * G @ mollifier.POWER_DERIV[k - j]
+        conv = sum(comb(k, j) * chi[j] * G @ corner.POWER_DERIV[k - j]
                    for j in range(k + 1))
         H.append(np.hstack([conv, (k == 2) * chi[0] * dens[:, None]]))
     return at, np.vander(s, 6, True), np.stack(H)
@@ -686,8 +686,8 @@ def test_collar_tables_equal_the_direct_build():
     # the closed-form operator H is the split rule's float sums to their
     # roundoff; the collar slice and the powers are the direct build's bits
     at, powers, H = direct_certificate_collar()
-    fast_at, fast_powers, fast_H = mollifier.certificate_collar()
-    assert np.arange(len(mollifier.COLLAR_S))[fast_at].tolist() == at.tolist()
+    fast_at, fast_powers, fast_H = corner.certificate_collar()
+    assert np.arange(len(corner.COLLAR_S))[fast_at].tolist() == at.tolist()
     assert np.array_equal(fast_powers, powers)
     assert fast_H.shape == H.shape == (3, 2999, 7)
     assert np.max(np.abs(fast_H - H)) <= 1e-13
@@ -700,13 +700,13 @@ def test_bump_density_integrates_to_one_at_every_split():
     # per offset (the C-infinity bump's drifted by 8.5e-6 across the collar)
     from numpy.polynomial.legendre import leggauss
 
-    s = np.concatenate([mollifier.COLLAR_S, np.linspace(-0.6, 0.6, 1001)])
+    s = np.concatenate([corner.COLLAR_S, np.linspace(-0.6, 0.6, 1001)])
     s = np.unique(s[np.abs(s) < 0.5])
-    upper = [mollifier.collar_operator(x)[0, :, 0] + (x <= 0)
+    upper = [corner.collar_operator(x)[0, :, 0] + (x <= 0)
              for x in (s, -s[::-1])]
     assert np.max(np.abs(upper[0] + upper[1][::-1] - 1.0)) <= 1e-13
     z, w = leggauss(16)
-    dens = mollifier.collar_operator(z / 2)[2, :, 6]
+    dens = corner.collar_operator(z / 2)[2, :, 6]
     assert abs(w @ dens / 2 - 1.0) <= 1e-13
 
 
@@ -719,7 +719,7 @@ def test_collar_tables_match_direct_eval(base, sig, strength):
     # collar points are known only to ulp(r0)
     cm = corner.corner_example(base, 4.0, strength)
     mc = corner.MollifiedCorner(cm, sig)
-    rc = cm.r0 + sig * mollifier.COLLAR_S
+    rc = cm.r0 + sig * corner.COLLAR_S
     raw, fast = mc.collar_jets()
     direct = mc.eval(rc, 2)
     tol = 10 * np.finfo(float).eps * cm.r0 / sig
@@ -741,7 +741,7 @@ def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
     sm = mc.sample(grid)
 
     def per_node(self):
-        rc = self.r0 + self.sigma * mollifier.COLLAR_S
+        rc = self.r0 + self.sigma * corner.COLLAR_S
         return self._raw(rc)[0], self.eval(rc, 2)
 
     monkeypatch.setattr(corner.MollifiedCorner, "collar_jets", per_node)
@@ -754,8 +754,10 @@ def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
 def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
     # the benchmark's four mollify calls take the operator table for every
     # collar, and the far nodes' sums from sigma-free tables: over the 4
-    # attempts a spline sees each fresh corner's two pieces once, and never
-    # the 2999 radii of a collar or a per-attempt far node
+    # attempts a spline sees each fresh corner's two pieces once, and r0
+    # once for each piece's Taylor form and, on the refused corner,
+    # once more for each piece's 2-jet in `corner_condition`; never the 2999
+    # radii of a collar or a per-attempt far node
     valid, invalid = (corner.corner_example(base, 4.0, s) for s in (0.1, -0.1))
     sizes = []
     jets = Spline.jets
@@ -769,7 +771,7 @@ def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
                     (invalid, 1e-1)]:
         corner.mollify(cm, eps)
     pieces = [valid.inner.grid.num, valid.outer.grid.num]
-    assert sorted(sizes) == sorted(pieces * 2)
+    assert sorted(sizes) == sorted(pieces * 2 + [1] * 6)
 
 
 def _composite_certificate(mc, epsilon):
@@ -784,7 +786,7 @@ def _composite_certificate(mc, epsilon):
     Ri, Ro = (curvature.scalar_curvature(p) for p in (cm.inner, cm.outer))
     keep_i = ri <= mc.r0 - sig
     keep_o = ro >= mc.r0 + sig
-    rc = mc.r0 + sig * mollifier.COLLAR_S
+    rc = mc.r0 + sig * corner.COLLAR_S
     raw, jet = mc.collar_jets()
     Rc = curvature.scalar(n, rc, jet)
     Ac, Bc = jet[0].T

@@ -71,7 +71,7 @@ def test_jet_equals_deriv_bit_for_bit(kind):
     g = {"staggered": lambda: RadialGrid.staggered(60.0, 256),
          "uniform": lambda: RadialGrid.uniform(0.5, 300.0, 768),
          "geometric": lambda: RadialGrid.geometric(0.5, 300.0, 1024, 1.008),
-         "corner": lambda: make_corner_grid(0.5, 4.0, 300.0,
+         "corner": lambda: make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
                                             outer_num=512)}[kind]()
     rng = np.random.default_rng(len(kind))
     A = 1.0 + 0.3 * np.sin(g.r) + 0.01 * rng.normal(size=g.num)

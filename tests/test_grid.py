@@ -103,7 +103,8 @@ def test_grid_validation():
     lambda num: RadialGrid.staggered(60.0, num),
     lambda num: RadialGrid.uniform(0.5, 300.0, num),
     lambda num: RadialGrid.geometric(0.5, 300.0, num, 1.005),
-    lambda num: make_corner_grid(0.5, 4.0, 300.0, outer_num=num)],
+    lambda num: make_corner_grid(0.5, 4.0, 300.0, fine_dr=1.0 / 32,
+                                 outer_num=num)],
     ids=["staggered", "uniform", "geometric", "corner"])
 def test_grid_beyond_max_nodes_is_refused_before_allocating(build):
     # a count one past MAX_NODES is refused before any array is made

@@ -25,3 +25,11 @@ def test_every_trace_target_resolves():
             assert hasattr(obj, part), f"{name}: afgeo.{m}.{qual} is gone"
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_every_module_is_traced():
+    # the tracer wraps only the modules it names: a module left out of
+    # MODULES spends its time, unnamed, in its caller's self time
+    package = Path(importlib.import_module("afgeo").__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    assert sorted(modules - set(_layertrace().MODULES)) == []
