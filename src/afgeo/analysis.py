@@ -162,7 +162,7 @@ def negative_part(metric):
     """integral of |R| over {R < 0}: the trapezoid of the corner
     certificate's integrand."""
     R, w = _weighted_R(metric)
-    return float(np.trapezoid(negative_parts(R, w)[:, 0], metric.grid.r))
+    return float(np.trapezoid(negative_parts(R, w)[0], metric.grid.r))
 
 
 def rneg_monitor(trajectory, K):

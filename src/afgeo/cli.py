@@ -151,8 +151,9 @@ def cmd_flow(args):
 
 def _corner(args):
     """The example corner metric of the corner options."""
-    if not args.fine_density > 0:
-        raise ConfigError(f"--fine-density {args.fine_density:g} is not > 0")
+    if not 0 < args.fine_density < np.inf:
+        raise ConfigError(f"--fine-density {args.fine_density:g} is not "
+                          "finite and > 0")
     grid = corner.make_corner_grid(args.rmin, args.r0, args.rmax,
                                    fine_dr=1.0 / args.fine_density,
                                    outer_num=args.outer_num)
@@ -206,7 +207,11 @@ def cmd_mass_liminf(args):
 def cmd_zero_mass(args):
     if args.fairness is None:
         # 5 % beyond the kinked data's continuum A: (1 - 2 amp)^2 to (1 + amp)^2
-        lo, hi = sorted(((1 + args.amp) ** 2, (1 - 2 * args.amp) ** 2))
+        try:
+            lo, hi = sorted(((1 + args.amp) ** 2, (1 - 2 * args.amp) ** 2))
+        except OverflowError:
+            raise ConfigError(f"--amp {args.amp:g}: (1 - 2 amp)^2, for the "
+                              "default --fairness, overflows") from None
         args.fairness = max(1.2, 1.05 * max(hi, 1 / lo)) if lo > 0 else 1.2
     rep, traj = analysis.zero_mass_experiment(
         _flow_config(args), kink_radius=args.kink, amp=args.amp,

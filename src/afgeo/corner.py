@@ -6,7 +6,8 @@ interface decides whether the distributional scalar curvature is nonnegative
 there; mollification turns a valid corner into a smooth metric whose negative
 scalar-curvature mass can be certified small.  The certificate's collar
 tables are functions of the scaled radius s = (r - r0) / sigma alone, built
-once per process; a corner piece's FarTable holds its running sums.
+once per process; each corner keeps its pieces' stencil data, which every
+collar width slices for its far nodes.
 """
 
 from dataclasses import dataclass
@@ -31,11 +32,6 @@ class CornerFits(NamedTuple):
                          # piece, the outer fit's first, and T, the first
                          # minus the second: the part the collar smooths;
                          # -T[1] is the (A', B') jump, outer minus inner
-
-
-def _quintic(m):
-    """Quintic interpolant of (A, B) on one piece, in Horner form."""
-    return interp_spline(m.grid.r, np.stack([m.A, m.B], axis=-1), k=5)
 
 
 @dataclass
@@ -68,7 +64,9 @@ class CornerMetric:
     def fits(self):
         """One-sided fits and the Taylor forms of their pieces at r0, built
         once per corner and shared by every collar width."""
-        inner, outer = _quintic(self.inner), _quintic(self.outer)
+        # quintic interpolants of (A, B) on each piece, in Horner form
+        inner, outer = (interp_spline(m.grid.r, np.c_[m.A, m.B], k=5)
+                        for m in (self.inner, self.outer))
         # f^(k)(r0) / k!: r0 ends the inner fit and starts the outer
         taylor = [s.jets(self.r0, 5) / [[1.0], [1], [2], [6], [24], [120]]
                   for s in (inner, outer)]
@@ -77,9 +75,11 @@ class CornerMetric:
 
     @cached_property
     def far(self):
-        """Each piece's `FarTable`, read outside every collar width."""
-        return (far_table(self.inner, self.fits.inner, 1),
-                far_table(self.outer, self.fits.outer, -1))
+        """Each piece's rows r, stencil R, dV/dr and max |fit - (A, B)| as one
+        array: built once per corner, sliced outside every collar width."""
+        return [np.stack([m.grid.r, scalar_curvature(m), m.volume_density(),
+                          np.abs(fit(m.grid.r) - np.c_[m.A, m.B]).max(-1)])
+                for m, fit in zip((self.inner, self.outer), self.fits[:2])]
 
 
 def make_corner_grid(r_min, r0, r_max, fine_dr, outer_num):
@@ -158,12 +158,13 @@ def corner_example(base, r0, strength):
     du0, u0 = float(grid.deriv(u)[i0]), float(u[i0])
     # target inner slope: B' jump of `strength` means U' gains strength/(4 u0^3)
     q0 = -r0 ** 2 * (du0 + strength / (4.0 * u0 ** 3))
-    if q0 < 0:
-        raise ValueError("strength too large: inner factor would lose R >= 0")
-
     ri = grid.r[:i0 + 1]
     # I(r) = int_r^r0 S(t/r0)/t^2 dt, antiderivative of the quintic in closed form
     F = 5.0 * ri ** 2 / r0 ** 3 - 5.0 * ri ** 3 / r0 ** 4 + 1.5 * ri ** 4 / r0 ** 5
+    # U is largest at ri[0], where U^4 must be a float
+    if not 0 <= q0 <= (np.finfo(float).max ** 0.25 - u0) / (F[-1] - F[0]):
+        raise ValueError(f"strength={strength:g}: the inner factor would "
+                         + ("lose R >= 0" if q0 < 0 else "overflow"))
     U = u0 + q0 * (F[-1] - F)
     Ain = U ** 4
 
@@ -259,34 +260,10 @@ def certificate_collar():
     return slice(i[0], i[-1] + 1), powers, H
 
 
-class FarTable(NamedTuple):
-    """One piece's sigma-free certificate data, its nodes ordered from the
-    far end toward r0: entry k of a running column covers the k farthest."""
-    key: np.ndarray      # r on the inner piece, -r on the outer: ascending
-    r: np.ndarray
-    y: np.ndarray        # (|R_-| dV/dr, [R < 0] dV/dr) per node
-    integral: np.ndarray  # trapezoid of y over the k farthest nodes
-    R_min: np.ndarray    # min R over them (inf for k = 0)
-    moved: np.ndarray    # max |fit - data| over them (0 for k = 0)
-
-
 def negative_parts(R, dens):
-    """The integrands (|R_-| dV/dr, [R < 0] dV/dr) of the certificate."""
-    return np.stack([np.where(R < 0, -R, 0.0) * dens, (R < 0) * dens], -1)
-
-
-def far_table(metric, fit, sign):
-    """A corner piece's FarTable; sign -1 reverses the outer piece."""
-    R = scalar_curvature(metric)
-    moved = np.max(np.abs(fit(metric.grid.r)
-                          - np.stack([metric.A, metric.B], axis=-1)), axis=-1)
-    r, y, R, moved = (v[::sign] for v in (
-        metric.grid.r, negative_parts(R, metric.volume_density()), R, moved))
-    seg = np.abs(np.diff(r))[:, None] * (y[1:] + y[:-1]) / 2.0
-    return FarTable(sign * r, r, y,
-                    np.cumsum(np.vstack([np.zeros((2, 2)), seg]), axis=0),
-                    np.minimum.accumulate(np.r_[np.inf, R]),
-                    np.maximum.accumulate(np.r_[0.0, moved]))
+    """The integrands |R_-| dV/dr and [R < 0] dV/dr of the certificate, the
+    rows of a (2, len(R)) array."""
+    return np.stack([np.where(R < 0, -R, 0.0) * dens, (R < 0) * dens])
 
 
 @dataclass
@@ -398,38 +375,33 @@ def _certificate(mc, epsilon):
     """Measure the four smoothing properties of one collar width.
 
     Outside the collar |r - r0| < sigma the metric is untouched: R comes from
-    the grid stencils of each smooth piece, and each sum there is a running
-    one of `CornerMetric.far`.  Inside, R comes from spline + bump
-    derivatives; a trapezoid over the collar and the nearest far nodes joins
-    the two."""
+    the grid stencils of each smooth piece, sliced from `CornerMetric.far`.
+    Inside, R comes from spline + bump derivatives.  One trapezoid over the
+    far nodes and the collar, in order, integrates R's negative part."""
     cm, sig, r0 = mc.cm, mc.sigma, mc.r0
     rc = r0 + sig * COLLAR_S
     raw, jet = mc.collar_jets()
     ratios = jet[0] / raw
     sandwich_lo, sandwich_hi = float(np.min(ratios)), float(np.max(ratios))
     del raw, ratios  # a lower peak: glibc keeps the heap between attempts
-    Rc = scalar(cm.n, rc, jet)
+    collar = rc, scalar(cm.n, rc, jet), volume_element(cm.n, rc, *jet[0].T)
+    del jet
 
-    # the far nodes: r <= r0 - sigma inside, r >= r0 + sigma outside; their
-    # nearest, [k - 1:k], is empty when k = 0
-    (ti, ki), (to, ko) = ((t, np.searchsorted(t.key, s * r0 - sig, "right"))
-                          for t, s in zip(cm.far, (1, -1)))
-    K_measured = float(np.min([ti.R_min[ki], np.min(Rc), to.R_min[ko]]))
+    # the far nodes: r <= r0 - sigma inside, r >= r0 + sigma outside
+    fi, fo = cm.far
+    fi = fi[:, :np.searchsorted(fi[0], r0 - sig, "right")]
+    fo = fo[:, np.searchsorted(fo[0], r0 + sig):]
     # outside the collar the metric must be the corner's own data: the fits
     # match it there, and the collar adds nothing at any far node
-    far = np.concatenate([ti.r[:ki], to.r[:ko]])
-    support_ok = bool(max(ti.moved[ki], to.moved[ko]) < 1e-14
-                      and not in_collar((far - r0) / sig).any())
-    del far  # not held through the integral
-
-    x = np.concatenate([ti.r[ki - 1:ki], rc, to.r[ko - 1:ko]])
-    y = np.concatenate([ti.y[ki - 1:ki], negative_parts(
-        Rc, volume_element(cm.n, rc, *jet[0].T)), to.y[ko - 1:ko]])
-    seg = np.add(y[1:], y[:-1])  # np.trapezoid's terms, in place
-    seg *= np.diff(x)[:, None]
+    support_ok = bool(np.max(np.r_[0.0, fi[3], fo[3]]) < 1e-14 and not
+                      in_collar((np.r_[fi[0], fo[0]] - r0) / sig).any())
+    r, R, dens = (np.concatenate(row) for row in zip(fi[:3], collar, fo[:3]))
+    K_measured = float(np.min(R))
+    y = negative_parts(R, dens)
+    seg = np.add(y[:, 1:], y[:, :-1])  # np.trapezoid's terms, in place
+    seg *= np.diff(r)
     seg /= 2.0
-    neg_part, neg_measure = (np.cumsum(seg, 0, out=seg)[-1] + ti.integral[ki]
-                             + to.integral[ko]).tolist()
+    neg_part, neg_measure = seg.sum(axis=1).tolist()
     satisfied = (K_measured > -K_TARGET and sandwich_lo >= 1 - epsilon
                  and sandwich_hi <= 1 + epsilon and support_ok
                  and neg_part < epsilon)
@@ -446,11 +418,11 @@ def mollify(cm, epsilon):
     support) passes; if no width works the last report is returned with
     satisfied=False.  A width that fails inf R on a corner that fails
     `corner_condition` is returned at once, refused: with H(-) < H(+) the
-    mollified R keeps the jump's term, which falls like -1/sigma, and each
-    far table's R_min is a running minimum that only falls as the collar
-    narrows, so no narrower width can mend it.  Returns the MollifiedCorner
-    (`sample` puts it on a grid) and the report.  An epsilon whose first
-    collar leaves the corner's domain is refused."""
+    mollified R keeps the jump's term, which falls like -1/sigma, and the
+    far nodes grow as sigma halves, so their min R can only fall: no
+    narrower width can mend it.  Returns the MollifiedCorner (`sample` puts
+    it on a grid) and the report.  An epsilon whose first collar leaves the
+    corner's domain is refused."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon:g}")
     # starting collar width eps^2, floored where blend-derivative roundoff

@@ -110,12 +110,16 @@ class RadialGrid:
     @classmethod
     def geometric(cls, r_min, r_max, num, ratio):
         """Spacing grows by `ratio` per cell, starting from r_min."""
-        if ratio <= 1.0:
-            raise ValueError("ratio must exceed 1")
+        if not 1.0 < ratio < np.inf:
+            raise ValueError(f"ratio={ratio:g} must be finite and exceed 1")
         check_nodes(num, f"num={num}")
-        steps = ratio ** np.arange(num - 1)
-        cum = np.concatenate([[0.0], np.cumsum(steps)])
-        r = r_min + (r_max - r_min) * cum / cum[-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            steps = ratio ** np.arange(num - 1)
+            cum = np.concatenate([[0.0], np.cumsum(steps)])
+            r = r_min + (r_max - r_min) * cum / cum[-1]
+        if -np.inf < r_min < r_max < np.inf and not (np.diff(r) > 0).all():
+            raise ValueError(f"ratio={ratio:g} over num={num} nodes: the last "
+                             "cell overflows, or the first vanish")
         return cls(r)
 
     @property

@@ -99,8 +99,9 @@ def _smooth_pos(u, w):
 def _kink_profile(r, k, amp, smooth_width):
     """p(r) = amp * max(0, 1 - (r/k)^2) and its derivative, optionally with
     the derivative kink at r = k resolved over the given radial width."""
-    if not 0 < k < np.inf:
-        raise ValueError(f"kink={k:g}: the kink radius must be finite and > 0")
+    if not np.max(r) / 2.0 ** 511 < k < 2.0 ** 511:  # (r / k)^2, k^2 floats
+        raise ValueError(f"kink={k:g}: the kink radius must lie between r_max "
+                         f"/ 2^511 = {np.max(r) / 2.0 ** 511:g} and 2^511")
     u = 1.0 - (r / k) ** 2
     du = -2.0 * r / k ** 2
     if smooth_width > 0.0:

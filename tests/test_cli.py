@@ -452,6 +452,41 @@ def test_spec_value_that_would_mean_another_exits_config(argv, key, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+# each float input a computation overflowed on, and the flag or spec key its
+# refusal names; before the checks, a traceback and exit 1 (read as a failed
+# monitor), numpy RuntimeWarnings, or a message that named another input
+OVERFLOWING_INPUTS = [
+    (["zero-mass", "--amp", "1e154"], "--amp"),     # (1 - 2 amp)^2
+    (["zero-mass", "--amp", "-1e308"], "--amp"),    # (1 + amp)^2
+    (["zero-mass", "--kink", "1e308"], "kink="),    # kink^2
+    (["zero-mass", "--kink", "1e-308"], "kink="),   # (r / kink)^2: warnings
+    (["corner", "--strength", "-inf"], "strength="),   # warnings
+    (["corner", "--strength", "-1e308"], "strength="),
+    (["corner", "--fine-density", "inf"], "--fine-density"),  # "fine_dr=0"
+    # "grid radii must be finite"
+    (["mass", "--grid", "geometric:rmax=300,num=2048,ratio=nan"], "ratio="),
+    # ratio^2046 overflows: warnings
+    (["mass", "--grid", "geometric:rmax=300,num=2048,ratio=1.5"], "ratio="),
+    # the first cells vanish against r_max - r_min: "strictly increasing"
+    (["mass", "--grid", "geometric:rmax=300,num=2048,ratio=1.3"], "ratio=")]
+
+
+@pytest.mark.parametrize("argv, named", OVERFLOWING_INPUTS,
+                         ids=[" ".join(a) for a, _ in OVERFLOWING_INPUTS])
+def test_overflowing_input_exits_config_naming_it(argv, named, tmp_path,
+                                                   capsys):
+    assert cli.run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_mass_amplitude_past_the_kinks_slope_still_runs(tmp_path):
+    # 1 - 2 amp < 0: the kink's resolved slope keeps the sampled map
+    # monotone, and the monitor, not the configuration, fails
+    assert cli.run(["zero-mass", "--amp", "0.6", "--out", str(tmp_path)]) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["mass", "--radii", "50,abc,200"],  # "could not convert string to float"
     ["mass", "--radii", "50,,100,200"],  # ran three radii, exit 0

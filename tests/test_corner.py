@@ -313,9 +313,9 @@ def _every_width(cm, eps):
 def test_refused_width_is_never_mended_by_a_narrower_one(base, strength,
                                                          width, eps):
     # a corner with H(-) < H(+) keeps the jump's term, falling like
-    # -1/sigma, and the far tables' R_min only falls as the collar narrows:
-    # from the width mollify stops at, every narrower width fails and inf R
-    # never rises
+    # -1/sigma, and the far nodes grow as sigma halves, so their min R only
+    # falls: from the width mollify stops at, every narrower width fails and
+    # inf R never rises
     cm = corner.corner_example(base, 4.0, strength)
     assert not corner.corner_condition(cm)[2]
     reps = _every_width(cm, eps)
@@ -753,31 +753,38 @@ def test_wide_collar_takes_per_node_path(monkeypatch, valid_corner):
 
 def test_certificate_never_evaluates_collar_nodes(monkeypatch, base):
     # the benchmark's four mollify calls take the operator table for every
-    # collar, and the far nodes' sums from sigma-free tables: over the 4
-    # attempts a spline sees each fresh corner's two pieces once, and r0
-    # once for each piece's Taylor form and, on the refused corner,
+    # collar, and the far nodes from each corner's `CornerMetric.far`: over
+    # the 4 attempts a spline sees each fresh corner's two pieces once, and
+    # r0 once for each piece's Taylor form and, on the refused corner,
     # once more for each piece's 2-jet in `corner_condition`; never the 2999
-    # radii of a collar or a per-attempt far node
+    # radii of a collar or a per-attempt far node.  The pieces' stencil R
+    # is built once per piece of each fresh corner, never once per width
     valid, invalid = (corner.corner_example(base, 4.0, s) for s in (0.1, -0.1))
-    sizes = []
-    jets = Spline.jets
+    sizes, stencils = [], []
+    jets, stencil_R = Spline.jets, corner.scalar_curvature
 
     def counted(self, r, order=0):
         sizes.append(np.size(r))
         return jets(self, r, order)
 
+    def counted_R(metric):
+        stencils.append(metric.grid.num)
+        return stencil_R(metric)
+
     monkeypatch.setattr(Spline, "jets", counted)
+    monkeypatch.setattr(corner, "scalar_curvature", counted_R)
     for cm, eps in [(valid, 1e-1), (valid, 1e-2), (valid, 1e-3),
                     (invalid, 1e-1)]:
         corner.mollify(cm, eps)
     pieces = [valid.inner.grid.num, valid.outer.grid.num]
     assert sorted(sizes) == sorted(pieces * 2 + [1] * 6)
+    assert stencils == pieces * 2
 
 
 def _composite_certificate(mc, epsilon):
-    """The certificate as it was measured before the sigma-free tables: one
-    trapezoid over the far nodes and the collar, and the support check by
-    evaluating the mollified metric at every far node."""
+    """The certificate measured from scratch: the pieces' stencil R, one
+    np.trapezoid over the far nodes and the collar, and the support check
+    by evaluating the mollified metric at every far node."""
     cm = mc.cm
     n = cm.n
     sig = mc.sigma
