@@ -385,7 +385,8 @@ def zero_mass_experiment(config, grid, kink_radius=3.0, amp=0.05, n=3):
                            {"mass": rep0.mass, "mass_err": rep0.mass_err,
                             "sup_R_final": supR,
                             "roundtrip_c0": rt_err,
-                            "map_recovery_c0": phi_err}, rows)
+                            "map_recovery_c0": phi_err,
+                            "map_rk4_steps": sum(phi.rk4_steps)}, rows)
     return report, traj
 
 

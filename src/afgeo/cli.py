@@ -158,7 +158,10 @@ def _corner(args):
                                    fine_dr=1.0 / args.fine_density,
                                    outer_num=args.outer_num)
     base = parse_metric(args.base, grid, args.dim)
-    return corner.corner_example(base, args.r0, args.strength)
+    try:
+        return corner.corner_example(base, args.r0, args.strength)
+    except metrics.InputRefused as e:
+        raise ConfigError(f"--{e}") from None
 
 
 def cmd_corner(args):
@@ -213,9 +216,12 @@ def cmd_zero_mass(args):
             raise ConfigError(f"--amp {args.amp:g}: (1 - 2 amp)^2, for the "
                               "default --fairness, overflows") from None
         args.fairness = max(1.2, 1.05 * max(hi, 1 / lo)) if lo > 0 else 1.2
-    rep, traj = analysis.zero_mass_experiment(
-        _flow_config(args), kink_radius=args.kink, amp=args.amp,
-        grid=parse_grid(args.grid), n=args.dim)
+    try:
+        rep, traj = analysis.zero_mass_experiment(
+            _flow_config(args), kink_radius=args.kink, amp=args.amp,
+            grid=parse_grid(args.grid), n=args.dim)
+    except metrics.InputRefused as e:
+        raise ConfigError(f"--{e}") from None
     return _finish_monitor(args, rep, traj)
 
 

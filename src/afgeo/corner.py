@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import RadialGrid, Spline, check_nodes, interp_spline, smoothstep
-from .metrics import RadialMetric, volume_element
+from .metrics import InputRefused, RadialMetric, volume_element
 from .curvature import mass_function, mean_curvature, scalar, scalar_curvature
 
 CONT_TOL = 1e-12
@@ -161,14 +161,22 @@ def corner_example(base, r0, strength):
     ri = grid.r[:i0 + 1]
     # I(r) = int_r^r0 S(t/r0)/t^2 dt, antiderivative of the quintic in closed form
     F = 5.0 * ri ** 2 / r0 ** 3 - 5.0 * ri ** 3 / r0 ** 4 + 1.5 * ri ** 4 / r0 ** 5
-    # U is largest at ri[0], where U^4 must be a float
-    if not 0 <= q0 <= (np.finfo(float).max ** 0.25 - u0) / (F[-1] - F[0]):
-        raise ValueError(f"strength={strength:g}: the inner factor would "
-                         + ("lose R >= 0" if q0 < 0 else "overflow"))
-    U = u0 + q0 * (F[-1] - F)
-    Ain = U ** 4
-
-    inner = RadialMetric(RadialGrid(ri), 3, Ain, Ain.copy(), base.delta)
+    if not q0 >= 0:
+        raise InputRefused(f"strength={strength:g}: the inner factor would "
+                           "lose R >= 0")
+    # U is largest at ri[0]: there dV/dr ~ U^6 overflows past U of about
+    # 1e25, R's dB^2 and U^4 itself later
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ain = (u0 + q0 * (F[-1] - F)) ** 4
+        finite = np.isfinite(Ain).all()
+        if finite:
+            inner = RadialMetric(RadialGrid(ri), 3, Ain, Ain.copy(),
+                                 base.delta)
+            finite = np.isfinite([inner.volume_density(),
+                                  scalar_curvature(inner)]).all()
+    if not finite:
+        raise InputRefused(f"strength={strength:g}: the inner piece's U^4, "
+                           "dV/dr or R would overflow")
     outer = RadialMetric(RadialGrid(grid.r[i0:]), 3, base.A[i0:], base.B[i0:],
                          base.delta)
     return CornerMetric(inner, outer, float(grid.r[i0]), 3, base.delta)

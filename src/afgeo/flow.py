@@ -7,6 +7,7 @@ radial derivative are both exact functions of those jets.  The full Cartesian
 tensor equation in oracle.py locks the kernel in the tests.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -290,9 +291,11 @@ def evolve(metric, h, config):
 
 @dataclass
 class DiffeoMap:
-    """Radial maps phi_t(r) at the snapshot times, phi_T = identity."""
+    """Radial maps phi_t(r) at the snapshot times, phi_T = identity, and the
+    RK4 steps taken over each snapshot interval, earliest first."""
     times: np.ndarray
     maps: list  # one array per time, on the trajectory's grid
+    rk4_steps: list
 
     def __post_init__(self):
         for phi in self.maps:
@@ -304,20 +307,35 @@ class DiffeoMap:
         return self.maps[i]
 
 
+MAP_STEP_LIP = 5e-4  # the most dt L, L a Lipschitz bound of W, per RK4 step
+
+
 def extract_diffeomorphism(trajectory):
-    """Integrate d phi / dt = W(phi, t) backward from T with RK4, 8 steps
-    between snapshots; W cubic in r, linear in t between snapshots."""
+    """Integrate d phi / dt = W(phi, t) backward from T with RK4; W cubic in
+    r, linear in t between snapshots.  An interval of length dt takes
+    max(1, ceil(dt L / MAP_STEP_LIP)) steps, L the largest |dW/dr| bound
+    |a1| + 2h|a2| + 3h^2|a3| over the spline pieces, of width h, of the two
+    snapshots that bracket it."""
     snaps = trajectory.snapshots
     grid = snaps[0].metric.grid
     times = trajectory.times()
     # one solve for every snapshot's W, each a field of the spline
     W = interp_spline(grid.r, np.stack([s.W for s in snaps], axis=-1))
+    h = np.diff(W.x)[:, None]
+    a3, a2, a1 = np.abs(W.c[:3])
+    lip = np.max(a1 + 2.0 * h * a2 + 3.0 * h ** 2 * a3, axis=0)
 
     phi = grid.r.copy()
     maps = [None] * len(snaps)
     maps[-1] = phi.copy()
+    rk4_steps = [0] * (len(snaps) - 1)
     for j in range(len(snaps) - 1, 0, -1):
         t_lo, t_hi = times[j - 1], times[j]
+        work = (t_hi - t_lo) * lip[j - 1:j + 1].max() / MAP_STEP_LIP
+        if not np.isfinite(work):
+            raise FlowAbort(f"DeTurck vector not finite between t={t_lo:.6g}"
+                            f" and t={t_hi:.6g}", t=float(t_hi))
+        n = rk4_steps[j - 1] = max(1, math.ceil(work))
         # only the two snapshots that bracket this interval
         pair = Spline(W.c[..., j - 1:j + 1], W.x)
 
@@ -326,9 +344,9 @@ def extract_diffeomorphism(trajectory):
             w = pair(x)
             return (1 - lam) * w[:, 0] + lam * w[:, 1]
 
-        dt = (t_lo - t_hi) / 8  # negative
+        dt = (t_lo - t_hi) / n  # negative
         t = t_hi
-        for _ in range(8):
+        for _ in range(n):
             k1 = Wfun(phi, t)
             k2 = Wfun(phi + 0.5 * dt * k1, t + 0.5 * dt)
             k3 = Wfun(phi + 0.5 * dt * k2, t + 0.5 * dt)
@@ -336,7 +354,7 @@ def extract_diffeomorphism(trajectory):
             phi = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += dt
         maps[j - 1] = phi.copy()
-    return DiffeoMap(times, maps)
+    return DiffeoMap(times, maps, rk4_steps)
 
 
 def pullback(metric, phi):

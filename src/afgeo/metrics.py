@@ -7,6 +7,11 @@ import numpy as np
 from .grid import RadialGrid, smoothstep, sphere_area
 
 
+class InputRefused(ValueError):
+    """An input a builder cannot honour, its message led by `key=value`: the
+    CLI reports it as the flag of that name."""
+
+
 def volume_element(n, r, A, B):
     """dV/dr = |S^(n-1)| sqrt(A B^(n-1)) r^(n-1), the volume per unit dr."""
     return sphere_area(n) * np.sqrt(A * B ** (n - 1)) * r ** (n - 1)
@@ -100,8 +105,9 @@ def _kink_profile(r, k, amp, smooth_width):
     """p(r) = amp * max(0, 1 - (r/k)^2) and its derivative, optionally with
     the derivative kink at r = k resolved over the given radial width."""
     if not np.max(r) / 2.0 ** 511 < k < 2.0 ** 511:  # (r / k)^2, k^2 floats
-        raise ValueError(f"kink={k:g}: the kink radius must lie between r_max "
-                         f"/ 2^511 = {np.max(r) / 2.0 ** 511:g} and 2^511")
+        raise InputRefused(f"kink={k:g}: the kink radius must lie between "
+                           f"r_max / 2^511 = {np.max(r) / 2.0 ** 511:g} and "
+                           "2^511")
     u = 1.0 - (r / k) ** 2
     du = -2.0 * r / k ** 2
     if smooth_width > 0.0:
@@ -133,7 +139,8 @@ def build_distorted_flat(n, grid, kink_radius=3.0, amp=0.05, smooth_width=0.0):
     p, dp = _kink_profile(r, kink_radius, amp, smooth_width)
     dphi = 1.0 + p + r * dp
     if np.any(dphi <= 0):
-        raise ValueError("kink amplitude too large: map not monotone")
+        raise InputRefused(f"amp={amp:g}: kink amplitude too large: map not "
+                           "monotone")
     A = dphi ** 2
     B = (1.0 + p) ** 2
     return RadialMetric(grid, n, A, B, delta=float(n))

@@ -114,6 +114,18 @@ def test_flow_reports_count_steps_and_rhs_evals(tmp_path):
     assert code == 0
     lines = (tmp_path / "zero_mass.txt").read_text().splitlines()
     assert "steps=14" in lines and "rhs_evals=28" in lines
+    # three snapshot intervals, each one RK4 step of the gauge map
+    assert "map_rk4_steps=3" in lines
+
+
+def test_zero_mass_defaults_take_fewer_map_steps_than_eight_per_interval(
+        tmp_path):
+    assert cli.run(["zero-mass", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "zero_mass.txt").read_text().splitlines()
+    n = int(next(l for l in lines if l.startswith("map_rk4_steps="))[14:])
+    rows = (tmp_path / "zero_mass.csv").read_text().splitlines()
+    # one CSV row per snapshot under the header
+    assert 1 <= n < 8 * (len(rows) - 2)
 
 
 def test_flow_max_eta_covers_both_components(tmp_path):
@@ -462,6 +474,12 @@ OVERFLOWING_INPUTS = [
     (["zero-mass", "--kink", "1e-308"], "kink="),   # (r / kink)^2: warnings
     (["corner", "--strength", "-inf"], "strength="),   # warnings
     (["corner", "--strength", "-1e308"], "strength="),
+    # U^4 is finite, dV/dr overflows: warnings, exit 1
+    (["corner", "--strength", "-1e30"], "--strength=-1e+30"),
+    # dV/dr overflows and R is NaN: warnings, exit 1
+    (["corner", "--strength", "-1e70"], "--strength=-1e+70"),
+    # "kink amplitude too large: map not monotone"
+    (["zero-mass", "--amp", "1e150"], "--amp=1e+150"),
     (["corner", "--fine-density", "inf"], "--fine-density"),  # "fine_dr=0"
     # "grid radii must be finite"
     (["mass", "--grid", "geometric:rmax=300,num=2048,ratio=nan"], "ratio="),

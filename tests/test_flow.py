@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from afgeo import cli, corner, curvature, flow, mass, metrics, norms, oracle
-from afgeo.grid import RadialGrid
+from afgeo.grid import RadialGrid, Spline, interp_spline
 
 
 def taylor_consistency_check(phi, g_t, g_T):
@@ -388,6 +389,90 @@ def test_diffeo_roundtrip_recovers_initial_data(distorted_run):
     gauge = max(np.max(np.abs(pb.A - g0.A)[sel]), np.max(np.abs(pb.B - g0.B)[sel]))
     raw = max(np.max(np.abs(gT.A - g0.A)[sel]), np.max(np.abs(gT.B - g0.B)[sel]))
     assert gauge < 0.5 * raw
+
+
+def _fixed_step_maps(traj, substeps=64):
+    """The maps of d phi / dt = W(phi, t), backward from T, by RK4 at a fixed
+    `substeps` steps per snapshot interval, on the W spline that
+    extract_diffeomorphism builds: cubic in r, linear in t."""
+    snaps, times = traj.snapshots, traj.times()
+    W = interp_spline(snaps[0].metric.grid.r,
+                      np.stack([s.W for s in snaps], axis=-1))
+    phi = snaps[0].metric.grid.r.copy()
+    maps = [phi]
+    for j in range(len(snaps) - 1, 0, -1):
+        t_lo, t_hi = times[j - 1], times[j]
+        pair = Spline(W.c[..., j - 1:j + 1], W.x)
+
+        def f(x, t):
+            lam = (t - t_lo) / (t_hi - t_lo)
+            w = pair(x)
+            return (1 - lam) * w[:, 0] + lam * w[:, 1]
+
+        dt = (t_lo - t_hi) / substeps
+        for i in range(substeps):
+            t = t_hi + i * dt
+            k1 = f(phi, t)
+            k2 = f(phi + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = f(phi + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = f(phi + dt * k3, t + dt)
+            phi = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        maps.insert(0, phi)
+    return maps
+
+
+@pytest.fixture(scope="module")
+def long_interval_run():
+    # zero-mass's data at amp 0.05, a snapshot every 200 steps: at 8 fixed
+    # RK4 steps per interval the map was 9.6e-12 off the reference
+    grid = RadialGrid.staggered(60.0, 512)
+    g0 = metrics.build_distorted_flat(3, grid, kink_radius=3.0, amp=0.05,
+                                      smooth_width=6.0 * grid.dr_min)
+    cfg = flow.FlowConfig(T_final=0.5, monitor_every=200, fairness=1.3)
+    return flow.evolve(g0, metrics.build_flat(3, grid), cfg)
+
+
+@pytest.mark.parametrize("run", ["distorted_run", "long_interval_run"])
+def test_map_steps_match_a_fixed_64_step_reference(run, request):
+    traj = request.getfixturevalue(run)
+    if run == "distorted_run":
+        traj = traj[1]
+    phi = flow.extract_diffeomorphism(traj)
+    for got, want in zip(phi.maps, _fixed_step_maps(traj), strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_map_steps_follow_the_lipschitz_bound(long_interval_run):
+    # dt L <= MAP_STEP_LIP per step, and one step fewer would exceed it
+    traj = long_interval_run
+    phi = flow.extract_diffeomorphism(traj)
+    W = interp_spline(traj.snapshots[0].metric.grid.r,
+                      np.stack([s.W for s in traj.snapshots], axis=-1))
+    h = np.diff(W.x)[:, None]
+    lip = np.max(np.abs(W.c[2]) + 2 * h * np.abs(W.c[1])
+                 + 3 * h ** 2 * np.abs(W.c[0]), axis=0)
+    assert len(phi.rk4_steps) == len(traj.snapshots) - 1
+    for j, n in enumerate(phi.rk4_steps):
+        work = np.diff(traj.times())[j] * max(lip[j], lip[j + 1])
+        assert work / n <= flow.MAP_STEP_LIP
+        assert n == 1 or work / (n - 1) > flow.MAP_STEP_LIP
+
+
+def test_nan_deturck_vector_aborts_the_map_naming_its_interval(
+        long_interval_run):
+    # a copy of snapshot k, its W with one NaN
+    k, snaps = 3, list(long_interval_run.snapshots)
+    W = snaps[k].W.copy()
+    W[100] = np.nan
+    snaps[k] = dataclasses.replace(snaps[k])
+    snaps[k].W = W
+    traj = flow.FlowTrajectory(snaps, [])
+    t = traj.times()
+    with pytest.raises(flow.FlowAbort) as e:
+        flow.extract_diffeomorphism(traj)
+    # backward from T, the first interval to read snapshot k is [t_k, t_k+1]
+    assert f"t={t[k]:.6g} and t={t[k + 1]:.6g}" in str(e.value)
+    assert e.value.t == t[k + 1]
 
 
 def test_taylor_identity_flags_wrong_map(conformal_run):
